@@ -7,15 +7,31 @@ Timestamps are session-relative integer milliseconds.
 
 Parsing is total over the error taxonomy: any byte string yields either
 a fully validated :class:`SessionTelemetry` or exactly one of
-``SessionSyntaxError`` / ``SchemaError`` / ``ValidationError``.
+``SessionSyntaxError`` / ``SchemaError`` / ``ValidationError``. Reals
+must be finite and integers must fit in int64.
+
+Fast path and fallback: each event stream is checked in bulk first,
+with one C-level pass per column for element types and ranges
+(``set(map(type, xs))``, ``min``/``max``) and one per stream for
+timestamp order (``all(map(operator.le, xs, xs[1:]))``). Only when a
+bulk check fails is the stream walked element by element, and that walk
+alone decides the outcome and names the first offending entry, e.g.
+``events.frames[N]: expected integer, got float`` or ``frames not
+non-decreasing at t=...ms``. The bulk checks never accept what the walk
+would reject, so a valid stream is never walked and every diagnostic is
+the walk's. The per-sample battery, touch-latency and scene-load
+invariants are few-sample streams and are walked directly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, starmap
+from operator import itemgetter, le
 from typing import Any, NamedTuple, Sequence
 
 from .errors import (
@@ -32,6 +48,8 @@ SCHEMA_VERSION = 1
 BATTERY_RISE_TOLERANCE_PP = 0.5
 
 GAME_TIER_FIELDS = ("texture_tier", "effects_tier", "aa_tier", "dynamic_range_tier")
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 class UnknownKeyWarning(UserWarning):
@@ -135,11 +153,12 @@ class SessionTelemetry:
     launch: LaunchEvent | None = None
 
     def __post_init__(self) -> None:
+        # The one place events are built: parse_session hands over checked rows.
         object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "battery", tuple(BatterySample(*s) for s in self.battery))
-        object.__setattr__(self, "temperature", tuple(TempSample(*s) for s in self.temperature))
-        object.__setattr__(self, "touch", tuple(TouchEvent(*s) for s in self.touch))
-        object.__setattr__(self, "scene_loads", tuple(SceneLoad(*s) for s in self.scene_loads))
+        object.__setattr__(self, "battery", tuple(starmap(BatterySample, self.battery)))
+        object.__setattr__(self, "temperature", tuple(starmap(TempSample, self.temperature)))
+        object.__setattr__(self, "touch", tuple(starmap(TouchEvent, self.touch)))
+        object.__setattr__(self, "scene_loads", tuple(starmap(SceneLoad, self.scene_loads)))
         if self.launch is not None:
             object.__setattr__(self, "launch", LaunchEvent(*self.launch))
         self._validate()
@@ -151,9 +170,9 @@ class SessionTelemetry:
             )
         if len(self.frames) < 2:
             raise ValidationError("frames must contain at least 2 timestamps")
-        for prev, cur in zip(self.frames, self.frames[1:]):
-            if cur < prev:
-                raise ValidationError(f"frames not non-decreasing at t={cur}ms")
+        i = _first_decrease(self.frames)
+        if i is not None:
+            raise ValidationError(f"frames not non-decreasing at t={self.frames[i]}ms")
         if self.duration_ms <= 0:
             raise ValidationError("session duration (last frame - first frame) must be > 0")
 
@@ -174,10 +193,9 @@ class SessionTelemetry:
             prev_sample = sample
 
         for name, stream in (("temperature", self.temperature), ("touch", self.touch)):
-            ts = [s[0] for s in stream]
-            for prev, cur in zip(ts, ts[1:]):
-                if cur < prev:
-                    raise ValidationError(f"{name} not non-decreasing in t at t={cur}ms")
+            i = _first_decrease(list(map(itemgetter(0), stream)))
+            if i is not None:
+                raise ValidationError(f"{name} not non-decreasing in t at t={stream[i][0]}ms")
 
         for event in self.touch:
             if event.latency_ms < 0:
@@ -201,6 +219,13 @@ class SessionTelemetry:
     @property
     def duration_ms(self) -> int:
         return self.frames[-1] - self.frames[0]
+
+
+def _first_decrease(ts: Sequence) -> int | None:
+    """Index of the first element below its predecessor, or None."""
+    if all(map(le, ts, islice(ts, 1, None))):
+        return None
+    return next((i for i in range(1, len(ts)) if ts[i] < ts[i - 1]), None)
 
 
 # --- parsing -----------------------------------------------------------
@@ -234,13 +259,21 @@ def _as_obj(value: Any, where: str) -> dict:
 def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: expected integer, got {type(value).__name__}")
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise SchemaError(f"{where}: integer outside the int64 range")
     return value
 
 
 def _as_real(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected number, got {type(value).__name__}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise SchemaError(f"{where}: expected finite number")
+    return real
 
 
 def _as_str(value: Any, where: str) -> str:
@@ -267,6 +300,58 @@ def _opt_list(obj: dict, key: str, where: str) -> list:
     if value is None:  # absent and explicit null both mean "not recorded"
         return []
     return _as_list(value, where)
+
+
+# Bulk column checks: each returns the column, as the walk would convert
+# it, when every element passes, and None otherwise. None sends the whole
+# stream to the element-by-element walk, which names the first bad entry.
+
+
+def _int_column(xs: list) -> list | None:
+    if not set(map(type, xs)) <= {int}:
+        return None
+    return xs if not xs or (INT64_MIN <= min(xs) and max(xs) <= INT64_MAX) else None
+
+
+def _real_column(xs: list) -> list | None:
+    kinds = set(map(type, xs))
+    if not kinds <= {int, float}:
+        return None
+    if int in kinds:
+        try:
+            xs = list(map(float, xs))
+        except OverflowError:
+            return None
+    return xs if all(map(math.isfinite, xs)) else None
+
+
+def _str_column(xs: list) -> list | None:
+    return xs if set(map(type, xs)) <= {str} else None
+
+
+_COLUMN_CHECKS = {"int": _int_column, "real": _real_column, "str": _str_column}
+
+
+def _parse_rows(obj: dict, key: str, kinds: tuple[str, ...]) -> list:
+    """Rows of the fixed-width event stream ``key``, one column kind per field."""
+    where = f"events.{key}"
+    rows = _opt_list(obj, key, where)
+    width = len(kinds)
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        columns = [
+            _COLUMN_CHECKS[kind](list(map(itemgetter(j), rows))) for j, kind in enumerate(kinds)
+        ]
+        if all(column is not None for column in columns):
+            return list(zip(*columns))
+    walkers = [{"int": _as_int, "real": _as_real, "str": _as_str}[kind] for kind in kinds]
+    checked = []
+    for i, entry in enumerate(rows):
+        at = f"{where}[{i}]"
+        row = _as_list(entry, at)
+        if len(row) != width:
+            raise SchemaError(f"{at}: expected a {width}-element array")
+        checked.append(tuple(walk(row[j], f"{at}[{j}]") for j, walk in enumerate(walkers)))
+    return checked
 
 
 def _parse_device(obj: dict) -> DeviceMeta:
@@ -301,63 +386,22 @@ def _parse_game(obj: dict) -> GameSettings:
 
 def _parse_events(obj: dict) -> dict[str, Any]:
     _warn_unknown(obj, _EVENT_KEYS, "events")
-    frames = [
-        _as_int(v, f"events.frames[{i}]")
-        for i, v in enumerate(_as_list(_require(obj, "frames", "events"), "events.frames"))
-    ]
+    frames = _as_list(_require(obj, "frames", "events"), "events.frames")
+    if _int_column(frames) is None:
+        frames = [_as_int(v, f"events.frames[{i}]") for i, v in enumerate(frames)]
 
     launch = None
     if obj.get("launch") is not None:
         pair = _as_pair(obj["launch"], "events.launch")
-        launch = LaunchEvent(
-            _as_int(pair[0], "events.launch[0]"), _as_int(pair[1], "events.launch[1]")
-        )
-
-    battery = []
-    for i, entry in enumerate(_opt_list(obj, "battery", "events.battery")):
-        where = f"events.battery[{i}]"
-        pair = _as_pair(entry, where)
-        battery.append(
-            BatterySample(_as_int(pair[0], where + "[0]"), _as_real(pair[1], where + "[1]"))
-        )
-
-    temperature = []
-    for i, entry in enumerate(_opt_list(obj, "temperature", "events.temperature")):
-        where = f"events.temperature[{i}]"
-        triple = _as_list(entry, where)
-        if len(triple) != 3:
-            raise SchemaError(f"{where}: expected a 3-element array")
-        temperature.append(
-            TempSample(
-                _as_int(triple[0], where + "[0]"),
-                _as_real(triple[1], where + "[1]"),
-                _as_str(triple[2], where + "[2]"),
-            )
-        )
-
-    touch = []
-    for i, entry in enumerate(_opt_list(obj, "touch", "events.touch")):
-        where = f"events.touch[{i}]"
-        pair = _as_pair(entry, where)
-        touch.append(
-            TouchEvent(_as_int(pair[0], where + "[0]"), _as_real(pair[1], where + "[1]"))
-        )
-
-    scene_loads = []
-    for i, entry in enumerate(_opt_list(obj, "scene_loads", "events.scene_loads")):
-        where = f"events.scene_loads[{i}]"
-        pair = _as_pair(entry, where)
-        scene_loads.append(
-            SceneLoad(_as_int(pair[0], where + "[0]"), _as_int(pair[1], where + "[1]"))
-        )
+        launch = (_as_int(pair[0], "events.launch[0]"), _as_int(pair[1], "events.launch[1]"))
 
     return {
         "frames": tuple(frames),
-        "battery": tuple(battery),
-        "temperature": tuple(temperature),
-        "touch": tuple(touch),
-        "scene_loads": tuple(scene_loads),
         "launch": launch,
+        "battery": _parse_rows(obj, "battery", ("int", "real")),
+        "temperature": _parse_rows(obj, "temperature", ("int", "real", "str")),
+        "touch": _parse_rows(obj, "touch", ("int", "real")),
+        "scene_loads": _parse_rows(obj, "scene_loads", ("int", "int")),
     }
 
 
@@ -374,7 +418,9 @@ def parse_session(data: bytes) -> SessionTelemetry:
         raise SessionSyntaxError(f"session document is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and integer literals past the
+    # interpreter's digit limit; RecursionError covers deep nesting.
+    except (ValueError, RecursionError) as exc:
         raise SessionSyntaxError(f"malformed session document: {exc}") from exc
 
     root = _as_obj(doc, "top level")

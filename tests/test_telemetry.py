@@ -1,8 +1,11 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gpindex import telemetry
 from gpindex.errors import (
     EmptyInputError,
     SchemaError,
@@ -188,6 +191,140 @@ class TestParseSession:
         assert parse_session(data) == parse_session(data)
 
 
+class TestClosedErrorSurface:
+    """Inputs that once escaped as a bare exception or were scored silently."""
+
+    @pytest.mark.parametrize(
+        "events,message",
+        [
+            (
+                {"temperature": [[0, float("nan"), "soc"], [1000, 30.0, "soc"]]},
+                "events.temperature[0][1]: expected finite number",
+            ),
+            ({"touch": [[2000, float("nan")]]}, "events.touch[0][1]: expected finite number"),
+            ({"frames": [0, 16, 2**70]}, "events.frames[2]: integer outside the int64 range"),
+        ],
+    )
+    def test_event_values_out_of_domain(self, events, message):
+        doc = make_doc()
+        doc["events"].update(events)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse_session(to_bytes(doc))
+
+    def test_infinite_display_ppi(self):
+        doc = make_doc()
+        doc["device"]["display_ppi"] = float("inf")
+        with pytest.raises(SchemaError, match=r"device.display_ppi: expected finite number"):
+            parse_session(to_bytes(doc))
+
+    def test_deep_nesting(self):
+        with pytest.raises(SessionSyntaxError, match="malformed session document"):
+            parse_session(b"[" * 100_000)
+
+    def test_integer_literal_past_digit_limit(self):
+        data = to_bytes(make_doc()).replace(b"[0, 16]", b"[0, " + b"1" * 5000 + b"]")
+        with pytest.raises(SessionSyntaxError, match="malformed session document"):
+            parse_session(data)
+
+
+# Values each column kind must reject, with the reason its diagnostic gives.
+_BAD_VALUES = {
+    "int": [
+        (16.5, "expected integer, got float"),
+        (True, "expected integer, got bool"),
+        ("16", "expected integer, got str"),
+        (None, "expected integer, got NoneType"),
+        (2**63, "integer outside the int64 range"),
+        (-(2**63) - 1, "integer outside the int64 range"),
+    ],
+    "real": [
+        (False, "expected number, got bool"),
+        ("1.5", "expected number, got str"),
+        (None, "expected number, got NoneType"),
+        (float("nan"), "expected finite number"),
+        (float("-inf"), "expected finite number"),
+        (10**400, "expected finite number"),
+    ],
+    "str": [
+        (1.5, "expected string, got float"),
+        (True, "expected string, got bool"),
+        (None, "expected string, got NoneType"),
+    ],
+}
+_BAD_ROWS = [(None, "expected array, got NoneType"), (7, "expected array, got int")]
+_STREAM_KINDS = {
+    "frames": None,
+    "battery": ("int", "real"),
+    "temperature": ("int", "real", "str"),
+    "touch": ("int", "real"),
+    "scene_loads": ("int", "int"),
+}
+
+
+@st.composite
+def _session_events(draw):
+    session = draw(sessions(max_intervals=30))
+    doc = json.loads(serialize_session(session))
+    return doc, doc["events"]
+
+
+class TestFallbackDiagnostics:
+    """A stream the bulk checks reject is walked to name the one bad entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_session_events(), st.data())
+    def test_bad_value_named_by_index(self, drawn, data):
+        doc, events = drawn
+        stream = data.draw(st.sampled_from([k for k in _STREAM_KINDS if events.get(k)]))
+        entries = events[stream]
+        i = data.draw(st.integers(0, len(entries) - 1))
+        kinds = _STREAM_KINDS[stream]
+        if kinds is None:
+            value, reason = data.draw(st.sampled_from(_BAD_VALUES["int"]))
+            entries[i] = value
+            where = f"events.{stream}[{i}]"
+        elif data.draw(st.booleans()):
+            short = (entries[i][:-1], f"expected a {len(kinds)}-element array")
+            value, reason = data.draw(st.sampled_from(_BAD_ROWS + [short]))
+            entries[i] = value
+            where = f"events.{stream}[{i}]"
+        else:
+            j = data.draw(st.integers(0, len(kinds) - 1))
+            value, reason = data.draw(st.sampled_from(_BAD_VALUES[kinds[j]]))
+            entries[i][j] = value
+            where = f"events.{stream}[{i}][{j}]"
+        with pytest.raises(SchemaError) as info:
+            parse_session(to_bytes(doc))
+        assert type(info.value) is SchemaError
+        assert str(info.value) == f"{where}: {reason}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(_session_events(), st.data())
+    def test_swap_named_by_timestamp(self, drawn, data):
+        doc, events = drawn
+        starts = {
+            stream: [e if kinds is None else e[0] for e in events[stream]]
+            for stream, kinds in _STREAM_KINDS.items()
+            if events.get(stream)
+        }
+        rising = {
+            stream: [i for i in range(len(ts) - 1) if ts[i] < ts[i + 1]]
+            for stream, ts in starts.items()
+        }
+        stream = data.draw(st.sampled_from([k for k, idx in rising.items() if idx]))
+        i = data.draw(st.sampled_from(rising[stream]))
+        entries = events[stream]
+        if _STREAM_KINDS[stream] is None or stream == "scene_loads":
+            entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        else:  # swap timestamps only, so values keep their valid sequence
+            entries[i][0], entries[i + 1][0] = entries[i + 1][0], entries[i][0]
+        what = f"{stream} not non-decreasing" + ("" if stream == "frames" else " in t")
+        with pytest.raises(ValidationError) as info:
+            parse_session(to_bytes(doc))
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"{what} at t={starts[stream][i]}ms"
+
+
 class TestFixtureFile:
     def test_ten_minute_fixture(self, fixture_session_path):
         raw = fixture_session_path.read_text()
@@ -197,6 +334,22 @@ class TestFixtureFile:
         session = parse_session(fixture_session_path.read_bytes())
         assert len(session.frames) == 36_000
         assert session.schema_version == SCHEMA_VERSION
+
+    def test_valid_file_is_checked_in_bulk(self, fixture_session_path, monkeypatch):
+        # A per-element walk would call _as_int once per frame (36 000 times).
+        calls = 0
+        as_int = telemetry._as_int
+
+        def counting(value, where):
+            nonlocal calls
+            calls += 1
+            return as_int(value, where)
+
+        monkeypatch.setattr(telemetry, "_as_int", counting)
+        session = parse_session(fixture_session_path.read_bytes())
+        assert len(session.frames) == 36_000
+        assert type(session.frames) is tuple
+        assert calls < 64
 
 
 class TestRoundTrip:
