@@ -10,15 +10,25 @@ to reimplement bit-exactly anywhere, which keeps generated fixtures and
 golden files portable. Draw order per session is fixed: one frame-jitter
 draw per interval (none when frame_jitter_sd_ms is 0), then one latency
 draw per touch event.
+
+SplitMix64's state after k steps is seed + k*gamma (mod 2**64), so draw k
+is addressable as mix(seed + k*gamma). generate_session computes a block
+of draws at once with numpy uint64 arithmetic, which wraps exactly like
+the scalar mask, and gets frame times from a cumulative sum, which adds
+left to right exactly like the scalar ``t += step`` loop. Block generation
+therefore equals the scalar definition bit for bit; the test suite keeps
+the scalar loop as its oracle.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.resources import files
 from typing import Any
+
+import numpy as np
 
 from .errors import ModelError, SchemaError
 from .telemetry import (
@@ -28,10 +38,12 @@ from .telemetry import (
     LaunchEvent,
     SessionTelemetry,
     TempSample,
-    TouchEvent,
 )
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 BATTERY_SAMPLE_PERIOD_MS = 30_000
 TEMP_SAMPLE_PERIOD_MS = 30_000
@@ -42,6 +54,12 @@ MIN_DURATION_S = 120.0
 # Keeps the frame count stable when the frame time divides the duration
 # exactly (float accumulation would otherwise sit on the boundary).
 _BOUNDARY_EPS_MS = 1e-6
+_MIN_STEP_MS = 0.001
+# Frames are generated in blocks of at most this many intervals, so the
+# transient arrays stay the same size whatever the session duration.
+_FRAME_BLOCK = 1 << 14
+# Frame times are cast to int64; a session must end below this.
+_MAX_DURATION_MS = 2.0**63
 
 
 class SplitMix64:
@@ -55,10 +73,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -67,6 +85,45 @@ class SplitMix64:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
+
+
+def _block_floats(seed: int, skip: int, n: int) -> np.ndarray:
+    """Draws skip+1 .. skip+n of SplitMix64(seed), as next_float() values."""
+    z = np.arange(skip + 1, skip + n + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def _is_finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# DeviceModel fields that must hold a finite number (or None).
+_REAL_MODEL_FIELDS = (
+    "base_frame_time_ms",
+    "drain_rate_pct_per_hour",
+    "temp_start_c",
+    "temp_peak_c",
+    "touch_latency_ms",
+    "launch_s",
+    "frame_jitter_sd_ms",
+    "throttle_onset_s",
+    "throttle_factor",
+    "render_scale",
+    "display_ppi",
+)
 
 
 @dataclass(frozen=True)
@@ -99,6 +156,10 @@ class DeviceModel:
     battery_capacity_mah: int | None = None
 
     def __post_init__(self) -> None:
+        for name in _REAL_MODEL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not _is_finite(value):
+                raise ModelError(f"{name} must be finite, got {value!r}")
         if self.base_frame_time_ms <= 0:
             raise ModelError("base_frame_time_ms must be > 0")
         if self.frame_jitter_sd_ms < 0:
@@ -117,30 +178,69 @@ class DeviceModel:
             raise ModelError("launch_s must be >= 0")
 
 
+def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], int]:
+    """Frame timestamps and the number of jitter draws they used.
+
+    The scalar definition: starting at t = 0, emit round(t) while
+    t < duration_ms - eps, then advance t by max(dt + jitter, 0.001), where
+    dt is base_frame_time_ms, times throttle_factor once t >= onset, and
+    jitter is one uniform draw (none when frame_jitter_sd_ms is 0). Each
+    block below computes the next steps at once and keeps the frames up to
+    the first time at or past its limit: the end, or the throttle onset,
+    after which the next block uses the throttled dt.
+    """
+    end = duration_ms - _BOUNDARY_EPS_MS
+    onset = math.inf if model.throttle_onset_s is None else model.throttle_onset_s * 1000.0
+    # Zero-mean uniform noise with sd -> half-width sd * sqrt(3).
+    half_width = model.frame_jitter_sd_ms * math.sqrt(3.0)
+    lo, hi = -half_width, half_width
+
+    frames: list[int] = []
+    used = 0
+    t = 0.0
+    dt = model.base_frame_time_ms
+    limit = min(end, onset)
+    while t < end:
+        if t >= limit:  # throttle onset reached
+            dt = model.base_frame_time_ms * model.throttle_factor
+            limit = end
+        # Enough steps to reach the limit, plus slack for the jitter.
+        n = int(min(_FRAME_BLOCK, (limit - t) / max(dt, _MIN_STEP_MS) + 64))
+        times = np.empty(n + 1)
+        times[0] = t
+        if half_width > 0:
+            # In place, but the same operations as max(dt + uniform(lo, hi), floor).
+            steps = _block_floats(model.seed, used, n)
+            steps *= hi - lo
+            steps += lo
+            steps += dt
+            np.maximum(steps, _MIN_STEP_MS, out=times[1:])
+        else:
+            times[1:] = max(dt, _MIN_STEP_MS)
+        np.cumsum(times, out=times)
+        m = int(np.searchsorted(times[:n], limit))  # first time >= limit
+        if half_width > 0:
+            used += m
+        t = float(times[m])
+        # np.rint rounds halves to even, as round() does.
+        frames += np.rint(times[:m]).astype(np.int64).tolist()
+    return frames, used
+
+
 def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
     """Generate one session of the given duration; deterministic per seed.
 
     The output always satisfies every telemetry invariant.
     """
+    if not (_is_finite(duration_s) and duration_s * 1000.0 < _MAX_DURATION_MS):
+        raise ModelError(
+            f"duration_s must be finite and below {_MAX_DURATION_MS / 1000.0:g} s, "
+            f"got {duration_s!r}"
+        )
     if duration_s < MIN_DURATION_S:
         raise ModelError(f"duration must be >= {MIN_DURATION_S:.0f} s, got {duration_s}")
-    rng = SplitMix64(model.seed)
     duration_ms = duration_s * 1000.0
-
-    # Zero-mean uniform noise with sd -> half-width sd * sqrt(3).
-    jitter_half_width = model.frame_jitter_sd_ms * math.sqrt(3.0)
-    onset_ms = None if model.throttle_onset_s is None else model.throttle_onset_s * 1000.0
-
-    frames = []
-    t = 0.0
-    while t < duration_ms - _BOUNDARY_EPS_MS:
-        frames.append(round(t))
-        dt = model.base_frame_time_ms
-        if onset_ms is not None and t >= onset_ms:
-            dt *= model.throttle_factor
-        if jitter_half_width > 0:
-            dt += rng.uniform(-jitter_half_width, jitter_half_width)
-        t += max(dt, 0.001)
+    frames, used = _frame_times(model, duration_ms)
 
     battery = []
     t_ms = 0
@@ -160,14 +260,12 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
         temperature.append(TempSample(t_ms, value, "soc"))
         t_ms += TEMP_SAMPLE_PERIOD_MS
 
-    touch = []
-    t_ms = TOUCH_PERIOD_MS
-    while t_ms <= duration_ms:
-        latency = model.touch_latency_ms * (
-            1.0 + rng.uniform(-TOUCH_JITTER_FRACTION, TOUCH_JITTER_FRACTION)
-        )
-        touch.append(TouchEvent(t_ms, latency))
-        t_ms += TOUCH_PERIOD_MS
+    # One latency draw per touch, right after the frame-jitter draws.
+    touch_times = range(TOUCH_PERIOD_MS, int(duration_ms) + 1, TOUCH_PERIOD_MS)
+    lo, hi = -TOUCH_JITTER_FRACTION, TOUCH_JITTER_FRACTION
+    jitter = lo + (hi - lo) * _block_floats(model.seed, used, len(touch_times))
+    latencies = model.touch_latency_ms * (1.0 + jitter)
+    touch = zip(touch_times, latencies.tolist())
 
     return SessionTelemetry(
         schema_version=1,
@@ -184,10 +282,10 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
             aa_tier=model.aa_tier,
             dynamic_range_tier=model.dynamic_range_tier,
         ),
-        frames=tuple(frames),
-        battery=tuple(battery),
-        temperature=tuple(temperature),
-        touch=tuple(touch),
+        frames=frames,
+        battery=battery,
+        temperature=temperature,
+        touch=touch,
         launch=LaunchEvent(0, round(model.launch_s * 1000.0)),
     )
 
@@ -252,7 +350,9 @@ def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
     """Parse a corpus manifest (same JSON syntax family as session files)."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, JSONDecodeError and integer literals past
+    # the interpreter's digit limit; RecursionError covers deep nesting.
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed manifest: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         raise SchemaError("manifest schema_version must be 1")
@@ -260,6 +360,7 @@ def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
     if not isinstance(devices, list) or not devices:
         raise SchemaError("manifest must declare a non-empty devices array")
     corpus = []
+    first_index: dict[str, int] = {}
     for i, entry in enumerate(devices):
         where = f"devices[{i}]"
         if not isinstance(entry, dict):
@@ -270,15 +371,20 @@ def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
         duration = entry.get("session_duration_s")
         if isinstance(duration, bool) or not isinstance(duration, (int, float)):
             raise SchemaError(f"{where}.session_duration_s: expected number")
+        if not _is_finite(duration):
+            raise SchemaError(f"{where}.session_duration_s: expected finite number")
         model_obj = entry.get("model")
         if not isinstance(model_obj, dict):
             raise SchemaError(f"{where}.model: expected object")
-        corpus.append(
-            CorpusDevice(
-                model=_model_from_json(model_obj, f"{where}.model"),
-                sessions=sessions,
-                session_duration_s=float(duration),
+        model = _model_from_json(model_obj, f"{where}.model")
+        if model.device_id in first_index:
+            raise SchemaError(
+                f"{where}.model.device_id: {model.device_id!r} already used by "
+                f"devices[{first_index[model.device_id]}]"
             )
+        first_index[model.device_id] = i
+        corpus.append(
+            CorpusDevice(model=model, sessions=sessions, session_duration_s=float(duration))
         )
     return tuple(corpus)
 
@@ -296,13 +402,7 @@ def generate_corpus(
     for device in corpus:
         sessions = []
         for i in range(device.sessions):
-            model = DeviceModel(
-                **{**_model_kwargs(device.model), "seed": device.model.seed + i}
-            )
+            model = replace(device.model, seed=device.model.seed + i)
             sessions.append(generate_session(model, device.session_duration_s))
         out[device.model.device_id] = sessions
     return out
-
-
-def _model_kwargs(model: DeviceModel) -> dict[str, Any]:
-    return {name: getattr(model, name) for name in model.__dataclass_fields__}

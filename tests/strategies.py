@@ -1,8 +1,10 @@
-"""Hypothesis strategies for valid engine inputs.
+"""Hypothesis strategies for valid engine inputs, and a manifest builder.
 
 Ordered streams are built from cumulative gaps rather than unique sorted
 draws; generation stays cheap and monotonicity holds by construction.
 """
+
+import json
 
 import hypothesis.strategies as st
 
@@ -171,3 +173,27 @@ def curve_set():
     from gpindex.metrics import METRIC_IDS
 
     return st.fixed_dictionaries({m: curves(metric_id=m, max_points=4) for m in METRIC_IDS})
+
+
+def manifest_bytes(*entries):
+    """Manifest bytes with one device per entry: a fixed valid model, with
+    the entry's overrides of model fields or of session_duration_s."""
+    devices = []
+    for overrides in entries:
+        model = {
+            "device_id": "x",
+            "base_frame_time_ms": 16.0,
+            "drain_rate_pct_per_hour": 10,
+            "temp_start_c": 25,
+            "temp_peak_c": 30,
+            "touch_latency_ms": 50,
+            "launch_s": 5,
+            "seed": 1,
+        }
+        entry = {"sessions": 1, "session_duration_s": 300, "model": model}
+        for key, value in overrides.items():
+            (entry if key == "session_duration_s" else model)[key] = value
+        devices.append(entry)
+    # json.dumps writes float NaN and infinities as the NaN/Infinity literals.
+    return json.dumps({"schema_version": 1, "devices": devices}).encode()
+

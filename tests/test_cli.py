@@ -1,12 +1,22 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from gpindex.cli import main
 from gpindex.report import serialize_session
+from tests.strategies import manifest_bytes
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+HOSTILE_MANIFESTS = {
+    "deep_nesting": b"[" * 100_000,
+    "long_integer": manifest_bytes({}).replace(b'"seed": 1', b'"seed": ' + b"9" * 5000),
+    "nan_latency": manifest_bytes({"touch_latency_ms": math.nan}),
+    "inf_duration": manifest_bytes({"session_duration_s": math.inf}),
+    "duplicate_id": manifest_bytes({}, {}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +165,17 @@ class TestDemo:
         manifest.write_text('{"schema_version": 1, "devices": []}')
         assert main(["demo", "--out", str(tmp_path / "o"), "--manifest", str(manifest)]) == 2
         assert "manifest error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MANIFESTS))
+    def test_hostile_manifest_is_usage_error(self, tmp_path, capsys, case):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(HOSTILE_MANIFESTS[case])
+        out = tmp_path / "o"
+        assert main(["demo", "--out", str(out), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCompare:

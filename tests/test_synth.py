@@ -1,18 +1,86 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gpindex import synth
 from gpindex.errors import ModelError, SchemaError
 from gpindex.metrics import extract_metrics
 from gpindex.report import serialize_session
 from gpindex.synth import (
+    TOUCH_JITTER_FRACTION,
+    TOUCH_PERIOD_MS,
+    DeviceModel,
     SplitMix64,
+    _block_floats,
     default_demo_manifest,
     generate_corpus,
     generate_session,
     load_manifest,
 )
-from gpindex.telemetry import parse_session
+from gpindex.telemetry import TouchEvent, parse_session
+from tests.strategies import manifest_bytes
+
+
+def scalar_frames_and_touch(model, duration_s):
+    """Oracle: the per-frame and per-touch loops, one scalar draw at a time."""
+    rng = SplitMix64(model.seed)
+    duration_ms = duration_s * 1000.0
+
+    jitter_half_width = model.frame_jitter_sd_ms * math.sqrt(3.0)
+    onset_ms = None if model.throttle_onset_s is None else model.throttle_onset_s * 1000.0
+
+    frames = []
+    t = 0.0
+    while t < duration_ms - 1e-6:
+        frames.append(round(t))
+        dt = model.base_frame_time_ms
+        if onset_ms is not None and t >= onset_ms:
+            dt *= model.throttle_factor
+        if jitter_half_width > 0:
+            dt += rng.uniform(-jitter_half_width, jitter_half_width)
+        t += max(dt, 0.001)
+
+    touch = []
+    t_ms = TOUCH_PERIOD_MS
+    while t_ms <= duration_ms:
+        latency = model.touch_latency_ms * (
+            1.0 + rng.uniform(-TOUCH_JITTER_FRACTION, TOUCH_JITTER_FRACTION)
+        )
+        touch.append(TouchEvent(t_ms, latency))
+        t_ms += TOUCH_PERIOD_MS
+    return tuple(frames), tuple(touch)
+
+
+@st.composite
+def models_and_durations(draw):
+    """Models covering every branch of the frame loop, with a duration."""
+    duration_s = draw(st.one_of(st.integers(120, 240), st.floats(120.0, 240.0)))
+    throttle = draw(st.sampled_from(["none", "before_end", "after_end"]))
+    onset = {
+        "none": None,
+        "before_end": draw(st.floats(1.0, duration_s - 1.0)),
+        "after_end": draw(st.floats(duration_s + 1.0, 2 * duration_s)),
+    }[throttle]
+    model = DeviceModel(
+        device_id="d",
+        base_frame_time_ms=draw(st.one_of(st.integers(8, 40), st.floats(8.0, 40.0))),
+        # Wide jitter makes some steps fall to the 0.001 ms floor.
+        frame_jitter_sd_ms=draw(
+            st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(3.0, 30.0))
+        ),
+        throttle_onset_s=onset,
+        throttle_factor=draw(st.one_of(st.integers(1, 3), st.floats(1.0, 3.0))),
+        drain_rate_pct_per_hour=20.0,
+        temp_start_c=30.0,
+        temp_peak_c=40.0,
+        touch_latency_ms=draw(st.floats(0.0, 200.0)),
+        launch_s=5.0,
+        seed=draw(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 1000, 2**64 - 1))),
+    )
+    return model, duration_s
 
 
 class TestSplitMix64:
@@ -45,6 +113,13 @@ class TestSplitMix64:
         rng = SplitMix64(7)
         values = [rng.next_float() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in values)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_block_draws_equal_scalar_draws(self, seed):
+        rng = SplitMix64(seed)
+        scalar = [rng.next_float() for _ in range(1000)]
+        assert _block_floats(seed, 0, 1000).tolist() == scalar
+        assert _block_floats(seed, 600, 400).tolist() == scalar[600:]
 
 
 class TestGenerateSession:
@@ -107,6 +182,50 @@ class TestGenerateSession:
         with pytest.raises(ModelError, match="duration"):
             generate_session(reference_model, 60)
 
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan, 10**400, 1e16])
+    def test_duration_must_be_finite_and_fit_int64(self, reference_model, duration_s):
+        with pytest.raises(ModelError, match="duration_s must be finite"):
+            generate_session(reference_model, duration_s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(models_and_durations())
+    def test_equals_scalar_oracle(self, model_and_duration):
+        model, duration_s = model_and_duration
+        session = generate_session(model, duration_s)
+        assert (session.frames, session.touch) == scalar_frames_and_touch(model, duration_s)
+
+    def test_demo_devices_equal_scalar_oracle(self):
+        # A 600 s session spans several blocks of frames.
+        for device in default_demo_manifest():
+            session = generate_session(device.model, device.session_duration_s)
+            assert (session.frames, session.touch) == scalar_frames_and_touch(
+                device.model, device.session_duration_s
+            )
+
+    def test_small_blocks_equal_scalar_oracle(self, monkeypatch, reference_model):
+        # 1.1 ms steps put many frame times next to a .5 rounding tie, so
+        # adding them in any order but left to right changes some frames.
+        monkeypatch.setattr(synth, "_FRAME_BLOCK", 1000)
+        models = [
+            dataclasses.replace(reference_model, base_frame_time_ms=1.1),
+            dataclasses.replace(
+                reference_model,
+                base_frame_time_ms=1.1,
+                throttle_onset_s=50.5,
+                throttle_factor=1.3,
+            ),
+            dataclasses.replace(
+                reference_model,
+                frame_jitter_sd_ms=9.0,
+                throttle_onset_s=50.0,
+                throttle_factor=2,
+                seed=2**64 - 1,
+            ),
+        ]
+        for model in models:
+            session = generate_session(model, 130.25)
+            assert (session.frames, session.touch) == scalar_frames_and_touch(model, 130.25)
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -119,6 +238,21 @@ class TestGenerateSession:
     )
     def test_model_invariants(self, reference_model, field, value):
         with pytest.raises(ModelError):
+            dataclasses.replace(reference_model, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("touch_latency_ms", math.nan),
+            ("base_frame_time_ms", math.nan),
+            ("temp_peak_c", math.inf),
+            ("throttle_onset_s", math.inf),
+            ("display_ppi", -math.inf),
+            ("launch_s", 10**400),
+        ],
+    )
+    def test_model_numbers_must_be_finite(self, reference_model, field, value):
+        with pytest.raises(ModelError, match=f"{field} must be finite"):
             dataclasses.replace(reference_model, **{field: value})
 
 
@@ -165,3 +299,40 @@ class TestManifest:
                 b'"temp_start_c": 25, "temp_peak_c": 30, "touch_latency_ms": 50, '
                 b'"launch_s": 5, "seed": 1, "bogus": 2}}]}'
             )
+
+
+class TestManifestRejections:
+    def test_reference_manifest_loads(self):
+        (device,) = load_manifest(manifest_bytes({}))
+        assert device.model.device_id == "x"
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"touch_latency_ms": math.nan}, "touch_latency_ms must be finite"),
+            ({"base_frame_time_ms": math.nan}, "base_frame_time_ms must be finite"),
+            (
+                {"session_duration_s": math.inf},
+                r"devices\[0\]\.session_duration_s: expected finite number",
+            ),
+        ],
+    )
+    def test_non_finite_numbers(self, overrides, match):
+        with pytest.raises((ModelError, SchemaError), match=match):
+            load_manifest(manifest_bytes(overrides))
+
+    def test_deep_nesting_is_malformed(self):
+        with pytest.raises(SchemaError, match="malformed manifest"):
+            load_manifest(b"[" * 100_000)
+
+    def test_overlong_integer_literal_is_malformed(self):
+        data = manifest_bytes({}).replace(b'"seed": 1', b'"seed": ' + b"9" * 5000)
+        with pytest.raises(SchemaError, match="malformed manifest"):
+            load_manifest(data)
+
+    def test_duplicate_device_ids(self):
+        data = manifest_bytes({"device_id": "a"}, {"device_id": "b"}, {"device_id": "a"})
+        with pytest.raises(
+            SchemaError, match=r"devices\[2\]\.model\.device_id: 'a' already used by devices\[0\]"
+        ):
+            load_manifest(data)
