@@ -5,8 +5,8 @@ persona-weighted 0-100 performance scores and ranked device-comparison
 reports. The pipeline:
 
     session file -> SessionTelemetry -> MetricSet -> sub-index scores
-    -> six main indices -> overall score -> median across sessions
-    -> ranked comparison table
+    (once per session) -> six main indices -> overall score (per profile)
+    -> median across sessions -> ranked comparison table
 
 Everything is pure and seeded: identical inputs produce bit-identical
 scores and reports on every platform.
@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     CurveError,
     DegenerateInputError,
+    DuplicateDeviceError,
     EmptyInputError,
     EngineError,
     InsufficientSamplesError,
@@ -38,6 +39,7 @@ from .indices import (
     score_device,
     score_main_index,
     score_overall,
+    score_profiles,
 )
 from .metrics import MetricSet, extract_metrics
 from .report import (
@@ -73,6 +75,7 @@ __all__ = [
     "DegenerateInputError",
     "DeviceMeta",
     "DeviceModel",
+    "DuplicateDeviceError",
     "EmptyInputError",
     "EngineConfig",
     "EngineError",
@@ -112,6 +115,7 @@ __all__ = [
     "score_device",
     "score_main_index",
     "score_overall",
+    "score_profiles",
     "serialize_session",
     "validate_comparability",
     "validate_curve",

@@ -17,9 +17,10 @@ from pathlib import Path
 
 from .config import EngineConfig, default_config, load_config_file
 from .errors import ConfigError, EngineError
-from .indices import score_device
-from .report import emit_plot_data, emit_report, rank_devices, serialize_session
-from .synth import default_demo_manifest, generate_corpus, load_manifest
+# Not called here: perfbench/tracing.py wraps gpindex.cli.score_device by name.
+from .indices import score_device, score_profiles  # noqa: F401
+from .report import ComparisonTable, emit_plot_data, emit_report, rank_devices, serialize_session
+from .synth import CorpusDevice, default_demo_manifest, generate_corpus, load_manifest
 from .telemetry import parse_session, validate_comparability
 
 EXIT_OK = 0
@@ -114,6 +115,40 @@ def _load_device_dirs(device_dirs: list[str]) -> list[list]:
     return groups
 
 
+def _score_tables(
+    groups: list[list], config: EngineConfig, profile_names: list[str]
+) -> list[ComparisonTable]:
+    """One ranked table per named profile; each device is measured once."""
+    profiles = [config.profiles[name] for name in profile_names]
+    per_device = [score_profiles(sessions, profiles, config.curves) for sessions in groups]
+    return [rank_devices(cards) for cards in zip(*per_device)]
+
+
+def _compare(device_dirs: list[str], config: EngineConfig, out_dir: Path, fmt: str) -> list[Path]:
+    """Score every profile, write the reports and the plot data; return the paths written."""
+    tables = _score_tables(_load_device_dirs(device_dirs), config, sorted(config.profiles))
+    written = []
+    for table in tables:
+        target = out_dir / f"report_{table.profile_name}.{fmt}"
+        target.write_bytes(emit_report(table, fmt))
+        written.append(target)
+    plot_path = out_dir / "plot_data.csv"
+    plot_path.write_bytes(emit_plot_data(tables))
+    return written + [plot_path]
+
+
+def _write_corpus(corpus: tuple[CorpusDevice, ...], sessions_dir: Path) -> list[str]:
+    """Generate the corpus, write one directory per device, drop the sessions."""
+    device_dirs = []
+    for device_id, sessions in generate_corpus(corpus).items():
+        device_dir = sessions_dir / device_id
+        device_dir.mkdir(parents=True, exist_ok=True)
+        for i, session in enumerate(sessions):
+            (device_dir / f"session_{i:02d}.json").write_bytes(serialize_session(session))
+        device_dirs.append(str(device_dir))
+    return device_dirs
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args.config)
@@ -133,11 +168,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     try:
         groups = _load_device_dirs(args.device_dirs)
-        cards = [
-            score_device(sessions, config.profiles[args.profile], config.curves)
-            for sessions in groups
-        ]
-        payload = emit_report(rank_devices(cards), args.format)
+        (table,) = _score_tables(groups, config, [args.profile])
+        payload = emit_report(table, args.format)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -162,21 +194,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        groups = _load_device_dirs(args.device_dirs)
-        tables = []
-        for name in sorted(config.profiles):
-            cards = [
-                score_device(sessions, config.profiles[name], config.curves)
-                for sessions in groups
-            ]
-            tables.append(rank_devices(cards))
-        for table in tables:
-            target = out_dir / f"report_{table.profile_name}.{args.format}"
-            target.write_bytes(emit_report(table, args.format))
-            print(f"wrote {target}")
-        plot_path = out_dir / "plot_data.csv"
-        plot_path.write_bytes(emit_plot_data(tables))
-        print(f"wrote {plot_path}")
+        for path in _compare(args.device_dirs, config, out_dir, args.format):
+            print(f"wrote {path}")
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -198,33 +217,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     out_dir = Path(args.out)
-    sessions_dir = out_dir / "sessions"
     try:
-        generated = generate_corpus(corpus)
-        device_dirs = []
-        for device_id, sessions in generated.items():
-            device_dir = sessions_dir / device_id
-            device_dir.mkdir(parents=True, exist_ok=True)
-            for i, session in enumerate(sessions):
-                (device_dir / f"session_{i:02d}.json").write_bytes(
-                    serialize_session(session)
-                )
-            device_dirs.append(str(device_dir))
-
-        config = default_config()
-        groups = _load_device_dirs(device_dirs)
-        tables = []
-        for name in sorted(config.profiles):
-            cards = [
-                score_device(sessions, config.profiles[name], config.curves)
-                for sessions in groups
-            ]
-            tables.append(rank_devices(cards))
-        for table in tables:
-            (out_dir / f"report_{table.profile_name}.json").write_bytes(
-                emit_report(table, "json")
-            )
-        (out_dir / "plot_data.csv").write_bytes(emit_plot_data(tables))
+        _compare(_write_corpus(corpus, out_dir / "sessions"), default_config(), out_dir, "json")
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -69,6 +69,10 @@ class MixedProfilesError(EngineError):
     """Score cards passed to one comparison table use different profiles."""
 
 
+class DuplicateDeviceError(EngineError):
+    """Score cards passed to one comparison table repeat a device id."""
+
+
 # --- synth -------------------------------------------------------------
 
 

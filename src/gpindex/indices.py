@@ -5,6 +5,10 @@ measure are never scored as zero: their weight is renormalized over the
 measured ones and the renormalization is recorded as a flag, so a device
 is not punished for unmeasured behavior.
 
+A session is measured once, with no profile involved: metrics are
+extracted and mapped through the curves into sub-index scores. Only the
+weighting into indices and overall runs per profile.
+
 Repeated sessions aggregate by median (even count: mean of the two
 middle values) to absorb the natural deviation between gameplay sessions.
 """
@@ -220,21 +224,24 @@ class ScoreCard:
     flags: tuple[str, ...]
 
 
-def _score_session(
-    session: SessionTelemetry,
-    profile: IndexProfile,
-    curves: Mapping[str, MappingCurve],
-) -> SessionScores:
-    metric_values = extract_metrics(session).as_scores()
+def _measure(
+    session: SessionTelemetry, curves: Mapping[str, MappingCurve]
+) -> tuple[SubIndexScore, ...]:
+    """The session's sub-index scores in METRIC_IDS order; no profile involved."""
+    metrics = extract_metrics(session)
     subs = []
     for metric_id in METRIC_IDS:
-        value = metric_values[metric_id]
+        value = getattr(metrics, metric_id)
         if value is None:
             continue
         if metric_id not in curves:
             raise CurveError(f"no mapping curve for metric '{metric_id}'")
         subs.append(map_metric(value, curves[metric_id]))
+    return tuple(subs)
 
+
+def _weigh(subs: tuple[SubIndexScore, ...], profile: IndexProfile) -> SessionScores:
+    """One measured session's main indices and overall under a profile."""
     mains: dict[MainIndex, float | None] = {}
     flags: list[str] = []
     for index in MainIndex:
@@ -244,7 +251,47 @@ def _score_session(
         flags.extend(index_flags)
     overall, overall_flags = score_overall(mains, profile)
     flags.extend(overall_flags)
-    return SessionScores(tuple(subs), mains, overall, tuple(flags))
+    return SessionScores(subs, mains, overall, tuple(flags))
+
+
+def score_profiles(
+    sessions: Sequence[SessionTelemetry],
+    profiles: Sequence[IndexProfile],
+    curves: Mapping[str, MappingCurve],
+) -> list[ScoreCard]:
+    """One device's ScoreCard under each profile, in the order given.
+
+    Each session is measured once; only the weighting and the median
+    across sessions run per profile. All sessions must come from the same
+    device. Deterministic: identical inputs give bit-identical ScoreCards.
+    """
+    if not sessions:
+        raise EmptyInputError("scoring a device requires at least one session")
+    device_ids = {s.device.device_id for s in sessions}
+    if len(device_ids) > 1:
+        raise MixedDevicesError(f"sessions span multiple devices: {sorted(device_ids)}")
+
+    measured = [_measure(s, curves) for s in sessions]
+    cards = []
+    for profile in profiles:
+        scored = tuple(_weigh(subs, profile) for subs in measured)
+        median_overall = aggregate_sessions([s.overall for s in scored])
+        median_main: dict[MainIndex, float | None] = {}
+        for index in MainIndex:
+            values = [s.main_scores[index] for s in scored if s.main_scores[index] is not None]
+            median_main[index] = float(statistics.median(values)) if values else None
+        flags = tuple(sorted({flag for s in scored for flag in s.flags}))
+        cards.append(
+            ScoreCard(
+                device_id=sessions[0].device.device_id,
+                profile_name=profile.name,
+                sessions=scored,
+                median_overall=median_overall,
+                median_main=median_main,
+                flags=flags,
+            )
+        )
+    return cards
 
 
 def score_device(
@@ -252,29 +299,5 @@ def score_device(
     profile: IndexProfile,
     curves: Mapping[str, MappingCurve],
 ) -> ScoreCard:
-    """Run the full pipeline per session, then aggregate by median.
-
-    All sessions must come from the same device. Deterministic: identical
-    inputs give a bit-identical ScoreCard.
-    """
-    if not sessions:
-        raise EmptyInputError("score_device requires at least one session")
-    device_ids = {s.device.device_id for s in sessions}
-    if len(device_ids) > 1:
-        raise MixedDevicesError(f"sessions span multiple devices: {sorted(device_ids)}")
-
-    scored = tuple(_score_session(s, profile, curves) for s in sessions)
-    median_overall = aggregate_sessions([s.overall for s in scored])
-    median_main: dict[MainIndex, float | None] = {}
-    for index in MainIndex:
-        values = [s.main_scores[index] for s in scored if s.main_scores[index] is not None]
-        median_main[index] = float(statistics.median(values)) if values else None
-    flags = tuple(sorted({flag for s in scored for flag in s.flags}))
-    return ScoreCard(
-        device_id=device_ids.pop(),
-        profile_name=profile.name,
-        sessions=scored,
-        median_overall=median_overall,
-        median_main=median_main,
-        flags=flags,
-    )
+    """One device's ScoreCard under one profile (:func:`score_profiles`)."""
+    return score_profiles(sessions, (profile,), curves)[0]

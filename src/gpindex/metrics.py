@@ -1,7 +1,9 @@
 """Raw metric extraction from session telemetry.
 
 Each function computes the raw measures of one performance category;
-:func:`extract_metrics` composes them into a :class:`MetricSet`. All
+:func:`extract_metrics` composes them into a :class:`MetricSet`, whose
+field names are the metric ids below (``METRIC_IDS`` is read off its
+fields), so curves, weights and reports key by the same names. All
 functions are pure, and every rule is deliberately simple enough to
 check against a brute-force oracle:
 
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, EngineError, InsufficientSamplesError
+from .errors import DegenerateInputError, EngineError, InsufficientSamplesError, ValidationError
 from .telemetry import (
     BatterySample,
     DeviceMeta,
@@ -48,65 +50,39 @@ GFX_PPI_DEFAULT_FACTOR = 0.5
 
 MS_PER_HOUR = 3_600_000.0
 
-# Fixed metric identifiers used by curves, weights and reports.
-METRIC_IDS = (
-    "avg_fps",
-    "low1_fps",
-    "fps_stability",
-    "drain_pct_per_hour",
-    "peak_temp_c",
-    "temp_rise_c",
-    "launch_s",
-    "scene_load_s",
-    "touch_latency_ms",
-    "gfx_points",
-)
-
 
 @dataclass(frozen=True)
 class MetricSet:
-    """Raw metric values extracted from one session.
+    """Raw metric values extracted from one session, one field per metric id.
 
     Optional fields are None exactly when their source event stream is
     absent from the session.
     """
 
     avg_fps: float
-    low_percentile_fps: float
+    low1_fps: float
     fps_stability: float
-    drain_rate: float
-    peak_temp: float
-    temp_rise: float
-    gfx_quality_points: float
-    session_duration: float
-    launch_time: float | None = None
-    mean_scene_load: float | None = None
-    median_touch_latency: float | None = None
+    drain_pct_per_hour: float
+    peak_temp_c: float
+    temp_rise_c: float
+    launch_s: float | None
+    scene_load_s: float | None
+    touch_latency_ms: float | None
+    gfx_points: float
 
     def __post_init__(self) -> None:
         if not self.avg_fps > 0:
-            raise ValueError("avg_fps must be positive")
+            raise ValidationError("avg_fps must be positive")
         if not 0 <= self.fps_stability <= 1:
-            raise ValueError("fps_stability must be in [0, 1]")
-        if self.drain_rate < 0:
-            raise ValueError("drain_rate must be >= 0")
-        if not 0 <= self.gfx_quality_points <= 1:
-            raise ValueError("gfx_quality_points must be in [0, 1]")
+            raise ValidationError("fps_stability must be in [0, 1]")
+        if not self.drain_pct_per_hour >= 0:
+            raise ValidationError("drain_pct_per_hour must be >= 0")
+        if not 0 <= self.gfx_points <= 1:
+            raise ValidationError("gfx_points must be in [0, 1]")
 
-    def as_scores(self) -> dict[str, float | None]:
-        """Scoreable values keyed by their fixed metric identifier."""
-        return {
-            "avg_fps": self.avg_fps,
-            "low1_fps": self.low_percentile_fps,
-            "fps_stability": self.fps_stability,
-            "drain_pct_per_hour": self.drain_rate,
-            "peak_temp_c": self.peak_temp,
-            "temp_rise_c": self.temp_rise,
-            "launch_s": self.launch_time,
-            "scene_load_s": self.mean_scene_load,
-            "touch_latency_ms": self.median_touch_latency,
-            "gfx_points": self.gfx_quality_points,
-        }
+
+# Fixed metric identifiers used by curves, weights and reports.
+METRIC_IDS = tuple(field.name for field in fields(MetricSet))
 
 
 def compute_fps_metrics(frames: Sequence[float]) -> tuple[float, float, float]:
@@ -213,29 +189,15 @@ def _named(metric_ids: str, fn, *args):
 def extract_metrics(session: SessionTelemetry) -> MetricSet:
     """Compose all per-category computations into one MetricSet.
 
-    Per-metric errors propagate with the metric name attached. Optional
-    metrics are None iff the session lacks the corresponding stream.
+    Each computation returns its metrics in METRIC_IDS order. Per-metric
+    errors propagate with the metric name attached. Optional metrics are
+    None iff the session lacks the corresponding stream.
     """
-    avg_fps, low1, stability = _named(
-        "avg_fps/low1_fps/fps_stability", compute_fps_metrics, session.frames
-    )
-    drain = _named("drain_pct_per_hour", compute_battery_metrics, session.battery)
-    peak, rise = _named(
-        "peak_temp_c/temp_rise_c", compute_thermal_metrics, session.temperature
-    )
-    launch_time, mean_load = compute_swiftness_metrics(session.launch, session.scene_loads)
-    touch_latency = compute_responsiveness_metrics(session.touch)
-    gfx = compute_gfx_quality(session.settings, session.device)
     return MetricSet(
-        avg_fps=avg_fps,
-        low_percentile_fps=low1,
-        fps_stability=stability,
-        drain_rate=drain,
-        peak_temp=peak,
-        temp_rise=rise,
-        gfx_quality_points=gfx,
-        session_duration=session.duration_ms / 1000.0,
-        launch_time=launch_time,
-        mean_scene_load=mean_load,
-        median_touch_latency=touch_latency,
+        *_named("avg_fps/low1_fps/fps_stability", compute_fps_metrics, session.frames),
+        _named("drain_pct_per_hour", compute_battery_metrics, session.battery),
+        *_named("peak_temp_c/temp_rise_c", compute_thermal_metrics, session.temperature),
+        *compute_swiftness_metrics(session.launch, session.scene_loads),
+        compute_responsiveness_metrics(session.touch),
+        compute_gfx_quality(session.settings, session.device),
     )

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import EmptyInputError, MixedProfilesError, SchemaError
+from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError, SchemaError
 from .indices import MainIndex, ScoreCard
 from .telemetry import SessionTelemetry
 
@@ -58,7 +58,7 @@ class ComparisonTable:
 
 
 def rank_devices(cards: Sequence[ScoreCard]) -> ComparisonTable:
-    """Rank score cards (all for the same profile) into a comparison table.
+    """Rank score cards (all for the same profile, one per device) into a comparison table.
 
     Rows sort by exact overall descending, ties broken by device_id
     ascending; equal exact scores receive equal (competition) ranks.
@@ -68,6 +68,10 @@ def rank_devices(cards: Sequence[ScoreCard]) -> ComparisonTable:
     profiles = {c.profile_name for c in cards}
     if len(profiles) > 1:
         raise MixedProfilesError(f"cards span multiple profiles: {sorted(profiles)}")
+    ids = sorted(c.device_id for c in cards)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise DuplicateDeviceError(f"device '{a}' is scored more than once")
 
     ordered = sorted(cards, key=lambda c: (-c.median_overall, c.device_id))
     rows = []

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CurveError
+from .errors import CurveError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,11 @@ def map_metric(value: float, curve: MappingCurve) -> SubIndexScore:
     """Map a raw metric value through a curve.
 
     Values outside the breakpoint range clamp to the boundary scores;
-    breakpoint values map to their scores exactly. Pure and
-    deterministic for identical inputs.
+    breakpoint values map to their scores exactly; NaN raises
+    ValidationError. Pure and deterministic for identical inputs.
     """
     if math.isnan(value):
-        raise ValueError(f"{curve.metric_id}: cannot map NaN")
+        raise ValidationError(f"{curve.metric_id}: cannot map NaN")
     bps = curve.breakpoints
     if value <= bps[0][0]:
         score = bps[0][1]

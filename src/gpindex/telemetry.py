@@ -196,6 +196,9 @@ class SessionTelemetry:
             i = _first_decrease(list(map(itemgetter(0), stream)))
             if i is not None:
                 raise ValidationError(f"{name} not non-decreasing in t at t={stream[i][0]}ms")
+            for t_ms, value, *_ in stream:  # a session built directly skips the parser
+                if not math.isfinite(value):
+                    raise ValidationError(f"non-finite {name} value at t={t_ms}ms")
 
         for event in self.touch:
             if event.latency_ms < 0:

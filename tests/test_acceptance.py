@@ -219,9 +219,9 @@ def test_recoverability():
     )
     ms = extract_metrics(generate_session(model, 600))
     assert ms.avg_fps == pytest.approx(60.0, abs=0.1)
-    assert ms.drain_rate == pytest.approx(20.0, abs=0.1)
-    assert ms.launch_time == pytest.approx(8.2, abs=0.01)
-    assert ms.median_touch_latency == pytest.approx(55.0, abs=0.5)
+    assert ms.drain_pct_per_hour == pytest.approx(20.0, abs=0.1)
+    assert ms.launch_s == pytest.approx(8.2, abs=0.01)
+    assert ms.touch_latency_ms == pytest.approx(55.0, abs=0.5)
     report("recoverability: 60 fps / 20 %/h / 8.2 s / 55 ms recovered within tolerances")
 
 

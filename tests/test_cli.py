@@ -1,9 +1,11 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 
+import gpindex.indices
 from gpindex.cli import main
 from gpindex.report import serialize_session
 from tests.strategies import manifest_bytes
@@ -188,3 +190,38 @@ class TestCompare:
         assert (out / "plot_data.csv").read_bytes() == (
             GOLDEN_DIR / "demo_plot_data.csv"
         ).read_bytes()
+
+    def test_extracts_each_session_once(self, demo_dir, tmp_path, monkeypatch):
+        calls = []
+        extract = gpindex.indices.extract_metrics
+
+        def counting(session):
+            calls.append(session)
+            return extract(session)
+
+        monkeypatch.setattr(gpindex.indices, "extract_metrics", counting)
+        device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
+        assert main(["compare", "--out", str(tmp_path / "cmp"), *device_dirs]) == 0
+        assert len(calls) == 27
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_score_writes_compare_report_bytes(self, demo_dir, tmp_path, fmt):
+        device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
+        out = tmp_path / "cmp"
+        assert main(["compare", "--format", fmt, "--out", str(out), *device_dirs]) == 0
+        for profile in ("competitive", "casual"):
+            single = tmp_path / f"{profile}.{fmt}"
+            argv = ["score", "--profile", profile, "--format", fmt, "--out", str(single)]
+            assert main(argv + device_dirs) == 0
+            assert single.read_bytes() == (out / f"report_{profile}.{fmt}").read_bytes()
+
+    def test_duplicate_device_id_is_data_error(self, demo_dir, tmp_path, capsys):
+        sessions = demo_dir / "sessions"
+        copy = shutil.copytree(sessions / "device_a", tmp_path / "elsewhere" / "device_a")
+        out = tmp_path / "cmp"
+        argv = ["compare", "--out", str(out), str(sessions / "device_a"), str(copy)]
+        assert main(argv + [str(sessions / "device_c")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'device_a'" in err
+        assert "Traceback" not in err
+        assert not (out / "plot_data.csv").exists()

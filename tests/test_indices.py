@@ -21,6 +21,7 @@ from gpindex.indices import (
     score_device,
     score_main_index,
     score_overall,
+    score_profiles,
 )
 from gpindex.metrics import METRIC_IDS
 from gpindex.scoring import SubIndexScore, validate_curve
@@ -278,6 +279,21 @@ class TestPipelineProperties:
         assert score_device([session], plain, curves) == score_device(
             [session], scaled, curves
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(sessions(max_intervals=20), min_size=1, max_size=3),
+        st.lists(profiles(), min_size=2, max_size=4),
+        st.sets(st.sampled_from(["touch", "scene_loads", "launch"])),
+        curve_set(),
+    )
+    def test_profile_card_same_alone_or_with_others(self, drawn, together, dropped, curves):
+        # Dropped streams leave whole indices unmeasured, so the profiles'
+        # flags differ and a flag leaking from one profile to the next shows.
+        absent = {name: None if name == "launch" else () for name in dropped}
+        group = [dataclasses.replace(s, device=drawn[0].device, **absent) for s in drawn]
+        cards = score_profiles(group, together, curves)
+        assert cards == [score_device(group, profile, curves) for profile in together]
 
     @settings(max_examples=60, deadline=None)
     @given(

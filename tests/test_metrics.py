@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpindex.errors import DegenerateInputError, InsufficientSamplesError
+from gpindex.errors import DegenerateInputError, InsufficientSamplesError, ValidationError
 from gpindex.metrics import (
     METRIC_IDS,
     compute_battery_metrics,
@@ -258,18 +258,42 @@ class TestGfxQuality:
 class TestExtractMetrics:
     def test_full_session_all_fields_present(self, reference_session):
         ms = extract_metrics(reference_session)
-        assert set(ms.as_scores()) == set(METRIC_IDS)
+        assert METRIC_IDS == (
+            "avg_fps",
+            "low1_fps",
+            "fps_stability",
+            "drain_pct_per_hour",
+            "peak_temp_c",
+            "temp_rise_c",
+            "launch_s",
+            "scene_load_s",
+            "touch_latency_ms",
+            "gfx_points",
+        )
         assert all(
-            value is not None
-            for metric, value in ms.as_scores().items()
+            getattr(ms, metric) is not None
+            for metric in METRIC_IDS
             if metric != "scene_load_s"  # reference model generates no scene loads
         )
-        assert ms.session_duration == pytest.approx(600.0, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("avg_fps", 0.0),
+            ("fps_stability", 1.5),
+            ("drain_pct_per_hour", math.nan),
+            ("gfx_points", -0.1),
+        ],
+    )
+    def test_invalid_metric_set_rejected(self, reference_session, field, value):
+        ms = extract_metrics(reference_session)
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(ms, **{field: value})
 
     def test_missing_touch_propagates_absence(self, reference_session):
         session = dataclasses.replace(reference_session, touch=())
         ms = extract_metrics(session)
-        assert ms.median_touch_latency is None
+        assert ms.touch_latency_ms is None
         assert ms.avg_fps > 0
 
     def test_error_carries_metric_name(self, reference_session):
@@ -318,10 +342,10 @@ class TestExtractMetrics:
         ms = extract_metrics(session)
         assert ms.avg_fps > 0
         assert 0.0 <= ms.fps_stability <= 1.0
-        assert ms.drain_rate >= 0.0
-        assert 0.0 <= ms.gfx_quality_points <= 1.0
+        assert ms.drain_pct_per_hour >= 0.0
+        assert 0.0 <= ms.gfx_points <= 1.0
         deltas = [b - a for a, b in zip(session.frames, session.frames[1:]) if b > a]
-        assert ms.low_percentile_fps <= max(1000.0 / d for d in deltas) + 1e-9
-        assert (ms.median_touch_latency is None) == (not session.touch)
-        assert (ms.mean_scene_load is None) == (not session.scene_loads)
-        assert (ms.launch_time is None) == (session.launch is None)
+        assert ms.low1_fps <= max(1000.0 / d for d in deltas) + 1e-9
+        assert (ms.touch_latency_ms is None) == (not session.touch)
+        assert (ms.scene_load_s is None) == (not session.scene_loads)
+        assert (ms.launch_s is None) == (session.launch is None)

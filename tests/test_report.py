@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpindex.errors import EmptyInputError, MixedProfilesError
+from gpindex.errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from gpindex.indices import MainIndex, ScoreCard
 from gpindex.report import (
     CSV_HEADER,
@@ -73,6 +73,12 @@ class TestRankDevices:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             rank_devices([])
+
+    def test_duplicate_device_rejected(self):
+        with pytest.raises(DuplicateDeviceError, match="'A'"):
+            rank_devices([make_card("A", 50.0), make_card("B", 40.0), make_card("A", 50.0)])
+        with pytest.raises(MixedProfilesError):  # the profile check comes first
+            rank_devices([make_card("A", 50.0), make_card("A", 50.0, profile="casual")])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=12, unique=True))

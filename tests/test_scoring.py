@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpindex.errors import CurveError
+from gpindex.errors import CurveError, ValidationError
 from gpindex.scoring import MappingCurve, map_metric, validate_curve
 from tests.strategies import curves
 
@@ -34,7 +34,7 @@ class TestMapMetric:
 
     def test_nan_rejected(self):
         curve = validate_curve("avg_fps", [(0, 0), (100, 100)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="avg_fps: cannot map NaN"):
             map_metric(float("nan"), curve)
 
     def test_infinities_clamp(self):

@@ -127,15 +127,15 @@ class TestGenerateSession:
         ms = extract_metrics(reference_session)
         assert ms.avg_fps == pytest.approx(60.0, abs=0.1)
         assert ms.fps_stability == 1.0
-        assert ms.drain_rate == pytest.approx(
+        assert ms.drain_pct_per_hour == pytest.approx(
             reference_model.drain_rate_pct_per_hour, abs=0.1
         )
-        assert ms.launch_time == pytest.approx(reference_model.launch_s, abs=0.01)
-        assert ms.median_touch_latency == pytest.approx(
+        assert ms.launch_s == pytest.approx(reference_model.launch_s, abs=0.01)
+        assert ms.touch_latency_ms == pytest.approx(
             reference_model.touch_latency_ms, abs=0.5
         )
-        assert ms.peak_temp == reference_model.temp_peak_c
-        assert ms.temp_rise == pytest.approx(
+        assert ms.peak_temp_c == reference_model.temp_peak_c
+        assert ms.temp_rise_c == pytest.approx(
             reference_model.temp_peak_c - reference_model.temp_start_c
         )
 

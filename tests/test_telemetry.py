@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -210,6 +212,22 @@ class TestClosedErrorSurface:
         doc["events"].update(events)
         with pytest.raises(SchemaError, match=re.escape(message)):
             parse_session(to_bytes(doc))
+
+    @pytest.mark.parametrize(
+        "stream,index,value",
+        [
+            ("temperature", 0, math.nan),  # once a ValueError from map_metric
+            ("temperature", 3, math.nan),  # once scored silently
+            ("temperature", 3, math.inf),
+            ("touch", 3, math.nan),
+            ("touch", 0, math.inf),
+        ],
+    )
+    def test_non_finite_value_in_built_session(self, reference_session, stream, index, value):
+        rows = list(getattr(reference_session, stream))
+        rows[index] = rows[index][:1] + (value,) + rows[index][2:]
+        with pytest.raises(ValidationError, match=rf"non-finite .* at t={rows[index][0]}ms"):
+            dataclasses.replace(reference_session, **{stream: rows})
 
     def test_infinite_display_ppi(self):
         doc = make_doc()
