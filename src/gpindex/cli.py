@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import EngineConfig, default_config, load_config_file
 from .errors import ConfigError, EngineError
 # Not called here: perfbench/tracing.py wraps gpindex.cli.score_device by name.
-from .indices import score_device, score_profiles  # noqa: F401
+from .indices import MeasuredSession, measure, score_device, weigh  # noqa: F401
 from .report import ComparisonTable, emit_plot_data, emit_report, rank_devices, serialize_session
 from .synth import CorpusDevice, default_demo_manifest, generate_corpus, load_manifest
 from .telemetry import parse_session, validate_comparability
@@ -98,35 +98,36 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_DATA if failures else EXIT_OK
 
 
-def _load_device_dirs(device_dirs: list[str]) -> list[list]:
+def _measure_dirs(device_dirs: list[str], config: EngineConfig) -> list[list[MeasuredSession]]:
+    """Each directory's sessions, measured file by file; a session is dropped once measured."""
     groups = []
     for dirname in device_dirs:
-        path = Path(dirname)
-        files = sorted(path.glob("*.json"))
+        files = sorted(Path(dirname).glob("*.json"))
         if not files:
             raise EngineError(f"{dirname}: no session files (*.json) found")
-        sessions = []
+        measured = []
         for f in files:
             try:
-                sessions.append(parse_session(f.read_bytes()))
-            except EngineError as exc:
+                measured.append(measure(parse_session(f.read_bytes()), config.curves))
+            except (OSError, EngineError) as exc:
                 raise EngineError(f"{f}: {exc}") from exc
-        groups.append(sessions)
+        groups.append(measured)
     return groups
 
 
 def _score_tables(
-    groups: list[list], config: EngineConfig, profile_names: list[str]
+    groups: list[list[MeasuredSession]], config: EngineConfig, profile_names: list[str]
 ) -> list[ComparisonTable]:
-    """One ranked table per named profile; each device is measured once."""
+    """One ranked table per named profile, from each device's measured sessions."""
     profiles = [config.profiles[name] for name in profile_names]
-    per_device = [score_profiles(sessions, profiles, config.curves) for sessions in groups]
-    return [rank_devices(cards) for cards in zip(*per_device)]
+    return [rank_devices(cards) for cards in zip(*(weigh(m, profiles) for m in groups))]
 
 
-def _compare(device_dirs: list[str], config: EngineConfig, out_dir: Path, fmt: str) -> list[Path]:
+def _write_reports(
+    groups: list[list[MeasuredSession]], config: EngineConfig, out_dir: Path, fmt: str
+) -> list[Path]:
     """Score every profile, write the reports and the plot data; return the paths written."""
-    tables = _score_tables(_load_device_dirs(device_dirs), config, sorted(config.profiles))
+    tables = _score_tables(groups, config, sorted(config.profiles))
     written = []
     for table in tables:
         target = out_dir / f"report_{table.profile_name}.{fmt}"
@@ -137,16 +138,14 @@ def _compare(device_dirs: list[str], config: EngineConfig, out_dir: Path, fmt: s
     return written + [plot_path]
 
 
-def _write_corpus(corpus: tuple[CorpusDevice, ...], sessions_dir: Path) -> list[str]:
-    """Generate the corpus, write one directory per device, drop the sessions."""
-    device_dirs = []
-    for device_id, sessions in generate_corpus(corpus).items():
-        device_dir = sessions_dir / device_id
-        device_dir.mkdir(parents=True, exist_ok=True)
-        for i, session in enumerate(sessions):
-            (device_dir / f"session_{i:02d}.json").write_bytes(serialize_session(session))
-        device_dirs.append(str(device_dir))
-    return device_dirs
+def _demo_device(device: CorpusDevice, out_dir: Path, config: EngineConfig) -> list[MeasuredSession]:
+    """Generate, write and measure one device's sessions; they are dropped on return."""
+    ((device_id, sessions),) = generate_corpus((device,)).items()
+    device_dir = out_dir / "sessions" / device_id
+    device_dir.mkdir(parents=True, exist_ok=True)
+    for i, session in enumerate(sessions):
+        (device_dir / f"session_{i:02d}.json").write_bytes(serialize_session(session))
+    return [measure(session, config.curves) for session in sessions]
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -167,8 +166,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             print(f"refusing to overwrite input file {args.out}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        groups = _load_device_dirs(args.device_dirs)
-        (table,) = _score_tables(groups, config, [args.profile])
+        (table,) = _score_tables(_measure_dirs(args.device_dirs, config), config, [args.profile])
         payload = emit_report(table, args.format)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -194,7 +192,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path in _compare(args.device_dirs, config, out_dir, args.format):
+        groups = _measure_dirs(args.device_dirs, config)
+        for path in _write_reports(groups, config, out_dir, args.format):
             print(f"wrote {path}")
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
@@ -218,7 +217,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     try:
-        _compare(_write_corpus(corpus, out_dir / "sessions"), default_config(), out_dir, "json")
+        config = default_config()
+        _write_reports([_demo_device(d, out_dir, config) for d in corpus], config, out_dir, "json")
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
         return EXIT_DATA

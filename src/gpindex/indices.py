@@ -5,9 +5,9 @@ measure are never scored as zero: their weight is renormalized over the
 measured ones and the renormalization is recorded as a flag, so a device
 is not punished for unmeasured behavior.
 
-A session is measured once, with no profile involved: metrics are
-extracted and mapped through the curves into sub-index scores. Only the
-weighting into indices and overall runs per profile.
+A session is measured once, with no profile involved (``measure``), into
+the sub-index scores that are all scoring needs of it; only the weighting
+into indices and overall runs per profile (``weigh``).
 
 Repeated sessions aggregate by median (even count: mean of the two
 middle values) to absorb the natural deviation between gameplay sessions.
@@ -224,9 +224,15 @@ class ScoreCard:
     flags: tuple[str, ...]
 
 
-def _measure(
-    session: SessionTelemetry, curves: Mapping[str, MappingCurve]
-) -> tuple[SubIndexScore, ...]:
+@dataclass(frozen=True)
+class MeasuredSession:
+    """What scoring needs of one session once it has been measured."""
+
+    device_id: str
+    sub_scores: tuple[SubIndexScore, ...]
+
+
+def measure(session: SessionTelemetry, curves: Mapping[str, MappingCurve]) -> MeasuredSession:
     """The session's sub-index scores in METRIC_IDS order; no profile involved."""
     metrics = extract_metrics(session)
     subs = []
@@ -237,10 +243,10 @@ def _measure(
         if metric_id not in curves:
             raise CurveError(f"no mapping curve for metric '{metric_id}'")
         subs.append(map_metric(value, curves[metric_id]))
-    return tuple(subs)
+    return MeasuredSession(session.device.device_id, tuple(subs))
 
 
-def _weigh(subs: tuple[SubIndexScore, ...], profile: IndexProfile) -> SessionScores:
+def _weigh_session(subs: tuple[SubIndexScore, ...], profile: IndexProfile) -> SessionScores:
     """One measured session's main indices and overall under a profile."""
     mains: dict[MainIndex, float | None] = {}
     flags: list[str] = []
@@ -254,27 +260,22 @@ def _weigh(subs: tuple[SubIndexScore, ...], profile: IndexProfile) -> SessionSco
     return SessionScores(subs, mains, overall, tuple(flags))
 
 
-def score_profiles(
-    sessions: Sequence[SessionTelemetry],
-    profiles: Sequence[IndexProfile],
-    curves: Mapping[str, MappingCurve],
+def weigh(
+    measured: Sequence[MeasuredSession], profiles: Sequence[IndexProfile]
 ) -> list[ScoreCard]:
     """One device's ScoreCard under each profile, in the order given.
 
-    Each session is measured once; only the weighting and the median
-    across sessions run per profile. All sessions must come from the same
-    device. Deterministic: identical inputs give bit-identical ScoreCards.
+    All sessions must come from one device; equal inputs give bit-identical cards.
     """
-    if not sessions:
+    if not measured:
         raise EmptyInputError("scoring a device requires at least one session")
-    device_ids = {s.device.device_id for s in sessions}
+    device_ids = {m.device_id for m in measured}
     if len(device_ids) > 1:
         raise MixedDevicesError(f"sessions span multiple devices: {sorted(device_ids)}")
 
-    measured = [_measure(s, curves) for s in sessions]
     cards = []
     for profile in profiles:
-        scored = tuple(_weigh(subs, profile) for subs in measured)
+        scored = tuple(_weigh_session(m.sub_scores, profile) for m in measured)
         median_overall = aggregate_sessions([s.overall for s in scored])
         median_main: dict[MainIndex, float | None] = {}
         for index in MainIndex:
@@ -283,7 +284,7 @@ def score_profiles(
         flags = tuple(sorted({flag for s in scored for flag in s.flags}))
         cards.append(
             ScoreCard(
-                device_id=sessions[0].device.device_id,
+                device_id=measured[0].device_id,
                 profile_name=profile.name,
                 sessions=scored,
                 median_overall=median_overall,
@@ -292,6 +293,15 @@ def score_profiles(
             )
         )
     return cards
+
+
+def score_profiles(
+    sessions: Sequence[SessionTelemetry],
+    profiles: Sequence[IndexProfile],
+    curves: Mapping[str, MappingCurve],
+) -> list[ScoreCard]:
+    """One device's ScoreCard under each profile; each session is measured once."""
+    return weigh([measure(s, curves) for s in sessions], profiles)
 
 
 def score_device(

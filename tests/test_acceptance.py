@@ -8,7 +8,9 @@ import dataclasses
 import json
 import math
 import random
+import statistics
 import time
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +337,22 @@ def test_throughput():
     report(
         f"throughput: {len(sessions)} ten-minute sessions ({total_frames:,} timestamps) scored in {elapsed:.2f} s < 2 s"
     )
+
+
+def test_end_to_end_compare(tmp_path):
+    """`gpindex compare` in-process on the demo corpus files, from bytes to reports."""
+    demo = tmp_path / "demo"
+    assert main(["demo", "--out", str(demo)]) == 0
+    device_dirs = sorted(str(p) for p in (demo / "sessions").iterdir())
+    goldens = Path(__file__).parent / "goldens"
+    times = []
+    for k in range(3):
+        out = tmp_path / f"compare_{k}"
+        t0 = time.perf_counter()
+        assert main(["compare", "--out", str(out), *device_dirs]) == 0
+        times.append(time.perf_counter() - t0)
+        for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
+            assert (out / name).read_bytes() == (goldens / f"demo_{name}").read_bytes()
+    elapsed = statistics.median(times)
+    assert elapsed < 2.0
+    report(f"end to end: compare on the 27-session demo corpus in {elapsed:.2f} s < 2 s (median of 3)")

@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import shutil
+import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gpindex.cli
 import gpindex.indices
 from gpindex.cli import main
 from gpindex.report import serialize_session
+from gpindex.synth import DeviceModel, default_demo_manifest, generate_session
 from tests.strategies import manifest_bytes
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -162,6 +170,29 @@ class TestDemo:
         second = {p.relative_to(again): p.read_bytes() for p in again.rglob("*") if p.is_file()}
         assert first == second
 
+    def test_generates_and_drops_one_device_at_a_time(self, tmp_path, monkeypatch):
+        generate, parse = gpindex.cli.generate_corpus, gpindex.cli.parse_session
+        calls, alive_before, generated, parsed = [], [], [], []
+
+        def tracking_generate(corpus):
+            calls.append([device.model.device_id for device in corpus])
+            alive_before.append(sum(ref() is not None for ref in generated))
+            out = generate(corpus)
+            generated.extend(weakref.ref(s) for sessions in out.values() for s in sessions)
+            return out
+
+        def tracking_parse(data):
+            parsed.append(data)
+            return parse(data)
+
+        monkeypatch.setattr(gpindex.cli, "generate_corpus", tracking_generate)
+        monkeypatch.setattr(gpindex.cli, "parse_session", tracking_parse)
+        assert main(["demo", "--out", str(tmp_path / "demo")]) == 0
+        assert calls == [[device.model.device_id] for device in default_demo_manifest()]
+        assert alive_before == [0] * len(calls)
+        assert len(generated) == 27 and all(ref() is None for ref in generated)
+        assert parsed == []
+
     def test_bad_manifest_is_usage_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text('{"schema_version": 1, "devices": []}')
@@ -178,6 +209,41 @@ class TestDemo:
         assert err.startswith("manifest error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+class TestPerFileDiagnostics:
+    """A session file that fails in `score` or `compare` is named in the error line."""
+
+    @staticmethod
+    def run(command, tmp_path, device_dir):
+        options = {"score": ["--profile", "casual"], "compare": ["--out", str(tmp_path / "cmp")]}
+        return main([command, *options[command], str(device_dir)])
+
+    def test_unmeasurable_session(self, command, tmp_path, reference_session, capsys):
+        path = write_sessions(tmp_path / "device", [reference_session]) / "session_00.json"
+        doc = json.loads(path.read_bytes())
+        doc["events"]["battery"] = [[0, 50.0], [30_000, 49.9]]  # parses, but spans only 30 s
+        path.write_text(json.dumps(doc))
+        assert self.run(command, tmp_path, path.parent) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: drain_pct_per_hour: battery samples must span > 60 s, got 30.0 s\n"
+        )
+
+    def test_unreadable_session(self, command, tmp_path, reference_session, capsys):
+        device_dir = write_sessions(tmp_path / "device", [reference_session])
+        (device_dir / "session_01.json").mkdir()
+        assert self.run(command, tmp_path, device_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {device_dir / 'session_01.json'}: ")
+        assert "Traceback" not in err
+
+
+JITTER_THROTTLE_MANIFEST = manifest_bytes(
+    {"device_id": "jittery", "frame_jitter_sd_ms": 3.0, "throttle_onset_s": 100.0,
+     "throttle_factor": 1.5, "session_duration_s": 240},
+    {"device_id": "steady"},
+)
 
 
 class TestCompare:
@@ -204,6 +270,37 @@ class TestCompare:
         assert main(["compare", "--out", str(tmp_path / "cmp"), *device_dirs]) == 0
         assert len(calls) == 27
 
+    def test_drops_each_session_once_measured(self, demo_dir, tmp_path, monkeypatch):
+        parse = gpindex.cli.parse_session
+        parsed, alive_before = [], []
+
+        def tracking(data):
+            alive_before.append(sum(ref() is not None for ref in parsed))
+            session = parse(data)
+            parsed.append(weakref.ref(session))
+            return session
+
+        monkeypatch.setattr(gpindex.cli, "parse_session", tracking)
+        device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
+        assert main(["compare", "--out", str(tmp_path / "cmp"), *device_dirs]) == 0
+        assert alive_before == [0] * 27
+
+    @pytest.mark.parametrize(
+        "manifest", [None, JITTER_THROTTLE_MANIFEST], ids=["shipped", "jitter_throttle"]
+    )
+    def test_demo_reports_equal_compare_on_its_sessions(self, tmp_path, manifest):
+        demo = tmp_path / "demo"
+        argv = ["demo", "--out", str(demo)]
+        if manifest is not None:
+            (tmp_path / "manifest.json").write_bytes(manifest)
+            argv += ["--manifest", str(tmp_path / "manifest.json")]
+        assert main(argv) == 0
+        device_dirs = sorted(str(p) for p in (demo / "sessions").iterdir())
+        out = tmp_path / "cmp"
+        assert main(["compare", "--out", str(out), *device_dirs]) == 0
+        for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
+            assert (out / name).read_bytes() == (demo / name).read_bytes()
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_score_writes_compare_report_bytes(self, demo_dir, tmp_path, fmt):
         device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
@@ -225,3 +322,70 @@ class TestCompare:
         assert err.startswith("error:") and "'device_a'" in err
         assert "Traceback" not in err
         assert not (out / "plot_data.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def short_corpus():
+    """Two devices, two 120 s sessions each."""
+    common = dict(
+        frame_jitter_sd_ms=1.0,
+        drain_rate_pct_per_hour=12.0,
+        temp_start_c=27.0,
+        temp_peak_c=38.0,
+        touch_latency_ms=45.0,
+        launch_s=6.0,
+    )
+    return {
+        device_id: [
+            generate_session(
+                DeviceModel(device_id, 16.0 + 4.0 * k, seed=10 * k + i, **common), 120
+            )
+            for i in range(2)
+        ]
+        for k, device_id in enumerate(("dev_a", "dev_b"))
+    }
+
+
+def mutate_session(data, original):
+    """One drawn mutation of a session file: truncated, a field dropped, or battery cut short."""
+    kind = data.draw(st.sampled_from(["truncate", "drop_field", "cut_battery"]))
+    if kind == "truncate":
+        return original[: data.draw(st.integers(0, len(original) - 1))]
+    doc = json.loads(original)
+    if kind == "drop_field":
+        paths = [(key,) for key in doc]
+        paths += [
+            (key, sub) for key, value in doc.items() if isinstance(value, dict) for sub in value
+        ]
+        *parents, last = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        del parent[last]
+    else:
+        battery = doc["events"]["battery"]
+        doc["events"]["battery"] = battery[: data.draw(st.integers(0, len(battery) - 1))]
+    return json.dumps(doc).encode()
+
+
+class TestCompareErrorSurface:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_exits_0_or_1_naming_it(self, short_corpus, data):
+        device_id = data.draw(st.sampled_from(sorted(short_corpus)))
+        index = data.draw(st.integers(0, len(short_corpus[device_id]) - 1))
+        mutated = mutate_session(data, serialize_session(short_corpus[device_id][index]))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, sessions in short_corpus.items():
+                write_sessions(root / name, sessions)
+            target = root / device_id / f"session_{index:02d}.json"
+            target.write_bytes(mutated)
+            device_dirs = [str(root / name) for name in sorted(short_corpus)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["compare", "--out", str(root / "out"), *device_dirs])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith(f"error: {target}: ")

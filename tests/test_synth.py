@@ -168,6 +168,12 @@ class TestGenerateSession:
             session = generate_session(model, 240)
             assert parse_session(serialize_session(session)) == session
 
+    def test_every_demo_session_round_trips(self):
+        """`gpindex demo` scores the sessions it generates, not its files read back."""
+        for device in default_demo_manifest():
+            for session in generate_corpus((device,))[device.model.device_id]:
+                assert parse_session(serialize_session(session)) == session
+
     def test_touch_jitter_within_ten_percent(self, reference_session, reference_model):
         true = reference_model.touch_latency_ms
         for event in reference_session.touch:
