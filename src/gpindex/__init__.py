@@ -47,11 +47,10 @@ from .report import (
     ComparisonTable,
     emit_plot_data,
     emit_report,
-    parse_report,
     rank_devices,
     serialize_session,
 )
-from .scoring import MappingCurve, SubIndexScore, map_metric, validate_curve
+from .scoring import MappingCurve, SubIndexScore, map_metric
 from .synth import DeviceModel, SplitMix64, generate_corpus, generate_session, load_manifest
 from .telemetry import (
     ComparabilityReport,
@@ -59,7 +58,6 @@ from .telemetry import (
     GameSettings,
     SessionTelemetry,
     parse_session,
-    parse_session_file,
     validate_comparability,
 )
 
@@ -108,9 +106,7 @@ __all__ = [
     "load_config_file",
     "load_manifest",
     "map_metric",
-    "parse_report",
     "parse_session",
-    "parse_session_file",
     "rank_devices",
     "score_device",
     "score_main_index",
@@ -118,5 +114,4 @@ __all__ = [
     "score_profiles",
     "serialize_session",
     "validate_comparability",
-    "validate_curve",
 ]

@@ -8,14 +8,15 @@ overriding the file overrides the policy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib.resources import files
+from typing import Any
 
-from .errors import ConfigError, CurveError, EngineError, WeightError
+from .errors import ConfigError, EngineError, SchemaError
 from .indices import IndexProfile, MainIndex
+from .jsondoc import as_list, as_obj, as_pair, as_real, decode, require, require_version
 from .metrics import METRIC_IDS
-from .scoring import MappingCurve, validate_curve
+from .scoring import MappingCurve
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -32,65 +33,61 @@ class EngineConfig:
 def load_config(data: bytes) -> EngineConfig:
     """Parse and validate a config document; any problem raises ConfigError."""
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config top level must be an object")
-    if doc.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"config schema_version must be {CONFIG_SCHEMA_VERSION}")
+        return _read_config(decode(data, SchemaError, "config"))
+    except EngineError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    curves_obj = doc.get("curves")
-    if not isinstance(curves_obj, dict) or not curves_obj:
-        raise ConfigError("config must declare a non-empty curves object")
+
+def _non_empty_obj(root: dict, key: str) -> dict:
+    obj = as_obj(require(root, key, ""), key)
+    if not obj:
+        raise SchemaError(f"{key}: expected a non-empty object")
+    return obj
+
+
+def _index(index_id: str, where: str) -> MainIndex:
+    if index_id not in _INDEX_BY_VALUE:
+        raise SchemaError(f"{where}: unknown index '{index_id}'")
+    return _INDEX_BY_VALUE[index_id]
+
+
+def _read_config(doc: Any) -> EngineConfig:
+    root = as_obj(doc, "top level")
+    require_version(root, CONFIG_SCHEMA_VERSION)
+
     curves: dict[str, MappingCurve] = {}
-    for metric_id, breakpoints in curves_obj.items():
+    for metric_id, breakpoints in _non_empty_obj(root, "curves").items():
+        where = f"curves.{metric_id}"
         if metric_id not in METRIC_IDS:
-            raise ConfigError(f"curves: unknown metric '{metric_id}'")
-        if not isinstance(breakpoints, list):
-            raise ConfigError(f"curves.{metric_id}: expected an array of [value, score] pairs")
-        try:
-            curves[metric_id] = validate_curve(
-                metric_id, [(float(p[0]), float(p[1])) for p in breakpoints]
-            )
-        except (CurveError, TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"curves.{metric_id}: {exc}") from exc
+            raise SchemaError(f"{where}: unknown metric")
+        points = enumerate(as_list(breakpoints, where))
+        curves[metric_id] = MappingCurve(
+            metric_id, tuple(as_pair(p, f"{where}[{i}]", as_real) for i, p in points)
+        )
 
-    profiles_obj = doc.get("profiles")
-    if not isinstance(profiles_obj, dict) or not profiles_obj:
-        raise ConfigError("config must declare a non-empty profiles object")
     profiles: dict[str, IndexProfile] = {}
-    for name, body in profiles_obj.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"profiles.{name}: expected object")
-        main_obj = body.get("main_weights")
-        if not isinstance(main_obj, dict):
-            raise ConfigError(f"profiles.{name}.main_weights: expected object")
-        main_weights = {}
-        for index_id, weight in main_obj.items():
-            if index_id not in _INDEX_BY_VALUE:
-                raise ConfigError(f"profiles.{name}.main_weights: unknown index '{index_id}'")
-            main_weights[_INDEX_BY_VALUE[index_id]] = float(weight)
-        sub_obj = body.get("sub_weights", {})
-        if not isinstance(sub_obj, dict):
-            raise ConfigError(f"profiles.{name}.sub_weights: expected object")
+    for name, body in _non_empty_obj(root, "profiles").items():
+        where = f"profiles.{name}"
+        body = as_obj(body, where)
+        at = f"{where}.main_weights"
+        main_weights = {
+            _index(index_id, at): as_real(weight, f"{at}.{index_id}")
+            for index_id, weight in as_obj(require(body, "main_weights", where), at).items()
+        }
+        at = f"{where}.sub_weights"
         sub_weights = {}
-        for index_id, weights in sub_obj.items():
-            if index_id not in _INDEX_BY_VALUE:
-                raise ConfigError(f"profiles.{name}.sub_weights: unknown index '{index_id}'")
-            if not isinstance(weights, dict):
-                raise ConfigError(f"profiles.{name}.sub_weights.{index_id}: expected object")
-            sub_weights[_INDEX_BY_VALUE[index_id]] = {m: float(w) for m, w in weights.items()}
-        try:
-            profiles[name] = IndexProfile(name, main_weights, sub_weights)
-        except (WeightError, EngineError) as exc:
-            raise ConfigError(f"profiles.{name}: {exc}") from exc
+        for index_id, weights in as_obj(body.get("sub_weights", {}), at).items():
+            group = f"{at}.{index_id}"
+            sub_weights[_index(index_id, at)] = {
+                m: as_real(weight, f"{group}.{m}") for m, weight in as_obj(weights, group).items()
+            }
+        profiles[name] = IndexProfile(name, main_weights, sub_weights)
 
     for name, profile in profiles.items():
-        for index, weights in profile.sub_weights.items():
+        for weights in profile.sub_weights.values():
             for metric_id in weights:
                 if metric_id not in curves:
-                    raise ConfigError(
+                    raise SchemaError(
                         f"profiles.{name}: metric '{metric_id}' has no curve in config"
                     )
 

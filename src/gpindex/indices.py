@@ -15,6 +15,7 @@ middle values) to absorb the natural deviation between gameplay sessions.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -72,11 +73,15 @@ WEIGHT_DECIMALS = 10
 def _normalized(weights: Mapping, what: str) -> dict:
     total = 0.0
     for key, weight in weights.items():
+        if not math.isfinite(weight):
+            raise WeightError(f"{what}: non-finite weight for {key}")
         if weight < 0:
             raise WeightError(f"{what}: negative weight for {key}")
         total += weight
     if total <= 0:
         raise WeightError(f"{what}: weights must not all be zero")
+    if total == math.inf:
+        raise WeightError(f"{what}: weights sum beyond the float range")
     return {key: round(w / total, WEIGHT_DECIMALS) for key, w in weights.items()}
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError, SchemaError
+from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from .indices import MainIndex, ScoreCard
 from .telemetry import SessionTelemetry
 
@@ -170,28 +170,6 @@ def emit_report(table: ComparisonTable, format: str = "json") -> bytes:
             lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format '{format}'")
-
-
-def parse_report(data: bytes) -> ComparisonTable:
-    """Parse a json report back into a ComparisonTable (round-trip of emit_report)."""
-    doc = json.loads(data.decode("utf-8"))
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise SchemaError(f"report schema_version must be {REPORT_SCHEMA_VERSION}")
-    code_index = dict(INDEX_COLUMNS)
-    rows = tuple(
-        ComparisonRow(
-            rank=row["rank"],
-            device_id=row["device_id"],
-            overall_exact=float(row["overall_exact"]),
-            overall_display=row["overall_display"],
-            index_display={
-                code_index[code]: value for code, value in row["indices"].items()
-            },
-            flags=tuple(row["flags"]),
-        )
-        for row in doc["rows"]
-    )
-    return ComparisonTable(profile_name=doc["profile"], rows=rows)
 
 
 def emit_plot_data(tables: Sequence[ComparisonTable]) -> bytes:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import CurveError, ValidationError
 
@@ -70,13 +69,6 @@ class MappingCurve:
     @property
     def increasing(self) -> bool:
         return self.breakpoints[-1][1] >= self.breakpoints[0][1]
-
-
-def validate_curve(
-    metric_id: str, breakpoints: Iterable[Sequence[float]]
-) -> MappingCurve:
-    """Build a MappingCurve, raising CurveError naming the violated invariant."""
-    return MappingCurve(metric_id, tuple((v, s) for v, s in breakpoints))
 
 
 def map_metric(value: float, curve: MappingCurve) -> SubIndexScore:

@@ -22,15 +22,14 @@ the scalar loop as its oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from importlib.resources import files
-from typing import Any
 
 import numpy as np
 
 from .errors import ModelError, SchemaError
+from .jsondoc import as_int, as_list, as_obj, as_real, as_str, decode, require, require_version
 from .telemetry import (
     BatterySample,
     DeviceMeta,
@@ -110,19 +109,34 @@ def _is_finite(value: float) -> bool:
         return False
 
 
+# DeviceModel fields as a manifest gives them, each with its reader.
+_MODEL_FIELDS = {
+    "device_id": as_str,
+    "base_frame_time_ms": as_real,
+    "drain_rate_pct_per_hour": as_real,
+    "temp_start_c": as_real,
+    "temp_peak_c": as_real,
+    "touch_latency_ms": as_real,
+    "launch_s": as_real,
+    "seed": as_int,
+}
+_OPTIONAL_MODEL_FIELDS = {
+    "frame_jitter_sd_ms": as_real,
+    "throttle_onset_s": as_real,
+    "throttle_factor": as_real,
+    "game_id": as_str,
+    "render_scale": as_real,
+    "texture_tier": as_int,
+    "effects_tier": as_int,
+    "aa_tier": as_int,
+    "dynamic_range_tier": as_int,
+    "display_ppi": as_real,
+    "battery_capacity_mah": as_int,
+}
+
 # DeviceModel fields that must hold a finite number (or None).
-_REAL_MODEL_FIELDS = (
-    "base_frame_time_ms",
-    "drain_rate_pct_per_hour",
-    "temp_start_c",
-    "temp_peak_c",
-    "touch_latency_ms",
-    "launch_s",
-    "frame_jitter_sd_ms",
-    "throttle_onset_s",
-    "throttle_factor",
-    "render_scale",
-    "display_ppi",
+_REAL_MODEL_FIELDS = tuple(
+    name for name, read in {**_MODEL_FIELDS, **_OPTIONAL_MODEL_FIELDS}.items() if read is as_real
 )
 
 
@@ -300,46 +314,14 @@ class CorpusDevice:
     session_duration_s: float
 
 
-_MODEL_FIELDS = {
-    "device_id": str,
-    "base_frame_time_ms": (int, float),
-    "drain_rate_pct_per_hour": (int, float),
-    "temp_start_c": (int, float),
-    "temp_peak_c": (int, float),
-    "touch_latency_ms": (int, float),
-    "launch_s": (int, float),
-    "seed": int,
-}
-_OPTIONAL_MODEL_FIELDS = {
-    "frame_jitter_sd_ms": (int, float),
-    "throttle_onset_s": (int, float),
-    "throttle_factor": (int, float),
-    "game_id": str,
-    "render_scale": (int, float),
-    "texture_tier": int,
-    "effects_tier": int,
-    "aa_tier": int,
-    "dynamic_range_tier": int,
-    "display_ppi": (int, float),
-    "battery_capacity_mah": int,
-}
-
-
 def _model_from_json(obj: dict, where: str) -> DeviceModel:
-    kwargs: dict[str, Any] = {}
-    for name, types in _MODEL_FIELDS.items():
-        if name not in obj:
-            raise SchemaError(f"{where}.{name}: missing required field")
-        value = obj[name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise SchemaError(f"{where}.{name}: wrong type {type(value).__name__}")
-        kwargs[name] = value
-    for name, types in _OPTIONAL_MODEL_FIELDS.items():
-        if name in obj and obj[name] is not None:
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise SchemaError(f"{where}.{name}: wrong type {type(value).__name__}")
-            kwargs[name] = value
+    kwargs = {
+        name: read(require(obj, name, where), f"{where}.{name}")
+        for name, read in _MODEL_FIELDS.items()
+    }
+    for name, read in _OPTIONAL_MODEL_FIELDS.items():
+        if obj.get(name) is not None:
+            kwargs[name] = read(obj[name], f"{where}.{name}")
     unknown = set(obj) - set(_MODEL_FIELDS) - set(_OPTIONAL_MODEL_FIELDS)
     if unknown:
         raise SchemaError(f"{where}: unknown model fields {sorted(unknown)}")
@@ -348,35 +330,24 @@ def _model_from_json(obj: dict, where: str) -> DeviceModel:
 
 def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
     """Parse a corpus manifest (same JSON syntax family as session files)."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    # ValueError covers bad UTF-8, JSONDecodeError and integer literals past
-    # the interpreter's digit limit; RecursionError covers deep nesting.
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"malformed manifest: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
-        raise SchemaError("manifest schema_version must be 1")
-    devices = doc.get("devices")
-    if not isinstance(devices, list) or not devices:
-        raise SchemaError("manifest must declare a non-empty devices array")
+    root = as_obj(decode(data, SchemaError, "manifest"), "top level")
+    require_version(root, 1)
+    devices = as_list(require(root, "devices", ""), "devices")
+    if not devices:
+        raise SchemaError("devices: expected a non-empty array")
     corpus = []
     first_index: dict[str, int] = {}
     for i, entry in enumerate(devices):
         where = f"devices[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: expected object")
-        sessions = entry.get("sessions")
-        if isinstance(sessions, bool) or not isinstance(sessions, int) or sessions < 1:
+        entry = as_obj(entry, where)
+        sessions = as_int(require(entry, "sessions", where), f"{where}.sessions")
+        if sessions < 1:
             raise SchemaError(f"{where}.sessions: expected positive integer")
-        duration = entry.get("session_duration_s")
-        if isinstance(duration, bool) or not isinstance(duration, (int, float)):
-            raise SchemaError(f"{where}.session_duration_s: expected number")
-        if not _is_finite(duration):
-            raise SchemaError(f"{where}.session_duration_s: expected finite number")
-        model_obj = entry.get("model")
-        if not isinstance(model_obj, dict):
-            raise SchemaError(f"{where}.model: expected object")
-        model = _model_from_json(model_obj, f"{where}.model")
+        duration = as_real(
+            require(entry, "session_duration_s", where), f"{where}.session_duration_s"
+        )
+        at = f"{where}.model"
+        model = _model_from_json(as_obj(require(entry, "model", where), at), at)
         if model.device_id in first_index:
             raise SchemaError(
                 f"{where}.model.device_id: {model.device_id!r} already used by "

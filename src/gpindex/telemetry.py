@@ -7,8 +7,9 @@ Timestamps are session-relative integer milliseconds.
 
 Parsing is total over the error taxonomy: any byte string yields either
 a fully validated :class:`SessionTelemetry` or exactly one of
-``SessionSyntaxError`` / ``SchemaError`` / ``ValidationError``. Reals
-must be finite and integers must fit in int64.
+``SessionSyntaxError`` / ``SchemaError`` / ``ValidationError``. The
+document is decoded and its fields read by :mod:`gpindex.jsondoc`, so
+reals must be finite and integers must fit in int64.
 
 Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
@@ -25,7 +26,6 @@ invariants are few-sample streams and are walked directly.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import Counter
@@ -40,6 +40,19 @@ from .errors import (
     SessionSyntaxError,
     ValidationError,
 )
+from .jsondoc import (
+    INT64_MAX,
+    INT64_MIN,
+    as_int,
+    as_list,
+    as_obj,
+    as_pair,
+    as_real,
+    as_str,
+    decode,
+    require,
+    require_version,
+)
 
 SCHEMA_VERSION = 1
 
@@ -48,8 +61,6 @@ SCHEMA_VERSION = 1
 BATTERY_RISE_TOLERANCE_PP = 0.5
 
 GAME_TIER_FIELDS = ("texture_tier", "effects_tier", "aa_tier", "dynamic_range_tier")
-
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 class UnknownKeyWarning(UserWarning):
@@ -246,67 +257,15 @@ def _warn_unknown(obj: dict, known: set[str], path: str) -> None:
             warnings.warn(f"ignoring unknown key '{where}'", UnknownKeyWarning, stacklevel=3)
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj or obj[key] is None:
-        where = f"{path}.{key}" if path else key
-        raise SchemaError(f"{where}: missing required field")
-    return obj[key]
-
-
-def _as_obj(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected object, got {type(value).__name__}")
-    return value
-
-
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected integer, got {type(value).__name__}")
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise SchemaError(f"{where}: integer outside the int64 range")
-    return value
-
-
-def _as_real(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected number, got {type(value).__name__}")
-    try:
-        real = float(value)
-    except OverflowError:  # an integer beyond the float range
-        real = math.inf
-    if not math.isfinite(real):
-        raise SchemaError(f"{where}: expected finite number")
-    return real
-
-
-def _as_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: expected string, got {type(value).__name__}")
-    return value
-
-
-def _as_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected array, got {type(value).__name__}")
-    return value
-
-
-def _as_pair(value: Any, where: str) -> list:
-    pair = _as_list(value, where)
-    if len(pair) != 2:
-        raise SchemaError(f"{where}: expected a 2-element array")
-    return pair
-
-
 def _opt_list(obj: dict, key: str, where: str) -> list:
     value = obj.get(key)
     if value is None:  # absent and explicit null both mean "not recorded"
         return []
-    return _as_list(value, where)
+    return as_list(value, where)
 
 
-# Bulk column checks: each returns the column, as the walk would convert
-# it, when every element passes, and None otherwise. None sends the whole
+# Bulk column checks: each returns the column, with reals as floats, when
+# every element passes, and None otherwise. None sends the whole
 # stream to the element-by-element walk, which names the first bad entry.
 
 
@@ -346,11 +305,11 @@ def _parse_rows(obj: dict, key: str, kinds: tuple[str, ...]) -> list:
         ]
         if all(column is not None for column in columns):
             return list(zip(*columns))
-    walkers = [{"int": _as_int, "real": _as_real, "str": _as_str}[kind] for kind in kinds]
+    walkers = [{"int": as_int, "real": as_real, "str": as_str}[kind] for kind in kinds]
     checked = []
     for i, entry in enumerate(rows):
         at = f"{where}[{i}]"
-        row = _as_list(entry, at)
+        row = as_list(entry, at)
         if len(row) != width:
             raise SchemaError(f"{at}: expected a {width}-element array")
         checked.append(tuple(walk(row[j], f"{at}[{j}]") for j, walk in enumerate(walkers)))
@@ -359,44 +318,39 @@ def _parse_rows(obj: dict, key: str, kinds: tuple[str, ...]) -> list:
 
 def _parse_device(obj: dict) -> DeviceMeta:
     _warn_unknown(obj, _DEVICE_KEYS, "device")
-    device_id = _as_str(_require(obj, "device_id", "device"), "device.device_id")
+    device_id = as_str(require(obj, "device_id", "device"), "device.device_id")
     capacity = obj.get("battery_capacity_mah")
     if capacity is not None:
-        capacity = _as_int(capacity, "device.battery_capacity_mah")
+        capacity = as_int(capacity, "device.battery_capacity_mah")
     ppi = obj.get("display_ppi")
     if ppi is not None:
-        ppi = _as_real(ppi, "device.display_ppi")
+        ppi = float(as_real(ppi, "device.display_ppi"))
     resolution = obj.get("display_resolution")
     if resolution is not None:
-        pair = _as_pair(resolution, "device.display_resolution")
-        resolution = (
-            _as_int(pair[0], "device.display_resolution[0]"),
-            _as_int(pair[1], "device.display_resolution[1]"),
-        )
+        resolution = as_pair(resolution, "device.display_resolution", as_int)
     return DeviceMeta(device_id, capacity, ppi, resolution)
 
 
 def _parse_game(obj: dict) -> GameSettings:
     _warn_unknown(obj, _GAME_KEYS, "game")
     kwargs: dict[str, Any] = {
-        "game_id": _as_str(_require(obj, "game_id", "game"), "game.game_id"),
-        "render_scale": _as_real(_require(obj, "render_scale", "game"), "game.render_scale"),
+        "game_id": as_str(require(obj, "game_id", "game"), "game.game_id"),
+        "render_scale": float(as_real(require(obj, "render_scale", "game"), "game.render_scale")),
     }
     for name in GAME_TIER_FIELDS:
-        kwargs[name] = _as_int(_require(obj, name, "game"), f"game.{name}")
+        kwargs[name] = as_int(require(obj, name, "game"), f"game.{name}")
     return GameSettings(**kwargs)
 
 
 def _parse_events(obj: dict) -> dict[str, Any]:
     _warn_unknown(obj, _EVENT_KEYS, "events")
-    frames = _as_list(_require(obj, "frames", "events"), "events.frames")
+    frames = as_list(require(obj, "frames", "events"), "events.frames")
     if _int_column(frames) is None:
-        frames = [_as_int(v, f"events.frames[{i}]") for i, v in enumerate(frames)]
+        frames = [as_int(v, f"events.frames[{i}]") for i, v in enumerate(frames)]
 
     launch = None
     if obj.get("launch") is not None:
-        pair = _as_pair(obj["launch"], "events.launch")
-        launch = (_as_int(pair[0], "events.launch[0]"), _as_int(pair[1], "events.launch[1]"))
+        launch = as_pair(obj["launch"], "events.launch", as_int)
 
     return {
         "frames": tuple(frames),
@@ -415,33 +369,15 @@ def parse_session(data: bytes) -> SessionTelemetry:
     missing/mistyped fields (naming the field path) and ``ValidationError``
     for invariant violations (naming the invariant).
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SessionSyntaxError(f"session document is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    # ValueError covers JSONDecodeError and integer literals past the
-    # interpreter's digit limit; RecursionError covers deep nesting.
-    except (ValueError, RecursionError) as exc:
-        raise SessionSyntaxError(f"malformed session document: {exc}") from exc
-
-    root = _as_obj(doc, "top level")
+    root = as_obj(decode(data, SessionSyntaxError, "session document"), "top level")
     _warn_unknown(root, _TOP_KEYS, "")
-    version = _as_int(_require(root, "schema_version", ""), "schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-    device = _parse_device(_as_obj(_require(root, "device", ""), "device"))
-    settings = _parse_game(_as_obj(_require(root, "game", ""), "game"))
-    events = _parse_events(_as_obj(_require(root, "events", ""), "events"))
+    version = require_version(root, SCHEMA_VERSION)
+    device = _parse_device(as_obj(require(root, "device", ""), "device"))
+    settings = _parse_game(as_obj(require(root, "game", ""), "game"))
+    events = _parse_events(as_obj(require(root, "events", ""), "events"))
     return SessionTelemetry(
         schema_version=version, device=device, settings=settings, **events
     )
-
-
-def parse_session_file(path: str) -> SessionTelemetry:
-    with open(path, "rb") as fh:
-        return parse_session(fh.read())
 
 
 # --- comparability -----------------------------------------------------

@@ -1,10 +1,13 @@
-"""Hypothesis strategies for valid engine inputs, and a manifest builder.
+"""Hypothesis strategies for valid engine inputs, hostile documents, and a manifest builder.
 
 Ordered streams are built from cumulative gaps rather than unique sorted
 draws; generation stays cheap and monotonicity holds by construction.
 """
 
+import copy
 import json
+from functools import reduce
+from operator import getitem
 
 import hypothesis.strategies as st
 
@@ -197,3 +200,50 @@ def manifest_bytes(*entries):
     # json.dumps writes float NaN and infinities as the NaN/Infinity literals.
     return json.dumps({"schema_version": 1, "devices": devices}).encode()
 
+
+
+# Any JSON value, weighted toward the ones a reader must reject: null,
+# booleans, integers past int64 or the float range, NaN and infinities,
+# strings, and arrays or objects of these.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**400]),
+    st.floats(),
+    st.text(max_size=4),
+)
+hostile_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    """Every key/index path below ``value``, outermost first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def one_field_mutations(draw, docs):
+    """Bytes of a document drawn from ``docs`` with one field, at any depth,
+    replaced by a hostile value or removed."""
+    doc = copy.deepcopy(draw(docs))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = reduce(getitem, path[:-1], doc)
+    if draw(st.booleans()):
+        parent[path[-1]] = draw(hostile_values)
+    else:
+        del parent[path[-1]]
+    # json.dumps writes float NaN and infinities as the NaN/Infinity literals.
+    return json.dumps(doc).encode()

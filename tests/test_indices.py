@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from gpindex.indices import (
     score_profiles,
 )
 from gpindex.metrics import METRIC_IDS
-from gpindex.scoring import SubIndexScore, validate_curve
+from gpindex.scoring import MappingCurve, SubIndexScore
 from tests.strategies import curve_set, profiles, sessions
 
 
@@ -168,6 +169,24 @@ class TestIndexProfile:
         with pytest.raises(WeightError, match="negative"):
             IndexProfile("bad", {MainIndex.BATTERY: -1.0, MainIndex.SWIFTNESS: 2.0}, {})
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_main_weight_rejected(self, weight):
+        with pytest.raises(WeightError, match="non-finite weight for MainIndex.BATTERY"):
+            IndexProfile("bad", {MainIndex.BATTERY: weight, MainIndex.SWIFTNESS: 1.0}, {})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sub_weight_rejected(self, weight):
+        with pytest.raises(WeightError, match="non-finite weight for low1_fps"):
+            IndexProfile(
+                "bad",
+                {MainIndex.VISUAL_SMOOTHNESS: 1.0},
+                {MainIndex.VISUAL_SMOOTHNESS: {"avg_fps": 1.0, "low1_fps": weight}},
+            )
+
+    def test_weights_summing_past_float_range_rejected(self):
+        with pytest.raises(WeightError, match="beyond the float range"):
+            IndexProfile("bad", {MainIndex.BATTERY: 1e308, MainIndex.SWIFTNESS: 1e308}, {})
+
     def test_all_zero_main_weights_rejected(self):
         with pytest.raises(WeightError, match="positive"):
             IndexProfile("bad", {index: 0.0 for index in MainIndex}, {})
@@ -200,7 +219,7 @@ class TestIndexProfile:
 
 
 def all_hundred_curves():
-    return {m: validate_curve(m, [(0.0, 100.0), (1.0, 100.0)]) for m in METRIC_IDS}
+    return {m: MappingCurve(m, [(0.0, 100.0), (1.0, 100.0)]) for m in METRIC_IDS}
 
 
 class TestScoreDevice:

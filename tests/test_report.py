@@ -8,12 +8,34 @@ from gpindex.errors import DuplicateDeviceError, EmptyInputError, MixedProfilesE
 from gpindex.indices import MainIndex, ScoreCard
 from gpindex.report import (
     CSV_HEADER,
+    INDEX_COLUMNS,
+    REPORT_SCHEMA_VERSION,
+    ComparisonRow,
+    ComparisonTable,
     emit_plot_data,
     emit_report,
-    parse_report,
     rank_devices,
     round_display,
 )
+
+
+def parse_report(data):
+    """Read a json report back into a ComparisonTable: the round-trip oracle for emit_report."""
+    doc = json.loads(data.decode("utf-8"))
+    assert doc["schema_version"] == REPORT_SCHEMA_VERSION
+    code_index = dict(INDEX_COLUMNS)
+    rows = tuple(
+        ComparisonRow(
+            rank=row["rank"],
+            device_id=row["device_id"],
+            overall_exact=float(row["overall_exact"]),
+            overall_display=row["overall_display"],
+            index_display={code_index[code]: value for code, value in row["indices"].items()},
+            flags=tuple(row["flags"]),
+        )
+        for row in doc["rows"]
+    )
+    return ComparisonTable(profile_name=doc["profile"], rows=rows)
 
 
 def make_card(device_id, overall, profile="competitive", mains=None, flags=()):

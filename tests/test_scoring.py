@@ -3,69 +3,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpindex.errors import CurveError, ValidationError
-from gpindex.scoring import MappingCurve, map_metric, validate_curve
+from gpindex.scoring import MappingCurve, map_metric
 from tests.strategies import curves
 
 
 class TestMapMetric:
     def test_identity_segment(self):
-        curve = validate_curve("avg_fps", [(0, 0), (100, 100)])
+        curve = MappingCurve("avg_fps", [(0, 0), (100, 100)])
         assert map_metric(50.0, curve).score == 50.0
 
     def test_clamp_below_decreasing_curve(self):
-        curve = validate_curve("peak_temp_c", [(30, 100), (45, 0)])
+        curve = MappingCurve("peak_temp_c", [(30, 100), (45, 0)])
         assert map_metric(20.0, curve).score == 100.0
 
     def test_clamp_above(self):
-        curve = validate_curve("avg_fps", [(0, 0), (60, 90), (120, 100)])
+        curve = MappingCurve("avg_fps", [(0, 0), (60, 90), (120, 100)])
         assert map_metric(500.0, curve).score == 100.0
 
     def test_interior_interpolation(self):
-        curve = validate_curve("avg_fps", [(20, 0), (40, 50), (60, 100)])
+        curve = MappingCurve("avg_fps", [(20, 0), (40, 50), (60, 100)])
         # oracle: 0 + (30-20)/(40-20) * (50-0)
         expected = 0 + (30 - 20) / (40 - 20) * (50 - 0)
         assert map_metric(30.0, curve).score == expected == 25.0
 
     def test_result_carries_raw_value_and_metric(self):
-        curve = validate_curve("launch_s", [(2, 100), (40, 0)])
+        curve = MappingCurve("launch_s", [(2, 100), (40, 0)])
         result = map_metric(8.2, curve)
         assert result.metric_id == "launch_s"
         assert result.raw_value == 8.2
 
     def test_nan_rejected(self):
-        curve = validate_curve("avg_fps", [(0, 0), (100, 100)])
+        curve = MappingCurve("avg_fps", [(0, 0), (100, 100)])
         with pytest.raises(ValidationError, match="avg_fps: cannot map NaN"):
             map_metric(float("nan"), curve)
 
     def test_infinities_clamp(self):
-        curve = validate_curve("avg_fps", [(0, 10), (100, 90)])
+        curve = MappingCurve("avg_fps", [(0, 10), (100, 90)])
         assert map_metric(float("inf"), curve).score == 90.0
         assert map_metric(float("-inf"), curve).score == 10.0
 
 
 class TestValidateCurve:
     def test_valid_increasing(self):
-        curve = validate_curve("avg_fps", [(0, 0), (60, 90), (120, 100)])
+        curve = MappingCurve("avg_fps", [(0, 0), (60, 90), (120, 100)])
         assert curve.increasing
 
     def test_values_not_increasing(self):
         with pytest.raises(CurveError, match="values not strictly increasing at index 2"):
-            validate_curve("avg_fps", [(0, 0), (60, 90), (50, 100)])
+            MappingCurve("avg_fps", [(0, 0), (60, 90), (50, 100)])
 
     def test_scores_not_monotone(self):
         with pytest.raises(CurveError, match="scores not monotone at index 2"):
-            validate_curve("avg_fps", [(0, 0), (60, 90), (120, 80)])
+            MappingCurve("avg_fps", [(0, 0), (60, 90), (120, 80)])
 
     def test_score_out_of_range(self):
         with pytest.raises(CurveError, match="out of \\[0, 100\\] at index 1"):
-            validate_curve("avg_fps", [(0, 0), (60, 101)])
+            MappingCurve("avg_fps", [(0, 0), (60, 101)])
 
     def test_too_few_breakpoints(self):
         with pytest.raises(CurveError, match="at least 2"):
-            validate_curve("avg_fps", [(0, 0)])
+            MappingCurve("avg_fps", [(0, 0)])
 
     def test_constant_scores_allowed(self):
-        curve = validate_curve("avg_fps", [(0, 70), (10, 70), (20, 70)])
+        curve = MappingCurve("avg_fps", [(0, 70), (10, 70), (20, 70)])
         assert map_metric(5.0, curve).score == 70.0
 
 
@@ -117,7 +117,7 @@ class TestCurveProperties:
 
 
 def test_curve_is_immutable():
-    curve = validate_curve("avg_fps", [(0, 0), (100, 100)])
+    curve = MappingCurve("avg_fps", [(0, 0), (100, 100)])
     with pytest.raises(Exception):
         curve.breakpoints = ()
     assert isinstance(curve, MappingCurve)

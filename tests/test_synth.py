@@ -315,8 +315,14 @@ class TestManifestRejections:
     @pytest.mark.parametrize(
         "overrides,match",
         [
-            ({"touch_latency_ms": math.nan}, "touch_latency_ms must be finite"),
-            ({"base_frame_time_ms": math.nan}, "base_frame_time_ms must be finite"),
+            (
+                {"touch_latency_ms": math.nan},
+                r"devices\[0\]\.model\.touch_latency_ms: expected finite number",
+            ),
+            (
+                {"base_frame_time_ms": math.nan},
+                r"devices\[0\]\.model\.base_frame_time_ms: expected finite number",
+            ),
             (
                 {"session_duration_s": math.inf},
                 r"devices\[0\]\.session_duration_s: expected finite number",

@@ -354,16 +354,16 @@ class TestFixtureFile:
         assert session.schema_version == SCHEMA_VERSION
 
     def test_valid_file_is_checked_in_bulk(self, fixture_session_path, monkeypatch):
-        # A per-element walk would call _as_int once per frame (36 000 times).
+        # A per-element walk would call as_int once per frame (36 000 times).
         calls = 0
-        as_int = telemetry._as_int
+        as_int = telemetry.as_int
 
         def counting(value, where):
             nonlocal calls
             calls += 1
             return as_int(value, where)
 
-        monkeypatch.setattr(telemetry, "_as_int", counting)
+        monkeypatch.setattr(telemetry, "as_int", counting)
         session = parse_session(fixture_session_path.read_bytes())
         assert len(session.frames) == 36_000
         assert type(session.frames) is tuple
