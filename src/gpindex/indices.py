@@ -19,7 +19,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     AllIndicesAbsentError,
@@ -28,6 +28,7 @@ from .errors import (
     MixedDevicesError,
     WeightError,
 )
+from .jsondoc import is_finite, is_number
 from .metrics import METRIC_IDS, extract_metrics
 from .scoring import MappingCurve, SubIndexScore, map_metric
 from .telemetry import SessionTelemetry
@@ -73,13 +74,14 @@ WEIGHT_DECIMALS = 10
 def _normalized(weights: Mapping, what: str) -> dict:
     total = 0.0
     for key, weight in weights.items():
-        if not math.isfinite(weight):
-            raise WeightError(f"{what}: non-finite weight for {key}")
+        if not is_finite(weight):
+            kind = "non-finite" if is_number(weight) else "non-numeric"
+            raise WeightError(f"{what}: {kind} weight for {key}")
         if weight < 0:
             raise WeightError(f"{what}: negative weight for {key}")
         total += weight
     if total <= 0:
-        raise WeightError(f"{what}: weights must not all be zero")
+        raise WeightError(f"{what}: at least one weight must be positive")
     if total == math.inf:
         raise WeightError(f"{what}: weights sum beyond the float range")
     return {key: round(w / total, WEIGHT_DECIMALS) for key, w in weights.items()}
@@ -104,20 +106,12 @@ class IndexProfile:
         for index in self.main_weights:
             if not isinstance(index, MainIndex):
                 raise WeightError(f"unknown main index {index!r}")
-        main = {index: float(self.main_weights.get(index, 0.0)) for index in MainIndex}
-        if not any(w > 0 for w in main.values()):
-            raise WeightError(f"profile '{self.name}': at least one main weight must be positive")
+        main = {index: self.main_weights.get(index, 0.0) for index in MainIndex}
         object.__setattr__(self, "main_weights", _normalized(main, f"profile '{self.name}' main weights"))
 
         subs: dict[MainIndex, dict[str, float]] = {}
         for index in MainIndex:
-            given = self.sub_weights.get(index)
-            if not given:
-                members = INDEX_METRICS[index]
-                subs[index] = _normalized(
-                    {m: 1.0 for m in members}, f"profile '{self.name}' {index.value}"
-                )
-                continue
+            given = self.sub_weights.get(index) or dict.fromkeys(INDEX_METRICS[index], 1.0)
             for metric_id in given:
                 if metric_id not in METRIC_INDEX:
                     raise WeightError(
@@ -127,59 +121,49 @@ class IndexProfile:
                     raise WeightError(
                         f"profile '{self.name}': metric '{metric_id}' does not belong to {index.value}"
                     )
-            subs[index] = _normalized(
-                {m: float(w) for m, w in given.items()},
-                f"profile '{self.name}' {index.value}",
-            )
+            subs[index] = _normalized(given, f"profile '{self.name}' {index.value}")
         for index in self.sub_weights:
             if index not in subs:
                 raise WeightError(f"profile '{self.name}': unknown sub-weight group {index!r}")
         object.__setattr__(self, "sub_weights", subs)
 
 
-def _weighted_mean(pairs: Sequence[tuple[float, float]]) -> float:
-    """Mean of (weight, score) pairs, clamped to [0, 100] against float drift."""
-    total_w = sum(w for w, _ in pairs)
-    value = sum(w * s for w, s in pairs) / total_w
-    return min(100.0, max(0.0, value))
+def _renormalized_mean(
+    weights: Mapping, scores: Mapping, label: str, parts: str
+) -> tuple[float | None, tuple[str, ...]]:
+    """Mean of ``scores`` weighted by ``weights``, renormalized over the keys present.
+
+    Each absent positively-weighted key is named in one flag; when every
+    present key carries zero weight the present scores are averaged
+    uniformly, also flagged. Returns (None, ()) when no weighted key is
+    present. The mean is clamped to [0, 100] against float drift.
+    """
+    contributing = [(w, scores[key]) for key, w in weights.items() if key in scores]
+    if not contributing:
+        return None, ()
+    flags = []
+    # MainIndex keys are named by their value, metric ids by themselves.
+    missing = sorted(
+        getattr(key, "value", key) for key, w in weights.items() if w > 0 and key not in scores
+    )
+    if missing:
+        flags.append(f"{label}: missing {'+'.join(missing)} (weights renormalized)")
+    if sum(w for w, _ in contributing) <= 0:
+        flags.append(f"{label}: measured {parts} all zero-weighted (uniform fallback)")
+        contributing = [(1.0, s) for _, s in contributing]
+    value = sum(w * s for w, s in contributing) / sum(w for w, _ in contributing)
+    return min(100.0, max(0.0, value)), tuple(flags)
 
 
 def score_main_index(
-    sub_scores: Iterable[SubIndexScore], weights: Mapping[str, float]
+    index: MainIndex, scores: Mapping[str, float], profile: IndexProfile
 ) -> tuple[float | None, tuple[str, ...]]:
-    """Weighted mean of the present sub-scores of one main index.
+    """Weighted mean of one main index's sub-scores (metric id -> score) under a profile.
 
-    Weights renormalize over the metrics that are present; each absent
-    positively-weighted metric produces a flag. Returns (None, flags)
-    when nothing is present.
+    Returns (None, ()) when none of the index's weighted metrics is
+    present; score_overall records that, nothing renormalizes here.
     """
-    if not weights:
-        raise WeightError("empty weight map")
-    indices = set()
-    for metric_id in weights:
-        if metric_id not in METRIC_INDEX:
-            raise WeightError(f"unknown metric '{metric_id}' in weights")
-        indices.add(METRIC_INDEX[metric_id])
-    if len(indices) > 1:
-        raise WeightError("weights span multiple main indices")
-    index = indices.pop()
-
-    present = {s.metric_id: s.score for s in sub_scores}
-    contributing = [(weights[m], present[m]) for m in weights if m in present]
-    if not contributing:
-        # Whole index absent; score_overall records that, nothing renormalizes here.
-        return None, ()
-    flags = []
-    missing = sorted(m for m, w in weights.items() if w > 0 and m not in present)
-    if missing:
-        flags.append(
-            f"{index.value}: missing {'+'.join(missing)} (weights renormalized)"
-        )
-    if sum(w for w, _ in contributing) <= 0:
-        # Everything measured carries zero weight; fall back to a plain mean.
-        flags.append(f"{index.value}: measured metrics all zero-weighted (uniform fallback)")
-        contributing = [(1.0, s) for _, s in contributing]
-    return _weighted_mean(contributing), tuple(flags)
+    return _renormalized_mean(profile.sub_weights[index], scores, index.value, "metrics")
 
 
 def score_overall(
@@ -189,17 +173,7 @@ def score_overall(
     present = {i: s for i, s in main_scores.items() if s is not None}
     if not present:
         raise AllIndicesAbsentError("no main index could be scored")
-    flags = []
-    missing = sorted(
-        i.value for i, w in profile.main_weights.items() if w > 0 and i not in present
-    )
-    if missing:
-        flags.append(f"overall: missing {'+'.join(missing)} (weights renormalized)")
-    contributing = [(profile.main_weights[i], s) for i, s in present.items()]
-    if sum(w for w, _ in contributing) <= 0:
-        flags.append("overall: measured indices all zero-weighted (uniform fallback)")
-        contributing = [(1.0, s) for _, s in contributing]
-    return _weighted_mean(contributing), tuple(flags)
+    return _renormalized_mean(profile.main_weights, present, "overall", "indices")
 
 
 def aggregate_sessions(per_session_overalls: Sequence[float]) -> float:
@@ -253,12 +227,11 @@ def measure(session: SessionTelemetry, curves: Mapping[str, MappingCurve]) -> Me
 
 def _weigh_session(subs: tuple[SubIndexScore, ...], profile: IndexProfile) -> SessionScores:
     """One measured session's main indices and overall under a profile."""
+    scores = {s.metric_id: s.score for s in subs}
     mains: dict[MainIndex, float | None] = {}
     flags: list[str] = []
     for index in MainIndex:
-        members = [s for s in subs if METRIC_INDEX[s.metric_id] is index]
-        score, index_flags = score_main_index(members, profile.sub_weights[index])
-        mains[index] = score
+        mains[index], index_flags = score_main_index(index, scores, profile)
         flags.extend(index_flags)
     overall, overall_flags = score_overall(mains, profile)
     flags.extend(overall_flags)
@@ -300,19 +273,10 @@ def weigh(
     return cards
 
 
-def score_profiles(
-    sessions: Sequence[SessionTelemetry],
-    profiles: Sequence[IndexProfile],
-    curves: Mapping[str, MappingCurve],
-) -> list[ScoreCard]:
-    """One device's ScoreCard under each profile; each session is measured once."""
-    return weigh([measure(s, curves) for s in sessions], profiles)
-
-
 def score_device(
     sessions: Sequence[SessionTelemetry],
     profile: IndexProfile,
     curves: Mapping[str, MappingCurve],
 ) -> ScoreCard:
-    """One device's ScoreCard under one profile (:func:`score_profiles`)."""
-    return score_profiles(sessions, (profile,), curves)[0]
+    """One device's ScoreCard under one profile: :func:`weigh` over the measured sessions."""
+    return weigh([measure(s, curves) for s in sessions], (profile,))[0]

@@ -7,7 +7,9 @@ decides what a bad input becomes: ``decode`` raises the caller's error
 class for bytes that are not a JSON document, and each reader raises
 ``SchemaError`` naming the field path, e.g. ``events.touch[3][1]:
 expected finite number``. Integers must fit in int64 and reals must be
-finite; readers check a value and return it as given.
+finite; readers check a value and return it as given. The engine's own
+constructors (curves, profiles, device models) check numbers with
+:func:`is_finite` too.
 """
 
 from __future__ import annotations
@@ -73,16 +75,27 @@ def as_int(value: Any, where: str) -> int:
     return value
 
 
-def as_real(value: Any, where: str) -> int | float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected number, got {type(value).__name__}")
+def is_number(value: Any) -> bool:
+    """Whether ``value`` is a JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite(value: Any) -> bool:
+    """Whether ``value`` is a finite number; an int beyond the float range is not."""
+    if not is_number(value):
+        return False
     try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def as_real(value: Any, where: str) -> int | float:
+    if is_finite(value):
+        return value
+    if is_number(value):
         raise SchemaError(f"{where}: expected finite number")
-    return value
+    raise SchemaError(f"{where}: expected number, got {type(value).__name__}")
 
 
 def as_str(value: Any, where: str) -> str:

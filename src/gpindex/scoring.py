@@ -16,6 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import CurveError, ValidationError
+from .jsondoc import is_finite, is_number
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,12 @@ class MappingCurve:
     breakpoints: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        bps = tuple((float(v), float(s)) for v, s in self.breakpoints)
+        bps = tuple(self._breakpoint(i, point) for i, point in enumerate(self.breakpoints))
         object.__setattr__(self, "breakpoints", bps)
         if len(bps) < 2:
             raise CurveError(f"{self.metric_id}: need at least 2 breakpoints, got {len(bps)}")
         direction = 0
         for i, (value, score) in enumerate(bps):
-            if not (math.isfinite(value) and math.isfinite(score)):
-                raise CurveError(f"{self.metric_id}: non-finite breakpoint at index {i}")
             if not 0 <= score <= 100:
                 raise CurveError(f"{self.metric_id}: score out of [0, 100] at index {i}")
             if i == 0:
@@ -65,6 +64,16 @@ class MappingCurve:
                 if direction > 0:
                     raise CurveError(f"{self.metric_id}: scores not monotone at index {i}")
                 direction = -1
+
+    def _breakpoint(self, i: int, point: object) -> tuple[float, float]:
+        """Breakpoint ``i`` as a (value, score) pair of floats; anything else raises CurveError."""
+        if not (isinstance(point, (tuple, list)) and len(point) == 2):
+            raise CurveError(f"{self.metric_id}: breakpoint at index {i} is not a pair")
+        for x in point:
+            if not is_finite(x):
+                kind = "non-finite" if is_number(x) else "non-numeric"
+                raise CurveError(f"{self.metric_id}: {kind} breakpoint at index {i}")
+        return float(point[0]), float(point[1])
 
     @property
     def increasing(self) -> bool:

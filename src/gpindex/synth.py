@@ -17,7 +17,7 @@ of draws at once with numpy uint64 arithmetic, which wraps exactly like
 the scalar mask, and gets frame times from a cumulative sum, which adds
 left to right exactly like the scalar ``t += step`` loop. Block generation
 therefore equals the scalar definition bit for bit; the test suite keeps
-the scalar loop as its oracle.
+the scalar generator and loop as its oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from importlib.resources import files
 import numpy as np
 
 from .errors import ModelError, SchemaError
-from .jsondoc import as_int, as_list, as_obj, as_real, as_str, decode, require, require_version
+from .jsondoc import (
+    as_int, as_list, as_obj, as_real, as_str, decode, is_finite, require, require_version
+)
 from .telemetry import (
     BatterySample,
     DeviceMeta,
@@ -61,33 +63,8 @@ _FRAME_BLOCK = 1 << 14
 _MAX_DURATION_MS = 2.0**63
 
 
-class SplitMix64:
-    """SplitMix64: state advances by a fixed odd constant, output is a
-    finalizing hash of the state. Reference constants per the original
-    public-domain algorithm."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_float()
-
-
 def _block_floats(seed: int, skip: int, n: int) -> np.ndarray:
-    """Draws skip+1 .. skip+n of SplitMix64(seed), as next_float() values."""
+    """Draws skip+1 .. skip+n of SplitMix64(seed), each as its top 53 bits times 2**-53."""
     z = np.arange(skip + 1, skip + n + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(seed & _MASK64)
@@ -100,13 +77,6 @@ def _block_floats(seed: int, skip: int, n: int) -> np.ndarray:
     u = z.astype(np.float64)
     u *= 2.0**-53
     return u
-
-
-def _is_finite(value: float) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 # DeviceModel fields as a manifest gives them, each with its reader.
@@ -172,7 +142,7 @@ class DeviceModel:
     def __post_init__(self) -> None:
         for name in _REAL_MODEL_FIELDS:
             value = getattr(self, name)
-            if value is not None and not _is_finite(value):
+            if value is not None and not is_finite(value):
                 raise ModelError(f"{name} must be finite, got {value!r}")
         if self.base_frame_time_ms <= 0:
             raise ModelError("base_frame_time_ms must be > 0")
@@ -246,7 +216,7 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
 
     The output always satisfies every telemetry invariant.
     """
-    if not (_is_finite(duration_s) and duration_s * 1000.0 < _MAX_DURATION_MS):
+    if not (is_finite(duration_s) and duration_s * 1000.0 < _MAX_DURATION_MS):
         raise ModelError(
             f"duration_s must be finite and below {_MAX_DURATION_MS / 1000.0:g} s, "
             f"got {duration_s!r}"

@@ -251,10 +251,13 @@ _EVENT_KEYS = {"launch", "frames", "battery", "temperature", "touch", "scene_loa
 
 
 def _warn_unknown(obj: dict, known: set[str], path: str) -> None:
+    # The warning names parse_session's caller: parse_session checks the
+    # top level itself and each section one call deeper, in _parse_<section>.
+    level = 4 if path else 3
     for key in obj:
         if key not in known:
             where = f"{path}.{key}" if path else key
-            warnings.warn(f"ignoring unknown key '{where}'", UnknownKeyWarning, stacklevel=3)
+            warnings.warn(f"ignoring unknown key '{where}'", UnknownKeyWarning, stacklevel=level)
 
 
 def _opt_list(obj: dict, key: str, where: str) -> list:

@@ -26,7 +26,7 @@ from gpindex.indices import (
     score_overall,
 )
 from gpindex.metrics import METRIC_IDS, compute_fps_metrics, extract_metrics
-from gpindex.scoring import MappingCurve, SubIndexScore, map_metric
+from gpindex.scoring import MappingCurve, map_metric
 from gpindex.synth import DeviceModel, generate_session
 from gpindex.telemetry import (
     BatterySample,
@@ -190,12 +190,14 @@ def test_oracle_equivalence():
         assert aggregate_sessions(values) == expected
 
     for _ in range(300):
-        metrics = list(INDEX_METRICS[MainIndex.VISUAL_SMOOTHNESS])
-        weights = {m: rng.uniform(0.1, 5.0) for m in metrics}
-        scores = {m: rng.uniform(0.0, 100.0) for m in metrics}
-        got, _ = score_main_index(
-            [SubIndexScore(m, 0.0, scores[m]) for m in metrics], weights
+        index = MainIndex.VISUAL_SMOOTHNESS
+        metrics = list(INDEX_METRICS[index])
+        sub_profile = IndexProfile(
+            "p", {index: 1.0}, {index: {m: rng.uniform(0.1, 5.0) for m in metrics}}
         )
+        weights = sub_profile.sub_weights[index]
+        scores = {m: rng.uniform(0.0, 100.0) for m in metrics}
+        got, _ = score_main_index(index, scores, sub_profile)
         expected = sum(weights[m] * scores[m] for m in metrics) / sum(weights.values())
         assert got == pytest.approx(expected, abs=1e-9)
 

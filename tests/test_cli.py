@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -41,6 +44,19 @@ def write_sessions(directory, sessions):
     for i, session in enumerate(sessions):
         (directory / f"session_{i:02d}.json").write_bytes(serialize_session(session))
     return directory
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    src = Path(gpindex.cli.__file__).parents[1]
+    code = (
+        "import gpindex, sys; print(sorted(m for m in sys.modules"
+        " if m.startswith('gpindex.') or m.split('.')[0] == 'numpy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 class TestValidate:

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpindex.cli import main
 from gpindex.config import load_config
 from gpindex.errors import ConfigError
 from gpindex.report import serialize_session
+from gpindex.synth import DeviceModel, generate_session
+from tests.strategies import one_field_mutations
 
 
 def config_bytes(edit):
@@ -79,3 +87,35 @@ def test_compare_with_hostile_config_is_usage_error(
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.fixture(scope="module")
+def two_device_dirs(tmp_path_factory):
+    """Two device directories of one 120 s session each."""
+    root = tmp_path_factory.mktemp("two_devices")
+    dirs = []
+    for k, device_id in enumerate(("dev_a", "dev_b")):
+        model = DeviceModel(device_id, 16.0 + 4.0 * k, 12.0, 27.0, 38.0, 45.0, 6.0, seed=k)
+        directory = root / device_id
+        directory.mkdir()
+        (directory / "s.json").write_bytes(serialize_session(generate_session(model, 120)))
+        dirs.append(str(directory))
+    return dirs
+
+
+_DEFAULT_CONFIG = json.loads(config_bytes(lambda doc: None))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=one_field_mutations(st.just(_DEFAULT_CONFIG)))
+def test_compare_with_mutated_config_exits_0_1_or_2(two_device_dirs, data):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_bytes(data)
+        argv = ["compare", "--config", str(config), "--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + two_device_dirs)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("config error:")

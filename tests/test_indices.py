@@ -19,62 +19,64 @@ from gpindex.indices import (
     IndexProfile,
     MainIndex,
     aggregate_sessions,
+    measure,
     score_device,
     score_main_index,
     score_overall,
-    score_profiles,
+    weigh,
 )
 from gpindex.metrics import METRIC_IDS
-from gpindex.scoring import MappingCurve, SubIndexScore
+from gpindex.scoring import MappingCurve
 from tests.strategies import curve_set, profiles, sessions
 
 
-def sub(metric_id, score):
-    return SubIndexScore(metric_id, 0.0, score)
+def sub_profile(index, weights):
+    """A profile weighing only ``index``, with the given sub-weights."""
+    return IndexProfile("p", {index: 1.0}, {index: weights})
 
 
 class TestScoreMainIndex:
+    # Weight-map checks (unknown metric, metric of another index, empty map)
+    # happen once, in IndexProfile: see TestIndexProfile.
+
     def test_even_split(self):
+        profile = sub_profile(MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 0.5, "low1_fps": 0.5})
         score, flags = score_main_index(
-            [sub("avg_fps", 80.0), sub("low1_fps", 90.0)],
-            {"avg_fps": 0.5, "low1_fps": 0.5},
+            MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 80.0, "low1_fps": 90.0}, profile
         )
         assert score == 85.0
         assert flags == ()
 
     def test_absent_metric_renormalizes_with_flag(self):
-        score, flags = score_main_index(
-            [sub("avg_fps", 70.0)], {"avg_fps": 0.6, "low1_fps": 0.4}
-        )
+        profile = sub_profile(MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 0.6, "low1_fps": 0.4})
+        score, flags = score_main_index(MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 70.0}, profile)
         assert score == 70.0
-        assert len(flags) == 1
-        assert "low1_fps" in flags[0] and "renormalized" in flags[0]
+        assert flags == ("visual_smoothness: missing low1_fps (weights renormalized)",)
 
     def test_three_way_dot_product(self):
         weights = {"avg_fps": 0.2, "low1_fps": 0.3, "fps_stability": 0.5}
         scores = {"avg_fps": 60.0, "low1_fps": 80.0, "fps_stability": 100.0}
-        result, _ = score_main_index([sub(m, s) for m, s in scores.items()], weights)
+        profile = sub_profile(MainIndex.VISUAL_SMOOTHNESS, weights)
+        result, _ = score_main_index(MainIndex.VISUAL_SMOOTHNESS, scores, profile)
         # oracle: explicit dot product
         expected = sum(weights[m] * scores[m] for m in weights) / sum(weights.values())
         assert result == pytest.approx(expected, abs=1e-9)
         assert result == pytest.approx(86.0, abs=1e-9)
 
     def test_all_absent_returns_none_without_flags(self):
-        score, flags = score_main_index([], {"launch_s": 0.7, "scene_load_s": 0.3})
+        profile = sub_profile(MainIndex.SWIFTNESS, {"launch_s": 0.7, "scene_load_s": 0.3})
+        score, flags = score_main_index(MainIndex.SWIFTNESS, {"avg_fps": 50.0}, profile)
         assert score is None
         assert flags == ()
 
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(WeightError, match="unknown metric"):
-            score_main_index([sub("avg_fps", 50.0)], {"avgfps": 1.0})
-
-    def test_cross_index_weights_rejected(self):
-        with pytest.raises(WeightError, match="multiple"):
-            score_main_index([], {"avg_fps": 0.5, "launch_s": 0.5})
-
-    def test_empty_weights_rejected(self):
-        with pytest.raises(WeightError, match="empty"):
-            score_main_index([], {})
+    def test_measured_metrics_all_zero_weighted_fall_back_to_uniform(self):
+        profile = sub_profile(MainIndex.SWIFTNESS, {"launch_s": 0.0, "scene_load_s": 1.0})
+        score, flags = score_main_index(MainIndex.SWIFTNESS, {"launch_s": 40.0}, profile)
+        assert score == 40.0
+        assert flags == (
+            "swiftness: missing scene_load_s (weights renormalized)",
+            "swiftness: measured metrics all zero-weighted (uniform fallback)",
+        )
 
 
 class TestScoreOverall:
@@ -123,6 +125,17 @@ class TestScoreOverall:
         score, flags = score_overall(mains, profile)
         assert score == pytest.approx(80.0, abs=1e-9)
         assert any("swiftness" in f for f in flags)
+
+    def test_measured_indices_all_zero_weighted_fall_back_to_uniform(self):
+        profile = IndexProfile("only_battery", {MainIndex.BATTERY: 1.0}, {})
+        mains = {index: None for index in MainIndex}
+        mains[MainIndex.SWIFTNESS], mains[MainIndex.TEMPERATURE] = 30.0, 50.0
+        score, flags = score_overall(mains, profile)
+        assert score == 40.0
+        assert flags == (
+            "overall: missing battery (weights renormalized)",
+            "overall: measured indices all zero-weighted (uniform fallback)",
+        )
 
     def test_all_absent(self, default_cfg):
         with pytest.raises(AllIndicesAbsentError):
@@ -181,6 +194,21 @@ class TestIndexProfile:
                 "bad",
                 {MainIndex.VISUAL_SMOOTHNESS: 1.0},
                 {MainIndex.VISUAL_SMOOTHNESS: {"avg_fps": 1.0, "low1_fps": weight}},
+            )
+
+    # Built directly, a profile is checked as a config's would be: no
+    # ValueError, OverflowError or TypeError escapes from a bad weight.
+    @pytest.mark.parametrize("weight,kind", [("x", "non-numeric"), (10**400, "non-finite")])
+    def test_unusable_main_weight_rejected(self, weight, kind):
+        with pytest.raises(WeightError, match=f"{kind} weight for MainIndex.BATTERY"):
+            IndexProfile("bad", {MainIndex.BATTERY: weight, MainIndex.SWIFTNESS: 1.0}, {})
+
+    def test_null_sub_weight_rejected(self):
+        with pytest.raises(WeightError, match="non-numeric weight for low1_fps"):
+            IndexProfile(
+                "bad",
+                {MainIndex.VISUAL_SMOOTHNESS: 1.0},
+                {MainIndex.VISUAL_SMOOTHNESS: {"avg_fps": 1.0, "low1_fps": None}},
             )
 
     def test_weights_summing_past_float_range_rejected(self):
@@ -311,7 +339,7 @@ class TestPipelineProperties:
         # flags differ and a flag leaking from one profile to the next shows.
         absent = {name: None if name == "launch" else () for name in dropped}
         group = [dataclasses.replace(s, device=drawn[0].device, **absent) for s in drawn]
-        cards = score_profiles(group, together, curves)
+        cards = weigh([measure(s, curves) for s in group], together)
         assert cards == [score_device(group, profile, curves) for profile in together]
 
     @settings(max_examples=60, deadline=None)
@@ -324,10 +352,7 @@ class TestPipelineProperties:
     )
     def test_pointwise_dominance(self, profile, base_scores, delta):
         def overall(values):
-            mains = {}
-            for index in MainIndex:
-                members = [sub(m, s) for m, s in values.items() if METRIC_INDEX[m] is index]
-                mains[index], _ = score_main_index(members, profile.sub_weights[index])
+            mains = {index: score_main_index(index, values, profile)[0] for index in MainIndex}
             return score_overall(mains, profile)[0]
 
         better = {m: min(100.0, s + delta) for m, s in base_scores.items()}

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,20 @@ class TestValidateCurve:
     def test_too_few_breakpoints(self):
         with pytest.raises(CurveError, match="at least 2"):
             MappingCurve("avg_fps", [(0, 0)])
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            (("x", 0), "non-numeric breakpoint at index 0"),
+            ((None, 0), "non-numeric breakpoint at index 0"),
+            ((10**400, 0), "non-finite breakpoint at index 0"),
+            ((1, 2, 3), "breakpoint at index 0 is not a pair"),
+        ],
+    )
+    def test_unusable_breakpoint_rejected(self, point, message):
+        # A curve built directly raises CurveError, never ValueError or OverflowError.
+        with pytest.raises(CurveError, match=f"^avg_fps: {re.escape(message)}$"):
+            MappingCurve("avg_fps", [point, (100, 100)])
 
     def test_constant_scores_allowed(self):
         curve = MappingCurve("avg_fps", [(0, 70), (10, 70), (20, 70)])

@@ -12,8 +12,11 @@ from gpindex.report import serialize_session
 from gpindex.synth import (
     TOUCH_JITTER_FRACTION,
     TOUCH_PERIOD_MS,
+    _GAMMA,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     DeviceModel,
-    SplitMix64,
     _block_floats,
     default_demo_manifest,
     generate_corpus,
@@ -22,6 +25,32 @@ from gpindex.synth import (
 )
 from gpindex.telemetry import TouchEvent, parse_session
 from tests.strategies import manifest_bytes
+
+
+class SplitMix64:
+    """Oracle: the scalar SplitMix64 that synth's block draws reproduce.
+
+    The state advances by a fixed odd constant; each output is a
+    finalizing hash of the state (constants of the original public-domain
+    algorithm).
+    """
+
+    def __init__(self, seed):
+        self._state = seed & _MASK64
+
+    def next_u64(self):
+        self._state = (self._state + _GAMMA) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self):
+        """Uniform in [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.next_float()
 
 
 def scalar_frames_and_touch(model, duration_s):

@@ -121,6 +121,14 @@ class TestParseSession:
             session = parse_session(to_bytes(doc))
         assert session.frames == (0, 16)
 
+    @pytest.mark.parametrize("section", [None, "device", "game", "events"])
+    def test_unknown_key_warning_names_the_caller(self, section):
+        doc = make_doc()
+        (doc if section is None else doc[section])["x"] = 1
+        with pytest.warns(UnknownKeyWarning) as record:
+            parse_session(to_bytes(doc))
+        assert [w.filename for w in record] == [__file__]
+
     def test_too_few_frames(self):
         doc = make_doc()
         doc["events"]["frames"] = [0]
