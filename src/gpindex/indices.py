@@ -103,6 +103,12 @@ class IndexProfile:
     def __post_init__(self) -> None:
         if not self.name:
             raise WeightError("profile name must be non-empty")
+        for what, weights in (("main", self.main_weights), ("sub", self.sub_weights)):
+            if not isinstance(weights, Mapping):
+                raise WeightError(
+                    f"profile '{self.name}': {what} weights must be a mapping, "
+                    f"got {type(weights).__name__}"
+                )
         for index in self.main_weights:
             if not isinstance(index, MainIndex):
                 raise WeightError(f"unknown main index {index!r}")
@@ -112,6 +118,11 @@ class IndexProfile:
         subs: dict[MainIndex, dict[str, float]] = {}
         for index in MainIndex:
             given = self.sub_weights.get(index) or dict.fromkeys(INDEX_METRICS[index], 1.0)
+            if not isinstance(given, Mapping):
+                raise WeightError(
+                    f"profile '{self.name}': {index.value} sub weights must be a mapping, "
+                    f"got {type(given).__name__}"
+                )
             for metric_id in given:
                 if metric_id not in METRIC_INDEX:
                     raise WeightError(

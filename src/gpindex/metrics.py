@@ -15,16 +15,26 @@ check against a brute-force oracle:
   - launch_s           first-frame delay; scene_load_s = mean scene-load time
   - touch_latency_ms   median latency (even count: mean of the two middle)
   - gfx_points         0.5*mean(tier/3) + 0.3*render_scale + 0.2*ppi_factor
+
+The three FPS rules are computed from a histogram of the frame intervals
+(a Counter; sessions have few distinct intervals): walking its sorted
+keys with cumulative counts gives the percentile interval, the median
+and the band count. Intervals become floats exactly where float64
+arrays would hold them, so the results equal those of the same rules
+in numpy bit for bit while timestamps stay within +/-2**53 ms, as the
+parser ensures; the test suite keeps the numpy version as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import accumulate, islice
+from operator import sub
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegenerateInputError, EngineError, InsufficientSamplesError, ValidationError
 from .telemetry import (
@@ -91,27 +101,32 @@ def compute_fps_metrics(frames: Sequence[float]) -> tuple[float, float, float]:
     Zero-length intervals (simultaneous presents) merge into the next
     interval, so instantaneous FPS is always defined.
     """
-    ts = np.asarray(frames, dtype=np.float64)
-    if ts.size < 2:
+    if len(frames) < 2:
         raise DegenerateInputError("need at least 2 frame timestamps")
-    span_ms = float(ts[-1] - ts[0])
+    span_ms = float(frames[-1] - frames[0])
     if span_ms <= 0:
         raise DegenerateInputError("all frame timestamps are equal")
 
-    avg_fps = (ts.size - 1) / (span_ms / 1000.0)
+    avg_fps = (len(frames) - 1) / (span_ms / 1000.0)
 
-    deltas = np.diff(ts)
-    deltas = deltas[deltas > 0]  # merge zero intervals into the next one
-    inst_fps = 1000.0 / deltas
+    counts = Counter(map(sub, islice(frames, 1, None), frames))
+    deltas = sorted(d for d in counts if d > 0)  # merge zero intervals into the next one
+    ends = list(accumulate(counts[d] for d in deltas))
+    n = ends[-1]
 
-    rank = max(1, math.ceil(LOW_PERCENTILE / 100.0 * inst_fps.size))
-    low1_fps = float(np.sort(inst_fps)[rank - 1])
+    def nth(i: int) -> float:
+        """The i-th smallest interval (0-based), as a float."""
+        return float(deltas[bisect_right(ends, i)])
 
-    median_delta = float(np.median(deltas))
-    within = np.abs(deltas - median_delta) <= STABILITY_BAND * median_delta
-    stability = float(np.count_nonzero(within)) / deltas.size
+    rank = max(1, math.ceil(LOW_PERCENTILE / 100.0 * n))
+    low1_fps = 1000.0 / nth(n - rank)  # the rank-th longest interval
 
-    return float(avg_fps), low1_fps, stability
+    median_delta = nth(n // 2) if n % 2 else (nth(n // 2 - 1) + nth(n // 2)) / 2.0
+    band = STABILITY_BAND * median_delta
+    within = sum(counts[d] for d in deltas if abs(float(d) - median_delta) <= band)
+    stability = within / n
+
+    return avg_fps, low1_fps, stability
 
 
 def compute_battery_metrics(battery: Sequence[BatterySample]) -> float:

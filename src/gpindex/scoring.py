@@ -41,6 +41,11 @@ class MappingCurve:
     breakpoints: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.breakpoints, (tuple, list)):
+            raise CurveError(
+                f"{self.metric_id}: breakpoints must be a sequence of pairs, "
+                f"got {type(self.breakpoints).__name__}"
+            )
         bps = tuple(self._breakpoint(i, point) for i, point in enumerate(self.breakpoints))
         object.__setattr__(self, "breakpoints", bps)
         if len(bps) < 2:
@@ -101,6 +106,8 @@ def map_metric(value: float, curve: MappingCurve) -> SubIndexScore:
         v1, s1 = bps[i]
         if value == v0:
             score = s0
+        elif math.isinf(v1 - v0):  # a segment wider than the float range: halve first
+            score = s0 + (value / 2 - v0 / 2) / (v1 / 2 - v0 / 2) * (s1 - s0)
         else:
             score = s0 + (value - v0) / (v1 - v0) * (s1 - s0)
     return SubIndexScore(curve.metric_id, float(value), score)

@@ -17,16 +17,17 @@ of draws at once with numpy uint64 arithmetic, which wraps exactly like
 the scalar mask, and gets frame times from a cumulative sum, which adds
 left to right exactly like the scalar ``t += step`` loop. Block generation
 therefore equals the scalar definition bit for bit; the test suite keeps
-the scalar generator and loop as its oracle.
+the scalar generator and loop as its oracle. numpy is imported inside the
+two functions that generate frames and draws, so importing this module,
+as the CLI does for every command, does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib.resources import files
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ModelError, SchemaError
 from .jsondoc import (
@@ -40,6 +41,9 @@ from .telemetry import (
     SessionTelemetry,
     TempSample,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -65,6 +69,8 @@ _MAX_DURATION_MS = 2.0**63
 
 def _block_floats(seed: int, skip: int, n: int) -> np.ndarray:
     """Draws skip+1 .. skip+n of SplitMix64(seed), each as its top 53 bits times 2**-53."""
+    import numpy as np
+
     z = np.arange(skip + 1, skip + n + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(seed & _MASK64)
@@ -104,10 +110,11 @@ _OPTIONAL_MODEL_FIELDS = {
     "battery_capacity_mah": as_int,
 }
 
-# DeviceModel fields that must hold a finite number (or None).
-_REAL_MODEL_FIELDS = tuple(
-    name for name, read in {**_MODEL_FIELDS, **_OPTIONAL_MODEL_FIELDS}.items() if read is as_real
-)
+# DeviceModel fields that must hold a finite number, and those that must
+# hold an integer (or None, where that is the field's default).
+_ALL_MODEL_FIELDS = {**_MODEL_FIELDS, **_OPTIONAL_MODEL_FIELDS}
+_REAL_MODEL_FIELDS = tuple(name for name, read in _ALL_MODEL_FIELDS.items() if read is as_real)
+_INT_MODEL_FIELDS = tuple(name for name, read in _ALL_MODEL_FIELDS.items() if read is as_int)
 
 
 @dataclass(frozen=True)
@@ -140,10 +147,23 @@ class DeviceModel:
     battery_capacity_mah: int | None = None
 
     def __post_init__(self) -> None:
-        for name in _REAL_MODEL_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not is_finite(value):
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
+            if value is None and field.default is None:
+                continue
+            if name in _REAL_MODEL_FIELDS and not is_finite(value):
                 raise ModelError(f"{name} must be finite, got {value!r}")
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if name in _INT_MODEL_FIELDS and not is_int:
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+        # `demo` writes a device's sessions to a directory named by its id.
+        if not (
+            isinstance(self.device_id, str)
+            and self.device_id.isprintable()
+            and self.device_id not in ("", ".", "..")
+            and not set(self.device_id) & set("/\\")
+        ):
+            raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
         if self.base_frame_time_ms <= 0:
             raise ModelError("base_frame_time_ms must be > 0")
         if self.frame_jitter_sd_ms < 0:
@@ -173,6 +193,8 @@ def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], int
     the first time at or past its limit: the end, or the throttle onset,
     after which the next block uses the throttled dt.
     """
+    import numpy as np
+
     end = duration_ms - _BOUNDARY_EPS_MS
     onset = math.inf if model.throttle_onset_s is None else model.throttle_onset_s * 1000.0
     # Zero-mean uniform noise with sd -> half-width sd * sqrt(3).
@@ -292,7 +314,7 @@ def _model_from_json(obj: dict, where: str) -> DeviceModel:
     for name, read in _OPTIONAL_MODEL_FIELDS.items():
         if obj.get(name) is not None:
             kwargs[name] = read(obj[name], f"{where}.{name}")
-    unknown = set(obj) - set(_MODEL_FIELDS) - set(_OPTIONAL_MODEL_FIELDS)
+    unknown = set(obj) - set(_ALL_MODEL_FIELDS)
     if unknown:
         raise SchemaError(f"{where}: unknown model fields {sorted(unknown)}")
     return DeviceModel(**kwargs)

@@ -9,7 +9,10 @@ Parsing is total over the error taxonomy: any byte string yields either
 a fully validated :class:`SessionTelemetry` or exactly one of
 ``SessionSyntaxError`` / ``SchemaError`` / ``ValidationError``. The
 document is decoded and its fields read by :mod:`gpindex.jsondoc`, so
-reals must be finite and integers must fit in int64.
+reals must be finite and integers must fit in int64. Frame timestamps
+must also lie strictly within +/-2**53 ms, where every integer is exact
+as a float64, so frame intervals are the same whether taken in integers
+or in floats.
 
 Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
@@ -61,6 +64,9 @@ SCHEMA_VERSION = 1
 BATTERY_RISE_TOLERANCE_PP = 0.5
 
 GAME_TIER_FIELDS = ("texture_tier", "effects_tier", "aa_tier", "dynamic_range_tier")
+
+# Frame timestamps lie strictly between -FRAME_LIMIT_MS and FRAME_LIMIT_MS.
+FRAME_LIMIT_MS = 2**53
 
 
 class UnknownKeyWarning(UserWarning):
@@ -272,10 +278,10 @@ def _opt_list(obj: dict, key: str, where: str) -> list:
 # stream to the element-by-element walk, which names the first bad entry.
 
 
-def _int_column(xs: list) -> list | None:
+def _int_column(xs: list, lo: int = INT64_MIN, hi: int = INT64_MAX) -> list | None:
     if not set(map(type, xs)) <= {int}:
         return None
-    return xs if not xs or (INT64_MIN <= min(xs) and max(xs) <= INT64_MAX) else None
+    return xs if not xs or (lo <= min(xs) and max(xs) <= hi) else None
 
 
 def _real_column(xs: list) -> list | None:
@@ -319,6 +325,13 @@ def _parse_rows(obj: dict, key: str, kinds: tuple[str, ...]) -> list:
     return checked
 
 
+def _as_frame(value: Any, where: str) -> int:
+    t = as_int(value, where)
+    if not -FRAME_LIMIT_MS < t < FRAME_LIMIT_MS:
+        raise SchemaError(f"{where}: frame timestamp outside +/-2**53 ms")
+    return t
+
+
 def _parse_device(obj: dict) -> DeviceMeta:
     _warn_unknown(obj, _DEVICE_KEYS, "device")
     device_id = as_str(require(obj, "device_id", "device"), "device.device_id")
@@ -348,8 +361,8 @@ def _parse_game(obj: dict) -> GameSettings:
 def _parse_events(obj: dict) -> dict[str, Any]:
     _warn_unknown(obj, _EVENT_KEYS, "events")
     frames = as_list(require(obj, "frames", "events"), "events.frames")
-    if _int_column(frames) is None:
-        frames = [as_int(v, f"events.frames[{i}]") for i, v in enumerate(frames)]
+    if _int_column(frames, 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1) is None:
+        frames = [_as_frame(v, f"events.frames[{i}]") for i, v in enumerate(frames)]
 
     launch = None
     if obj.get("launch") is not None:

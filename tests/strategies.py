@@ -12,6 +12,7 @@ from operator import getitem
 import hypothesis.strategies as st
 
 from gpindex.indices import INDEX_METRICS, IndexProfile, MainIndex
+from gpindex.metrics import METRIC_IDS
 from gpindex.scoring import MappingCurve
 from gpindex.telemetry import (
     BatterySample,
@@ -173,9 +174,46 @@ def profiles(draw, name="p"):
 
 def curve_set():
     """Strategy for a full curve set covering every metric."""
-    from gpindex.metrics import METRIC_IDS
-
     return st.fixed_dictionaries({m: curves(metric_id=m, max_points=4) for m in METRIC_IDS})
+
+
+# Weights a config may hold: any finite non-negative number, tiny and huge included.
+_weights = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300]) | st.floats(0.0, 1e300)
+# Breakpoint values: any finite float; the two extremes make a segment
+# wider than the float range when both are drawn.
+_breakpoint_values = st.sampled_from([-1.7e308, 1.7e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def config_docs(draw):
+    """Valid engine config documents (as parsed JSON): a curve for every
+    metric with breakpoints anywhere in the float range, and one to three
+    profiles with finite non-negative weights of any size, some groups absent."""
+    curve_docs = {}
+    for metric_id in METRIC_IDS:
+        n = draw(st.integers(2, 4))
+        values = sorted(draw(st.lists(_breakpoint_values, min_size=n, max_size=n, unique=True)))
+        scores = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            scores.reverse()
+        curve_docs[metric_id] = [list(point) for point in zip(values, scores)]
+
+    def weight_map(keys):
+        weights = draw(st.dictionaries(st.sampled_from(keys), _weights, min_size=1))
+        if not any(weights.values()):
+            weights[min(weights)] = 1.0
+        return weights
+
+    profile_docs = {}
+    for name in draw(st.lists(ident, min_size=1, max_size=3, unique=True)):
+        groups = draw(st.sets(st.sampled_from(list(MainIndex))))
+        profile_docs[name] = {
+            "main_weights": weight_map([index.value for index in MainIndex]),
+            "sub_weights": {index.value: weight_map(INDEX_METRICS[index]) for index in groups},
+        }
+    return {"schema_version": 1, "curves": curve_docs, "profiles": profile_docs}
 
 
 def manifest_bytes(*entries):

@@ -11,15 +11,16 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import gpindex.cli
 import gpindex.indices
 from gpindex.cli import main
+from gpindex.errors import EngineError
 from gpindex.report import serialize_session
-from gpindex.synth import DeviceModel, default_demo_manifest, generate_session
-from tests.strategies import manifest_bytes
+from gpindex.synth import DeviceModel, default_demo_manifest, generate_session, load_manifest
+from tests.strategies import manifest_bytes, one_field_mutations, sessions
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -29,6 +30,8 @@ HOSTILE_MANIFESTS = {
     "nan_latency": manifest_bytes({"touch_latency_ms": math.nan}),
     "inf_duration": manifest_bytes({"session_duration_s": math.inf}),
     "duplicate_id": manifest_bytes({}, {}),
+    # Once wrote the device's sessions outside the output directory.
+    "traversing_id": manifest_bytes({"device_id": "../escaped"}),
 }
 
 
@@ -57,6 +60,33 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_only_demo_loads_numpy(short_corpus, tmp_path):
+    dirs = [str(write_sessions(tmp_path / name, s)) for name, s in sorted(short_corpus.items())]
+    files = sorted(str(p) for d in dirs for p in Path(d).glob("*.json"))
+    runs = [
+        ["validate", *files],
+        ["score", "--profile", "casual", "--out", str(tmp_path / "casual.json"), *dirs],
+        ["compare", "--out", str(tmp_path / "cmp"), *dirs],
+        ["demo", "--out", str(tmp_path / "demo")],
+    ]
+    # Each command's exit code and whether numpy was loaded after it, as the last line.
+    code = (
+        "import json, sys\n"
+        "from gpindex.cli import main\n"
+        "outcomes = [(main(argv), 'numpy' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(outcomes))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    outcomes = json.loads(result.stdout.splitlines()[-1])
+    assert outcomes == [[0, False], [0, False], [0, False], [0, True]]
+    for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
+        assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
 
 
 class TestValidate:
@@ -384,6 +414,16 @@ def mutate_session(data, original):
     return json.dumps(doc).encode()
 
 
+def run_quietly(argv):
+    """Exit code and stderr of ``gpindex argv``; no run may print a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
 class TestCompareErrorSurface:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -391,7 +431,6 @@ class TestCompareErrorSurface:
         device_id = data.draw(st.sampled_from(sorted(short_corpus)))
         index = data.draw(st.integers(0, len(short_corpus[device_id]) - 1))
         mutated = mutate_session(data, serialize_session(short_corpus[device_id][index]))
-        err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for name, sessions in short_corpus.items():
@@ -399,9 +438,70 @@ class TestCompareErrorSurface:
             target = root / device_id / f"session_{index:02d}.json"
             target.write_bytes(mutated)
             device_dirs = [str(root / name) for name in sorted(short_corpus)]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["compare", "--out", str(root / "out"), *device_dirs])
+            code, err = run_quietly(["compare", "--out", str(root / "out"), *device_dirs])
         assert code in (0, 1)
-        assert "Traceback" not in err.getvalue()
         if code == 1:
-            assert err.getvalue().startswith(f"error: {target}: ")
+            assert err.startswith(f"error: {target}: ")
+
+
+@pytest.mark.filterwarnings("ignore::gpindex.telemetry.UnknownKeyWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=one_field_mutations(
+        sessions(max_intervals=8).map(lambda s: json.loads(serialize_session(s)))
+    )
+)
+def test_validate_mutated_session_exits_0_or_1_naming_it(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.json"
+        path.write_bytes(data)
+        code, err = run_quietly(["validate", str(path)])
+    assert code in (0, 1)
+    assert (code == 1) == err.startswith(f"{path}: ")
+
+
+# One device with every optional model field set, so that each can be mutated.
+_MUTABLE_MANIFEST = json.loads(
+    manifest_bytes(
+        {
+            "base_frame_time_ms": 33.0,
+            "frame_jitter_sd_ms": 2.0,
+            "throttle_onset_s": 60.0,
+            "throttle_factor": 1.5,
+            "game_id": "g",
+            "render_scale": 0.8,
+            "texture_tier": 2,
+            "effects_tier": 2,
+            "aa_tier": 1,
+            "dynamic_range_tier": 0,
+            "display_ppi": 400.0,
+            "battery_capacity_mah": 4000,
+            "session_duration_s": 120,
+        }
+    )
+)
+# Mutations that ask for more frames than this are not run.
+_DEMO_FRAME_BUDGET = 20_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=one_field_mutations(st.just(_MUTABLE_MANIFEST)))
+def test_demo_with_mutated_manifest_exits_0_1_or_2(data):
+    try:
+        corpus = load_manifest(data)
+    except EngineError:
+        pass
+    else:
+        # Steps average at least the frame time, so this bounds the expected frame count.
+        frames = sum(
+            d.sessions * d.session_duration_s * 1000.0 / max(d.model.base_frame_time_ms, 0.001)
+            for d in corpus
+        )
+        assume(frames <= _DEMO_FRAME_BUDGET)
+        assert all(Path(d.model.device_id).name == d.model.device_id != ".." for d in corpus)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "manifest.json"
+        manifest.write_bytes(data)
+        argv = ["demo", "--out", str(Path(tmp) / "out"), "--manifest", str(manifest)]
+        code, err = run_quietly(argv)
+    assert (code == 2) == err.startswith("manifest error:")

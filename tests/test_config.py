@@ -106,16 +106,30 @@ def two_device_dirs(tmp_path_factory):
 _DEFAULT_CONFIG = json.loads(config_bytes(lambda doc: None))
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=one_field_mutations(st.just(_DEFAULT_CONFIG)))
-def test_compare_with_mutated_config_exits_0_1_or_2(two_device_dirs, data):
+def run_with_config(data, argv):
+    """Exit code and stderr of ``gpindex`` with ``data`` as its --config file."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_bytes(data)
-        argv = ["compare", "--config", str(config), "--out", str(Path(tmp) / "out")]
+        argv = [argv[0], "--config", str(config), "--out", str(Path(tmp) / "out"), *argv[1:]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv + two_device_dirs)
+            code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    assert (code == 2) == err.getvalue().startswith("config error:")
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=one_field_mutations(st.just(_DEFAULT_CONFIG)))
+def test_compare_with_mutated_config_exits_0_1_or_2(two_device_dirs, data):
+    code, err = run_with_config(data, ["compare", *two_device_dirs])
+    assert (code == 2) == err.startswith("config error:")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=one_field_mutations(st.just(_DEFAULT_CONFIG)))
+def test_score_with_mutated_config_exits_0_1_or_2(two_device_dirs, data):
+    code, err = run_with_config(data, ["score", "--profile", "casual", *two_device_dirs])
+    # score also exits 2 when the mutation removed the profile it asks for.
+    assert (code == 2) == err.startswith(("config error:", "unknown profile 'casual'"))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpindex.config import load_config
 from gpindex.errors import (
     AllIndicesAbsentError,
     CurveError,
@@ -27,7 +29,7 @@ from gpindex.indices import (
 )
 from gpindex.metrics import METRIC_IDS
 from gpindex.scoring import MappingCurve
-from tests.strategies import curve_set, profiles, sessions
+from tests.strategies import config_docs, curve_set, profiles, sessions
 
 
 def sub_profile(index, weights):
@@ -211,6 +213,24 @@ class TestIndexProfile:
                 {MainIndex.VISUAL_SMOOTHNESS: {"avg_fps": 1.0, "low1_fps": None}},
             )
 
+    # Weight maps that are not mappings once escaped as TypeError or AttributeError.
+    @pytest.mark.parametrize(
+        "main,sub,message",
+        [
+            (None, {}, "main weights must be a mapping, got NoneType"),
+            ({MainIndex.BATTERY: 1.0}, None, "sub weights must be a mapping, got NoneType"),
+            (
+                {MainIndex.BATTERY: 1.0},
+                {MainIndex.BATTERY: [("drain_pct_per_hour", 1.0)]},
+                "battery sub weights must be a mapping, got list",
+            ),
+        ],
+        ids=["main_none", "sub_none", "sub_group_list"],
+    )
+    def test_weight_map_not_a_mapping_rejected(self, main, sub, message):
+        with pytest.raises(WeightError, match=f"^profile 'p': {message}$"):
+            IndexProfile("p", main, sub)
+
     def test_weights_summing_past_float_range_rejected(self):
         with pytest.raises(WeightError, match="beyond the float range"):
             IndexProfile("bad", {MainIndex.BATTERY: 1e308, MainIndex.SWIFTNESS: 1e308}, {})
@@ -297,17 +317,20 @@ class TestScoreDevice:
 
 
 class TestPipelineProperties:
+    # Every valid session under every valid config scores in [0, 100]; the
+    # comparisons are false for NaN and fail for infinities, so every score is finite.
     @settings(max_examples=40, deadline=None)
-    @given(sessions(max_intervals=20), profiles(), curve_set())
-    def test_all_scores_bounded(self, session, profile, curves):
-        card = score_device([session], profile, curves)
-        assert 0.0 <= card.median_overall <= 100.0
-        for score in card.median_main.values():
-            assert score is None or 0.0 <= score <= 100.0
-        for scored in card.sessions:
-            assert 0.0 <= scored.overall <= 100.0
-            for s in scored.sub_scores:
-                assert 0.0 <= s.score <= 100.0
+    @given(sessions(max_intervals=20), config_docs())
+    def test_all_scores_bounded(self, session, doc):
+        config = load_config(json.dumps(doc).encode())
+        for card in weigh([measure(session, config.curves)], list(config.profiles.values())):
+            assert 0.0 <= card.median_overall <= 100.0
+            for score in card.median_main.values():
+                assert score is None or 0.0 <= score <= 100.0
+            for scored in card.sessions:
+                assert 0.0 <= scored.overall <= 100.0
+                for s in scored.sub_scores:
+                    assert 0.0 <= s.score <= 100.0
 
     @settings(max_examples=30, deadline=None)
     @given(

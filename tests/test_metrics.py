@@ -2,8 +2,9 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpindex.errors import DegenerateInputError, InsufficientSamplesError, ValidationError
@@ -17,6 +18,7 @@ from gpindex.metrics import (
     compute_thermal_metrics,
     extract_metrics,
 )
+from gpindex.synth import default_demo_manifest, generate_corpus
 from gpindex.telemetry import (
     BatterySample,
     DeviceMeta,
@@ -59,6 +61,53 @@ def cumulative(deltas, start=0.0):
     return frames
 
 
+def numpy_fps_metrics(frames):
+    """The FPS rules in float64 numpy arrays: the oracle compute_fps_metrics must equal."""
+    ts = np.asarray(frames, dtype=np.float64)
+    span_ms = float(ts[-1] - ts[0])
+    avg_fps = (ts.size - 1) / (span_ms / 1000.0)
+    deltas = np.diff(ts)
+    deltas = deltas[deltas > 0]
+    inst_fps = 1000.0 / deltas
+    rank = max(1, math.ceil(1.0 / 100.0 * inst_fps.size))
+    low1_fps = float(np.sort(inst_fps)[rank - 1])
+    median_delta = float(np.median(deltas))
+    within = np.abs(deltas - median_delta) <= 0.2 * median_delta
+    stability = float(np.count_nonzero(within)) / deltas.size
+    return float(avg_fps), low1_fps, stability
+
+
+@st.composite
+def interval_lists(draw):
+    """Frame intervals: all distinct, from a small pool around a median (repeats,
+    zeros and intervals exactly on the +/-20 % band edge), or any mix of int
+    and float; at least one is positive."""
+    kind = draw(st.sampled_from(["distinct", "band", "mixed"]))
+    if kind == "distinct":
+        return draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=120, unique=True))
+    if kind == "band":
+        m = 5 * draw(st.integers(1, 40))  # 0.8 * m and 1.2 * m are integers
+        pool = [0, m * 4 // 5 - 1, m * 4 // 5, m, m * 6 // 5, m * 6 // 5 + 1]
+        deltas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=120))
+    else:
+        value = st.integers(0, 500) | st.floats(0.0, 500.0, allow_subnormal=False)
+        deltas = draw(st.lists(value, min_size=1, max_size=120))
+    return deltas if any(deltas) else deltas + [draw(st.integers(1, 500))]
+
+
+@st.composite
+def frame_sequences(draw):
+    """Non-decreasing frame timestamps, int or float, below 2**53 ms."""
+    deltas = draw(interval_lists())
+    start = draw(st.integers(0, 2**53 - 2 - math.ceil(sum(deltas))))
+    if draw(st.booleans()):
+        start = float(start)
+    frames = cumulative(deltas, start)
+    if frames[-1] == frames[0]:  # float intervals too small to move a large start
+        frames.append(frames[-1] + 1)
+    return tuple(frames)
+
+
 class TestFpsMetrics:
     def test_constant_frame_time(self):
         frames = [i * 16.667 for i in range(601)]
@@ -94,6 +143,22 @@ class TestFpsMetrics:
     def test_too_few_frames(self):
         with pytest.raises(DegenerateInputError):
             compute_fps_metrics([5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame_sequences())
+    @example((0, 16))  # a single positive interval
+    @example((0, 16, 16, 32, 32, 32))  # zero intervals
+    @example((0, 4, 9, 15))  # odd count, 4 and 6 on the band edge of the median 5
+    @example((0, 4, 9, 15, 20))  # even count
+    @example((0.0, 16.5, 33.25, 50.0))  # float frames
+    @example((2**53 - 41, 2**53 - 25, 2**53 - 1))  # the largest timestamps a session may hold
+    def test_equals_numpy_oracle(self, frames):
+        assert compute_fps_metrics(frames) == numpy_fps_metrics(frames)
+
+    def test_equals_numpy_oracle_on_demo_sessions(self):
+        for device in default_demo_manifest():
+            for session in generate_corpus((device,))[device.model.device_id]:
+                assert compute_fps_metrics(session.frames) == numpy_fps_metrics(session.frames)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(1, 500), min_size=1, max_size=150))

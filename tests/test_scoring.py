@@ -80,6 +80,19 @@ class TestValidateCurve:
         with pytest.raises(CurveError, match=f"^avg_fps: {re.escape(message)}$"):
             MappingCurve("avg_fps", [point, (100, 100)])
 
+    @pytest.mark.parametrize("breakpoints", [None, 5, {(0, 0): (100, 100)}])
+    def test_breakpoints_not_a_sequence_rejected(self, breakpoints):
+        with pytest.raises(CurveError, match="^avg_fps: breakpoints must be a sequence of pairs"):
+            MappingCurve("avg_fps", breakpoints)
+
+    @pytest.mark.parametrize(
+        "value,score", [(0.0, 50.0), (-1.6e308, 100.0 / 34.0), (1.6e308, 3300.0 / 34.0)]
+    )
+    def test_segment_wider_than_float_range(self, value, score):
+        # v1 - v0 overflows to inf: once scored 0.0 for every inner value, and NaN near the top.
+        curve = MappingCurve("avg_fps", [(-1.7e308, 0), (1.7e308, 100)])
+        assert map_metric(value, curve).score == pytest.approx(score)
+
     def test_constant_scores_allowed(self):
         curve = MappingCurve("avg_fps", [(0, 70), (10, 70), (20, 70)])
         assert map_metric(5.0, curve).score == 70.0

@@ -290,6 +290,28 @@ class TestGenerateSession:
         with pytest.raises(ModelError, match=f"{field} must be finite"):
             dataclasses.replace(reference_model, **{field: value})
 
+    # A non-integer seed was once accepted, and generate_session then raised TypeError.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", "x"),
+            ("seed", None),
+            ("seed", 1.0),
+            ("texture_tier", 2.5),
+            ("aa_tier", True),
+            ("battery_capacity_mah", "4000"),
+        ],
+    )
+    def test_model_integers_must_be_integers(self, reference_model, field, value):
+        with pytest.raises(ModelError, match=f"^{field} must be an integer, got {value!r}$"):
+            dataclasses.replace(reference_model, **{field: value})
+
+    # demo writes each device's sessions to a directory named by its id.
+    @pytest.mark.parametrize("device_id", ["", ".", "..", "../x", "/", "a\\b", "a\x00", None])
+    def test_device_id_must_name_one_directory(self, reference_model, device_id):
+        with pytest.raises(ModelError, match="^device_id must name one directory"):
+            dataclasses.replace(reference_model, device_id=device_id)
+
 
 class TestManifest:
     def test_default_demo_manifest(self):

@@ -213,6 +213,10 @@ class TestClosedErrorSurface:
             ),
             ({"touch": [[2000, float("nan")]]}, "events.touch[0][1]: expected finite number"),
             ({"frames": [0, 16, 2**70]}, "events.frames[2]: integer outside the int64 range"),
+            # From 2**53 ms on, timestamps are not all exact as floats, so
+            # frame intervals taken in integers and in floats could differ.
+            ({"frames": [0, 16, 2**53]}, "events.frames[2]: frame timestamp outside +/-2**53 ms"),
+            ({"frames": [-(2**53), 16]}, "events.frames[0]: frame timestamp outside +/-2**53 ms"),
         ],
     )
     def test_event_values_out_of_domain(self, events, message):
@@ -242,6 +246,11 @@ class TestClosedErrorSurface:
         doc["device"]["display_ppi"] = float("inf")
         with pytest.raises(SchemaError, match=r"device.display_ppi: expected finite number"):
             parse_session(to_bytes(doc))
+
+    def test_frames_just_inside_2_pow_53_accepted(self):
+        doc = make_doc()
+        doc["events"]["frames"] = [1 - 2**53, 0, 2**53 - 1]
+        assert parse_session(to_bytes(doc)).frames == (1 - 2**53, 0, 2**53 - 1)
 
     def test_deep_nesting(self):
         with pytest.raises(SessionSyntaxError, match="malformed session document"):
@@ -277,6 +286,11 @@ _BAD_VALUES = {
         (None, "expected string, got NoneType"),
     ],
 }
+# Frame timestamps are int column values that must also lie within +/-2**53 ms.
+_BAD_FRAMES = _BAD_VALUES["int"] + [
+    (2**53, "frame timestamp outside +/-2**53 ms"),
+    (-(2**53), "frame timestamp outside +/-2**53 ms"),
+]
 _BAD_ROWS = [(None, "expected array, got NoneType"), (7, "expected array, got int")]
 _STREAM_KINDS = {
     "frames": None,
@@ -306,7 +320,7 @@ class TestFallbackDiagnostics:
         i = data.draw(st.integers(0, len(entries) - 1))
         kinds = _STREAM_KINDS[stream]
         if kinds is None:
-            value, reason = data.draw(st.sampled_from(_BAD_VALUES["int"]))
+            value, reason = data.draw(st.sampled_from(_BAD_FRAMES))
             entries[i] = value
             where = f"events.{stream}[{i}]"
         elif data.draw(st.booleans()):
