@@ -14,7 +14,9 @@ from typing import Any
 
 from .errors import ConfigError, EngineError, SchemaError
 from .indices import IndexProfile, MainIndex
-from .jsondoc import as_list, as_obj, as_pair, as_real, decode, require, require_version
+from .jsondoc import (
+    as_list, as_obj, as_pair, as_real, decode, is_file_name, require, require_version
+)
 from .metrics import METRIC_IDS
 from .scoring import MappingCurve
 
@@ -67,6 +69,9 @@ def _read_config(doc: Any) -> EngineConfig:
 
     profiles: dict[str, IndexProfile] = {}
     for name, body in _non_empty_obj(root, "profiles").items():
+        # compare writes each profile's report to a file named by the profile.
+        if not is_file_name(name):
+            raise SchemaError(f"profiles: profile name {name!r} must name one file")
         where = f"profiles.{name}"
         body = as_obj(body, where)
         at = f"{where}.main_weights"

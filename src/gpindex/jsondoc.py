@@ -9,7 +9,8 @@ class for bytes that are not a JSON document, and each reader raises
 expected finite number``. Integers must fit in int64 and reals must be
 finite; readers check a value and return it as given. The engine's own
 constructors (curves, profiles, device models) check numbers with
-:func:`is_finite` too.
+:func:`is_finite` too, and names the CLI writes files under with
+:func:`is_file_name`.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ def is_finite(value: Any) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def is_file_name(value: Any) -> bool:
+    """Whether ``value`` is one printable file-name component: no separator, not . or .."""
+    return (
+        isinstance(value, str)
+        and value.isprintable()
+        and value not in ("", ".", "..")
+        and not set(value) & set("/\\")
+    )
 
 
 def as_real(value: Any, where: str) -> int | float:

@@ -16,13 +16,15 @@ check against a brute-force oracle:
   - touch_latency_ms   median latency (even count: mean of the two middle)
   - gfx_points         0.5*mean(tier/3) + 0.3*render_scale + 0.2*ppi_factor
 
-The three FPS rules are computed from a histogram of the frame intervals
-(a Counter; sessions have few distinct intervals): walking its sorted
-keys with cumulative counts gives the percentile interval, the median
-and the band count. Intervals become floats exactly where float64
-arrays would hold them, so the results equal those of the same rules
-in numpy bit for bit while timestamps stay within +/-2**53 ms, as the
-parser ensures; the test suite keeps the numpy version as its oracle.
+The three FPS rules are computed from the histogram of the frame
+intervals (a Counter; sessions have few distinct intervals) that the
+session took once when it was built (``SessionTelemetry.frame_intervals``),
+so extraction reads no frame but the first and the last: walking its
+sorted keys with cumulative counts gives the percentile interval, the
+median and the band count. Intervals become floats exactly where
+float64 arrays would hold them, so the results equal those of the same
+rules in numpy bit for bit while timestamps stay within +/-2**53 ms, as
+the parser ensures; the test suite keeps the numpy version as its oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import statistics
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import accumulate, islice
-from operator import sub
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import DegenerateInputError, EngineError, InsufficientSamplesError, ValidationError
@@ -46,6 +47,7 @@ from .telemetry import (
     SessionTelemetry,
     TempSample,
     TouchEvent,
+    frame_intervals,
 )
 
 LOW_PERCENTILE = 1.0
@@ -95,11 +97,14 @@ class MetricSet:
 METRIC_IDS = tuple(field.name for field in fields(MetricSet))
 
 
-def compute_fps_metrics(frames: Sequence[float]) -> tuple[float, float, float]:
+def compute_fps_metrics(
+    frames: Sequence[float], intervals: Counter | None = None
+) -> tuple[float, float, float]:
     """(avg_fps, low1_fps, fps_stability) from frame-present timestamps (ms).
 
-    Zero-length intervals (simultaneous presents) merge into the next
-    interval, so instantaneous FPS is always defined.
+    ``intervals`` is ``frame_intervals(frames)`` when the caller has it
+    already. Zero-length intervals (simultaneous presents) merge into the
+    next interval, so instantaneous FPS is always defined.
     """
     if len(frames) < 2:
         raise DegenerateInputError("need at least 2 frame timestamps")
@@ -109,7 +114,7 @@ def compute_fps_metrics(frames: Sequence[float]) -> tuple[float, float, float]:
 
     avg_fps = (len(frames) - 1) / (span_ms / 1000.0)
 
-    counts = Counter(map(sub, islice(frames, 1, None), frames))
+    counts = frame_intervals(frames) if intervals is None else intervals
     deltas = sorted(d for d in counts if d > 0)  # merge zero intervals into the next one
     ends = list(accumulate(counts[d] for d in deltas))
     n = ends[-1]
@@ -209,7 +214,12 @@ def extract_metrics(session: SessionTelemetry) -> MetricSet:
     None iff the session lacks the corresponding stream.
     """
     return MetricSet(
-        *_named("avg_fps/low1_fps/fps_stability", compute_fps_metrics, session.frames),
+        *_named(
+            "avg_fps/low1_fps/fps_stability",
+            compute_fps_metrics,
+            session.frames,
+            session.frame_intervals,
+        ),
         _named("drain_pct_per_hour", compute_battery_metrics, session.battery),
         *_named("peak_temp_c/temp_rise_c", compute_thermal_metrics, session.temperature),
         *compute_swiftness_metrics(session.launch, session.scene_loads),

@@ -31,9 +31,11 @@ from typing import TYPE_CHECKING
 
 from .errors import ModelError, SchemaError
 from .jsondoc import (
-    as_int, as_list, as_obj, as_real, as_str, decode, is_finite, require, require_version
+    as_int, as_list, as_obj, as_real, as_str, decode, is_file_name, is_finite, require,
+    require_version,
 )
 from .telemetry import (
+    GAME_TIER_FIELDS,
     BatterySample,
     DeviceMeta,
     GameSettings,
@@ -157,13 +159,14 @@ class DeviceModel:
             if name in _INT_MODEL_FIELDS and not is_int:
                 raise ModelError(f"{name} must be an integer, got {value!r}")
         # `demo` writes a device's sessions to a directory named by its id.
-        if not (
-            isinstance(self.device_id, str)
-            and self.device_id.isprintable()
-            and self.device_id not in ("", ".", "..")
-            and not set(self.device_id) & set("/\\")
-        ):
+        if not is_file_name(self.device_id):
             raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
+        # The settings every generated session records; GameSettings has the same rules.
+        if not 0 < self.render_scale <= 1:
+            raise ModelError(f"render_scale must be in (0, 1], got {self.render_scale}")
+        for name in GAME_TIER_FIELDS:
+            if getattr(self, name) not in (0, 1, 2, 3):
+                raise ModelError(f"{name} must be in 0..3, got {getattr(self, name)}")
         if self.base_frame_time_ms <= 0:
             raise ModelError("base_frame_time_ms must be > 0")
         if self.frame_jitter_sd_ms < 0:

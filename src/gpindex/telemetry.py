@@ -17,13 +17,18 @@ or in floats.
 Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
 (``set(map(type, xs))``, ``min``/``max``) and one per stream for
-timestamp order (``all(map(operator.le, xs, xs[1:]))``). Only when a
-bulk check fails is the stream walked element by element, and that walk
-alone decides the outcome and names the first offending entry, e.g.
-``events.frames[N]: expected integer, got float`` or ``frames not
+timestamp order (``all(map(operator.le, xs, xs[1:]))``). Frames, almost
+all of a session's bytes, take one pass for types and one into the
+histogram of their intervals (:func:`frame_intervals`), which the
+session keeps for the FPS metrics: frames are in order iff no interval
+is negative, and then ``frames[0]`` and ``frames[-1]`` bound the rest.
+Only when a bulk check fails is a stream walked element by element, and
+that walk alone decides the outcome and names the first offending entry,
+e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
 non-decreasing at t=...ms``. The bulk checks never accept what the walk
 would reject, so a valid stream is never walked and every diagnostic is
-the walk's. The per-sample battery, touch-latency and scene-load
+the walk's; the frame walk reads only the first frame the bulk check
+rejects. The per-sample battery, touch-latency and scene-load
 invariants are few-sample streams and are walked directly.
 """
 
@@ -32,9 +37,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import islice, starmap
-from operator import itemgetter, le
+from operator import itemgetter, le, sub
 from typing import Any, NamedTuple, Sequence
 
 from .errors import (
@@ -156,7 +161,9 @@ class SessionTelemetry:
 
     All event streams are immutable and sorted (non-decreasing in t);
     the constructor enforces every invariant, so any instance that
-    exists is valid.
+    exists is valid. ``frame_intervals`` is derived from ``frames``
+    (see :func:`frame_intervals`) and takes no part in eq or repr; a
+    caller other than the parser lets the constructor take it.
     """
 
     schema_version: int
@@ -168,10 +175,15 @@ class SessionTelemetry:
     touch: tuple[TouchEvent, ...] = ()
     scene_loads: tuple[SceneLoad, ...] = ()
     launch: LaunchEvent | None = None
+    _intervals: InitVar[Counter | None] = None  # parse_session's histogram of these frames
+    frame_intervals: Counter = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _intervals: Counter | None) -> None:
         # The one place events are built: parse_session hands over checked rows.
         object.__setattr__(self, "frames", tuple(self.frames))
+        if _intervals is None:
+            _intervals = frame_intervals(self.frames)
+        object.__setattr__(self, "frame_intervals", _intervals)
         object.__setattr__(self, "battery", tuple(starmap(BatterySample, self.battery)))
         object.__setattr__(self, "temperature", tuple(starmap(TempSample, self.temperature)))
         object.__setattr__(self, "touch", tuple(starmap(TouchEvent, self.touch)))
@@ -187,8 +199,8 @@ class SessionTelemetry:
             )
         if len(self.frames) < 2:
             raise ValidationError("frames must contain at least 2 timestamps")
-        i = _first_decrease(self.frames)
-        if i is not None:
+        if min(self.frame_intervals) < 0:
+            i = _first_decrease(self.frames)
             raise ValidationError(f"frames not non-decreasing at t={self.frames[i]}ms")
         if self.duration_ms <= 0:
             raise ValidationError("session duration (last frame - first frame) must be > 0")
@@ -241,6 +253,11 @@ class SessionTelemetry:
         return self.frames[-1] - self.frames[0]
 
 
+def frame_intervals(frames: Sequence[int]) -> Counter:
+    """Histogram of the intervals ``b - a`` between consecutive frame timestamps."""
+    return Counter(map(sub, islice(frames, 1, None), frames))
+
+
 def _first_decrease(ts: Sequence) -> int | None:
     """Index of the first element below its predecessor, or None."""
     if all(map(le, ts, islice(ts, 1, None))):
@@ -278,10 +295,10 @@ def _opt_list(obj: dict, key: str, where: str) -> list:
 # stream to the element-by-element walk, which names the first bad entry.
 
 
-def _int_column(xs: list, lo: int = INT64_MIN, hi: int = INT64_MAX) -> list | None:
+def _int_column(xs: list) -> list | None:
     if not set(map(type, xs)) <= {int}:
         return None
-    return xs if not xs or (lo <= min(xs) and max(xs) <= hi) else None
+    return xs if not xs or (INT64_MIN <= min(xs) and max(xs) <= INT64_MAX) else None
 
 
 def _real_column(xs: list) -> list | None:
@@ -332,6 +349,20 @@ def _as_frame(value: Any, where: str) -> int:
     return t
 
 
+def _parse_frames(frames: list) -> Counter:
+    """The histogram of the intervals of ``frames``, once every frame is checked."""
+    lo, hi = 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1
+    if set(map(type, frames)) <= {int}:
+        intervals = frame_intervals(frames)
+        # In order (no negative interval), the endpoints bound every frame.
+        bounds = frames[:1] + frames[-1:] if min(intervals, default=0) >= 0 else frames
+        if not bounds or (lo <= min(bounds) and max(bounds) <= hi):
+            return intervals
+    i = next(i for i, v in enumerate(frames) if type(v) is not int or not lo <= v <= hi)
+    _as_frame(frames[i], f"events.frames[{i}]")  # the walk rejects what the bulk check does
+    raise AssertionError(f"events.frames[{i}] passed the walk")
+
+
 def _parse_device(obj: dict) -> DeviceMeta:
     _warn_unknown(obj, _DEVICE_KEYS, "device")
     device_id = as_str(require(obj, "device_id", "device"), "device.device_id")
@@ -361,8 +392,7 @@ def _parse_game(obj: dict) -> GameSettings:
 def _parse_events(obj: dict) -> dict[str, Any]:
     _warn_unknown(obj, _EVENT_KEYS, "events")
     frames = as_list(require(obj, "frames", "events"), "events.frames")
-    if _int_column(frames, 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1) is None:
-        frames = [_as_frame(v, f"events.frames[{i}]") for i, v in enumerate(frames)]
+    intervals = _parse_frames(frames)
 
     launch = None
     if obj.get("launch") is not None:
@@ -370,6 +400,7 @@ def _parse_events(obj: dict) -> dict[str, Any]:
 
     return {
         "frames": tuple(frames),
+        "_intervals": intervals,
         "launch": launch,
         "battery": _parse_rows(obj, "battery", ("int", "real")),
         "temperature": _parse_rows(obj, "temperature", ("int", "real", "str")),

@@ -32,6 +32,9 @@ HOSTILE_MANIFESTS = {
     "duplicate_id": manifest_bytes({}, {}),
     # Once wrote the device's sessions outside the output directory.
     "traversing_id": manifest_bytes({"device_id": "../escaped"}),
+    # Once exited 1 with `error:`, from the sessions generated with these settings.
+    "effects_tier_7": manifest_bytes({"effects_tier": 7}),
+    "render_scale_2": manifest_bytes({"render_scale": 2.0}),
 }
 
 

@@ -41,6 +41,13 @@ def first_breakpoint(value):
     return edit
 
 
+def rename_casual(name):
+    def edit(doc):
+        doc["profiles"][name] = doc["profiles"].pop("casual")
+
+    return edit
+
+
 BATTERY = "profiles.casual.main_weights.battery"
 
 # Each of these once exited 0 with every casual score at 0.0000 (NaN,
@@ -58,6 +65,15 @@ HOSTILE_CONFIGS = {
     "long_integer": (
         config_bytes(main_weight("@")).replace(b'"@"', b"9" * 5000),
         "malformed config: Exceeds the limit",
+    ),
+    # compare names each report file by its profile; a NUL once crashed it with ValueError.
+    "nul_profile_name": (
+        config_bytes(rename_casual("a\x00b")),
+        "profiles: profile name 'a\\x00b' must name one file",
+    ),
+    "traversing_profile_name": (
+        config_bytes(rename_casual("../x")),
+        "profiles: profile name '../x' must name one file",
     ),
 }
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +312,23 @@ class TestGenerateSession:
     def test_device_id_must_name_one_directory(self, reference_model, device_id):
         with pytest.raises(ModelError, match="^device_id must name one directory"):
             dataclasses.replace(reference_model, device_id=device_id)
+
+    # Out-of-range settings were once a GameSettings ValidationError mid-generation,
+    # so `demo --manifest` exited 1 instead of reporting a manifest error.
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("effects_tier", 7, "effects_tier must be in 0..3, got 7"),
+            ("texture_tier", -1, "texture_tier must be in 0..3, got -1"),
+            ("render_scale", 0.0, "render_scale must be in (0, 1], got 0.0"),
+            ("render_scale", 1.5, "render_scale must be in (0, 1], got 1.5"),
+        ],
+    )
+    def test_model_settings_must_be_in_range(self, reference_model, field, value, message):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(reference_model, **{field: value})
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            load_manifest(manifest_bytes({field: value}))
 
 
 class TestManifest:

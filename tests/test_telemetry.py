@@ -2,18 +2,21 @@ import dataclasses
 import json
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpindex import telemetry
+from gpindex import metrics, telemetry
+from gpindex.config import default_config
 from gpindex.errors import (
     EmptyInputError,
     SchemaError,
     SessionSyntaxError,
     ValidationError,
 )
+from gpindex.indices import measure
 from gpindex.report import serialize_session
 from gpindex.telemetry import (
     SCHEMA_VERSION,
@@ -390,6 +393,59 @@ class TestFixtureFile:
         assert len(session.frames) == 36_000
         assert type(session.frames) is tuple
         assert calls < 64
+
+    def test_bad_frame_is_read_alone(self, fixture_session_path, monkeypatch):
+        # Walking the frames would call as_int once per frame up to the bad one.
+        doc = json.loads(fixture_session_path.read_bytes())
+        doc["events"]["frames"][35_990] = 599_000.5
+        read = []
+        as_int = telemetry.as_int
+
+        def counting(value, where):
+            read.append(where)
+            return as_int(value, where)
+
+        monkeypatch.setattr(telemetry, "as_int", counting)
+        with pytest.raises(SchemaError) as info:
+            parse_session(to_bytes(doc))
+        assert str(info.value) == "events.frames[35990]: expected integer, got float"
+        assert [w for w in read if w.startswith("events.frames")] == ["events.frames[35990]"]
+
+
+class TestFrameIntervals:
+    """A session takes the histogram of its frame intervals once, parsed or built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sessions(max_intervals=30))
+    def test_parsed_built_and_brute_force_agree(self, session):
+        brute = Counter(b - a for a, b in zip(session.frames, session.frames[1:]))
+        assert parse_session(serialize_session(session)).frame_intervals == brute
+        assert session.frame_intervals == brute
+        assert dataclasses.replace(session, touch=()).frame_intervals == brute
+
+    def test_measure_takes_the_histogram_once(self, fixture_session_path, monkeypatch):
+        calls = 0
+        take = telemetry.frame_intervals
+
+        def counting(frames):
+            nonlocal calls
+            calls += 1
+            return take(frames)
+
+        monkeypatch.setattr(telemetry, "frame_intervals", counting)
+        monkeypatch.setattr(metrics, "frame_intervals", counting)
+        measure(parse_session(fixture_session_path.read_bytes()), default_config().curves)
+        assert calls == 1
+
+    def test_left_out_of_eq_and_repr(self, reference_session):
+        assert "frame_intervals" not in repr(reference_session)
+        twin = dataclasses.replace(reference_session)
+        object.__setattr__(twin, "frame_intervals", Counter())
+        assert twin == reference_session
+
+    def test_built_session_with_unordered_frames(self, reference_session):
+        with pytest.raises(ValidationError, match=r"^frames not non-decreasing at t=10ms$"):
+            dataclasses.replace(reference_session, frames=(0, 20, 10, 30))
 
 
 class TestRoundTrip:
