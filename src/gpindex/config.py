@@ -1,6 +1,6 @@
 """Engine configuration: the full scoring policy as reviewable data.
 
-One JSON file declares every mapping curve (keyed by metric id) and every
+One JSON file declares a mapping curve for every metric id and every
 persona profile (sub-metric weights per main index plus main-index
 weights). Nothing about how scores come out of the engine is hard-coded;
 overriding the file overrides the policy.
@@ -66,6 +66,10 @@ def _read_config(doc: Any) -> EngineConfig:
         curves[metric_id] = MappingCurve(
             metric_id, tuple(as_pair(p, f"{where}[{i}]", as_real) for i, p in points)
         )
+    # Every session is mapped on every metric, weighted by a profile or not.
+    for metric_id in METRIC_IDS:
+        if metric_id not in curves:
+            raise SchemaError(f"curves: no curve for metric '{metric_id}'")
 
     profiles: dict[str, IndexProfile] = {}
     for name, body in _non_empty_obj(root, "profiles").items():
@@ -87,14 +91,6 @@ def _read_config(doc: Any) -> EngineConfig:
                 m: as_real(weight, f"{group}.{m}") for m, weight in as_obj(weights, group).items()
             }
         profiles[name] = IndexProfile(name, main_weights, sub_weights)
-
-    for name, profile in profiles.items():
-        for weights in profile.sub_weights.values():
-            for metric_id in weights:
-                if metric_id not in curves:
-                    raise SchemaError(
-                        f"profiles.{name}: metric '{metric_id}' has no curve in config"
-                    )
 
     return EngineConfig(CONFIG_SCHEMA_VERSION, curves, profiles)
 

@@ -208,7 +208,7 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     if session.device.display_ppi is not None:
         device["display_ppi"] = session.device.display_ppi
     if session.device.display_resolution is not None:
-        device["display_resolution"] = list(session.device.display_resolution)
+        device["display_resolution"] = session.device.display_resolution
 
     game = {
         "game_id": session.settings.game_id,
@@ -219,18 +219,14 @@ def serialize_session(session: SessionTelemetry) -> bytes:
         "dynamic_range_tier": session.settings.dynamic_range_tier,
     }
 
+    # json writes tuples, NamedTuples included, as arrays: no stream is copied.
     events: dict[str, Any] = {}
     if session.launch is not None:
-        events["launch"] = list(session.launch)
-    events["frames"] = list(session.frames)
-    if session.battery:
-        events["battery"] = [list(s) for s in session.battery]
-    if session.temperature:
-        events["temperature"] = [list(s) for s in session.temperature]
-    if session.touch:
-        events["touch"] = [list(s) for s in session.touch]
-    if session.scene_loads:
-        events["scene_loads"] = [list(s) for s in session.scene_loads]
+        events["launch"] = session.launch
+    events["frames"] = session.frames
+    for name in ("battery", "temperature", "touch", "scene_loads"):
+        if getattr(session, name):
+            events[name] = getattr(session, name)
 
     doc = {
         "schema_version": session.schema_version,

@@ -17,7 +17,12 @@ of draws at once with numpy uint64 arithmetic, which wraps exactly like
 the scalar mask, and gets frame times from a cumulative sum, which adds
 left to right exactly like the scalar ``t += step`` loop. Block generation
 therefore equals the scalar definition bit for bit; the test suite keeps
-the scalar generator and loop as its oracle. numpy is imported inside the
+the scalar generator and loop as its oracle. Each block of int64 frames
+also gives its share of the session's frame-interval histogram
+(``np.unique`` of its differences, plus the one interval across the block
+boundary), which generate_session hands to SessionTelemetry, so no
+Python loop runs over the frames and memory stays bounded by the block
+size, not the session length. numpy is imported inside the
 two functions that generate frames and draws, so importing this module,
 as the CLI does for every command, does not load it.
 """
@@ -25,6 +30,7 @@ as the CLI does for every command, does not load it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from importlib.resources import files
 from typing import TYPE_CHECKING
@@ -185,8 +191,8 @@ class DeviceModel:
             raise ModelError("launch_s must be >= 0")
 
 
-def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], int]:
-    """Frame timestamps and the number of jitter draws they used.
+def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Counter, int]:
+    """Frame timestamps, the histogram of their intervals and the number of jitter draws used.
 
     The scalar definition: starting at t = 0, emit round(t) while
     t < duration_ms - eps, then advance t by max(dt + jitter, 0.001), where
@@ -194,7 +200,9 @@ def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], int
     jitter is one uniform draw (none when frame_jitter_sd_ms is 0). Each
     block below computes the next steps at once and keeps the frames up to
     the first time at or past its limit: the end, or the throttle onset,
-    after which the next block uses the throttled dt.
+    after which the next block uses the throttled dt. The histogram is
+    ``telemetry.frame_intervals(frames)``, counted per block from the
+    block's int64 frames plus the one interval across the block boundary.
     """
     import numpy as np
 
@@ -205,6 +213,7 @@ def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], int
     lo, hi = -half_width, half_width
 
     frames: list[int] = []
+    intervals: Counter = Counter()
     used = 0
     t = 0.0
     dt = model.base_frame_time_ms
@@ -232,8 +241,13 @@ def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], int
             used += m
         t = float(times[m])
         # np.rint rounds halves to even, as round() does.
-        frames += np.rint(times[:m]).astype(np.int64).tolist()
-    return frames, used
+        block = np.rint(times[:m]).astype(np.int64)
+        if frames:
+            intervals[int(block[0]) - frames[-1]] += 1
+        keys, counts = np.unique(np.diff(block), return_counts=True)
+        intervals.update(dict(zip(keys.tolist(), counts.tolist())))
+        frames += block.tolist()
+    return frames, intervals, used
 
 
 def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
@@ -249,7 +263,7 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
     if duration_s < MIN_DURATION_S:
         raise ModelError(f"duration must be >= {MIN_DURATION_S:.0f} s, got {duration_s}")
     duration_ms = duration_s * 1000.0
-    frames, used = _frame_times(model, duration_ms)
+    frames, intervals, used = _frame_times(model, duration_ms)
 
     battery = []
     t_ms = 0
@@ -292,6 +306,7 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
             dynamic_range_tier=model.dynamic_range_tier,
         ),
         frames=frames,
+        _intervals=intervals,
         battery=battery,
         temperature=temperature,
         touch=touch,

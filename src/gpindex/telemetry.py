@@ -39,7 +39,7 @@ import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from itertools import islice, starmap
-from operator import itemgetter, le, sub
+from operator import itemgetter, le, mul, sub
 from typing import Any, NamedTuple, Sequence
 
 from .errors import (
@@ -162,8 +162,14 @@ class SessionTelemetry:
     All event streams are immutable and sorted (non-decreasing in t);
     the constructor enforces every invariant, so any instance that
     exists is valid. ``frame_intervals`` is derived from ``frames``
-    (see :func:`frame_intervals`) and takes no part in eq or repr; a
-    caller other than the parser lets the constructor take it.
+    (see :func:`frame_intervals`) and takes no part in eq or repr. Its
+    two producers hand it over through ``_intervals``: the parser, which
+    counts it while checking the frames, and ``synth.generate_session``,
+    which counts it from its numpy frame blocks. The constructor checks a
+    handed-over histogram against ``frames`` in time proportional to its
+    distinct intervals (the counts sum to ``len(frames) - 1`` and the
+    intervals to ``frames[-1] - frames[0]``); every other caller lets the
+    constructor take it.
     """
 
     schema_version: int
@@ -175,13 +181,14 @@ class SessionTelemetry:
     touch: tuple[TouchEvent, ...] = ()
     scene_loads: tuple[SceneLoad, ...] = ()
     launch: LaunchEvent | None = None
-    _intervals: InitVar[Counter | None] = None  # parse_session's histogram of these frames
+    _intervals: InitVar[Counter | None] = None  # a producer's histogram of these frames
     frame_intervals: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _intervals: Counter | None) -> None:
         # The one place events are built: parse_session hands over checked rows.
         object.__setattr__(self, "frames", tuple(self.frames))
-        if _intervals is None:
+        handed_over = _intervals is not None
+        if not handed_over:
             _intervals = frame_intervals(self.frames)
         object.__setattr__(self, "frame_intervals", _intervals)
         object.__setattr__(self, "battery", tuple(starmap(BatterySample, self.battery)))
@@ -190,16 +197,22 @@ class SessionTelemetry:
         object.__setattr__(self, "scene_loads", tuple(starmap(SceneLoad, self.scene_loads)))
         if self.launch is not None:
             object.__setattr__(self, "launch", LaunchEvent(*self.launch))
-        self._validate()
+        self._validate(handed_over)
 
-    def _validate(self) -> None:
+    def _validate(self, handed_over: bool) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ValidationError(
                 f"schema_version must be {SCHEMA_VERSION}, got {self.schema_version}"
             )
         if len(self.frames) < 2:
             raise ValidationError("frames must contain at least 2 timestamps")
-        if min(self.frame_intervals) < 0:
+        intervals = self.frame_intervals
+        if handed_over and (
+            sum(intervals.values()) != len(self.frames) - 1
+            or sum(map(mul, intervals, intervals.values())) != self.duration_ms
+        ):
+            raise ValidationError("frame interval histogram does not match frames")
+        if min(intervals) < 0:
             i = _first_decrease(self.frames)
             raise ValidationError(f"frames not non-decreasing at t={self.frames[i]}ms")
         if self.duration_ms <= 0:

@@ -358,3 +358,19 @@ def test_end_to_end_compare(tmp_path):
     elapsed = statistics.median(times)
     assert elapsed < 2.0
     report(f"end to end: compare on the 27-session demo corpus in {elapsed:.2f} s < 2 s (median of 3)")
+
+
+def test_end_to_end_demo(tmp_path):
+    """`gpindex demo` in-process: generate, write and score the 27-session demo corpus."""
+    goldens = Path(__file__).parent / "goldens"
+    times = []
+    for k in range(3):
+        out = tmp_path / f"demo_{k}"
+        t0 = time.perf_counter()
+        assert main(["demo", "--out", str(out)]) == 0
+        times.append(time.perf_counter() - t0)
+        for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
+            assert (out / name).read_bytes() == (goldens / f"demo_{name}").read_bytes()
+    elapsed = statistics.median(times)
+    assert elapsed < 3.0
+    report(f"end to end: demo on the 27-session demo corpus in {elapsed:.2f} s < 3 s (median of 3)")

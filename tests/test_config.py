@@ -48,6 +48,19 @@ def rename_casual(name):
     return edit
 
 
+def drop_curve(metric_id, weighted=True):
+    """Delete ``metric_id``'s curve and, unless ``weighted``, its sub weights."""
+
+    def edit(doc):
+        del doc["curves"][metric_id]
+        if not weighted:
+            for profile in doc["profiles"].values():
+                for weights in profile["sub_weights"].values():
+                    weights.pop(metric_id, None)
+
+    return edit
+
+
 BATTERY = "profiles.casual.main_weights.battery"
 
 # Each of these once exited 0 with every casual score at 0.0000 (NaN,
@@ -74,6 +87,16 @@ HOSTILE_CONFIGS = {
     "traversing_profile_name": (
         config_bytes(rename_casual("../x")),
         "profiles: profile name '../x' must name one file",
+    ),
+    # Every session is mapped on every metric: a config without an unweighted
+    # metric's curve once loaded, and then every compare exited 1.
+    "unweighted_metric_without_curve": (
+        config_bytes(drop_curve("low1_fps", weighted=False)),
+        "curves: no curve for metric 'low1_fps'",
+    ),
+    "weighted_metric_without_curve": (
+        config_bytes(drop_curve("low1_fps")),
+        "curves: no curve for metric 'low1_fps'",
     ),
 }
 

@@ -16,7 +16,9 @@ from gpindex.report import (
     emit_report,
     rank_devices,
     round_display,
+    serialize_session,
 )
+from gpindex.telemetry import DeviceMeta, GameSettings, SessionTelemetry
 
 
 def parse_report(data):
@@ -229,3 +231,27 @@ class TestPlotData:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             emit_plot_data([])
+
+
+class TestSerializeSession:
+    def test_every_stream_written_as_arrays(self):
+        session = SessionTelemetry(
+            schema_version=1,
+            device=DeviceMeta("p", 4000, 401.5, (1080, 2400)),
+            settings=GameSettings("g", 0.75, 3, 2, 1, 0),
+            frames=[0, 16, 33],
+            battery=[(0, 100.0), (16, 99.5)],
+            temperature=[(0, 30.25, "soc")],
+            touch=[(10, 41.0)],
+            scene_loads=[(1, 2)],
+            launch=(0, 5),
+        )
+        assert serialize_session(session) == (
+            '{"schema_version":1,'
+            '"device":{"device_id":"p","battery_capacity_mah":4000,"display_ppi":401.5,'
+            '"display_resolution":[1080,2400]},'
+            '"game":{"game_id":"g","render_scale":0.75,"texture_tier":3,"effects_tier":2,'
+            '"aa_tier":1,"dynamic_range_tier":0},'
+            '"events":{"launch":[0,5],"frames":[0,16,33],"battery":[[0,100.0],[16,99.5]],'
+            '"temperature":[[0,30.25,"soc"]],"touch":[[10,41.0]],"scene_loads":[[1,2]]}}\n'
+        ).encode()

@@ -1,13 +1,16 @@
 import dataclasses
 import math
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpindex import synth
+from gpindex import metrics, synth, telemetry
+from gpindex.config import default_config
 from gpindex.errors import ModelError, SchemaError
+from gpindex.indices import measure
 from gpindex.metrics import extract_metrics
 from gpindex.report import serialize_session
 from gpindex.synth import (
@@ -84,6 +87,11 @@ def scalar_frames_and_touch(model, duration_s):
     return tuple(frames), tuple(touch)
 
 
+def brute_intervals(frames):
+    """Oracle: the histogram of frame intervals, one subtraction per pair."""
+    return Counter(b - a for a, b in zip(frames, frames[1:]))
+
+
 @st.composite
 def models_and_durations(draw):
     """Models covering every branch of the frame loop, with a duration."""
@@ -111,6 +119,26 @@ def models_and_durations(draw):
         seed=draw(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 1000, 2**64 - 1))),
     )
     return model, duration_s
+
+
+# Jitter wider than the step puts some steps on the 0.001 ms floor (zero
+# intervals once rounded); throttling starts halfway.
+FLOORED_AND_THROTTLED = (
+    DeviceModel(
+        device_id="d",
+        base_frame_time_ms=8.0,
+        frame_jitter_sd_ms=30.0,
+        throttle_onset_s=60.0,
+        throttle_factor=2.0,
+        drain_rate_pct_per_hour=20.0,
+        temp_start_c=30.0,
+        temp_peak_c=40.0,
+        touch_latency_ms=50.0,
+        launch_s=5.0,
+        seed=7,
+    ),
+    120.0,
+)
 
 
 class TestSplitMix64:
@@ -202,6 +230,7 @@ class TestGenerateSession:
         """`gpindex demo` scores the sessions it generates, not its files read back."""
         for device in default_demo_manifest():
             for session in generate_corpus((device,))[device.model.device_id]:
+                assert session.frame_intervals == brute_intervals(session.frames)
                 assert parse_session(serialize_session(session)) == session
 
     def test_touch_jitter_within_ten_percent(self, reference_session, reference_model):
@@ -225,10 +254,14 @@ class TestGenerateSession:
 
     @settings(max_examples=40, deadline=None)
     @given(models_and_durations())
+    @example(FLOORED_AND_THROTTLED)
     def test_equals_scalar_oracle(self, model_and_duration):
         model, duration_s = model_and_duration
         session = generate_session(model, duration_s)
         assert (session.frames, session.touch) == scalar_frames_and_touch(model, duration_s)
+        assert session.frame_intervals == brute_intervals(session.frames)
+        if model is FLOORED_AND_THROTTLED[0]:
+            assert 0 in session.frame_intervals
 
     def test_demo_devices_equal_scalar_oracle(self):
         # A 600 s session spans several blocks of frames.
@@ -242,6 +275,13 @@ class TestGenerateSession:
         # 1.1 ms steps put many frame times next to a .5 rounding tie, so
         # adding them in any order but left to right changes some frames.
         monkeypatch.setattr(synth, "_FRAME_BLOCK", 1000)
+        floored = dataclasses.replace(
+            reference_model,
+            base_frame_time_ms=1.1,
+            frame_jitter_sd_ms=2.0,
+            throttle_onset_s=60.0,
+            throttle_factor=1.5,
+        )
         models = [
             dataclasses.replace(reference_model, base_frame_time_ms=1.1),
             dataclasses.replace(
@@ -257,10 +297,32 @@ class TestGenerateSession:
                 throttle_factor=2,
                 seed=2**64 - 1,
             ),
+            # Jitter wider than the step: steps hit the 0.001 ms floor.
+            floored,
         ]
         for model in models:
             session = generate_session(model, 130.25)
             assert (session.frames, session.touch) == scalar_frames_and_touch(model, 130.25)
+            assert session.frame_intervals == brute_intervals(session.frames)
+        assert 0 in generate_session(floored, 130.25).frame_intervals
+
+    def test_measure_counts_no_frame_interval(self, monkeypatch, reference_model):
+        """generate_session hands its block histogram over; nothing counts the frames again."""
+        calls = 0
+        take = telemetry.frame_intervals
+
+        def counting(frames):
+            nonlocal calls
+            calls += 1
+            return take(frames)
+
+        monkeypatch.setattr(telemetry, "frame_intervals", counting)
+        monkeypatch.setattr(metrics, "frame_intervals", counting)
+        jittery = dataclasses.replace(
+            reference_model, frame_jitter_sd_ms=2.0, throttle_onset_s=200.0, throttle_factor=1.7
+        )
+        measure(generate_session(jittery, 600), default_config().curves)
+        assert calls == 0
 
     @pytest.mark.parametrize(
         "field,value",

@@ -447,6 +447,26 @@ class TestFrameIntervals:
         with pytest.raises(ValidationError, match=r"^frames not non-decreasing at t=10ms$"):
             dataclasses.replace(reference_session, frames=(0, 20, 10, 30))
 
+    @pytest.mark.parametrize(
+        "intervals",
+        [
+            Counter({10: 2}),  # one interval short
+            Counter({10: 2, 11: 1}),  # right count, wrong span
+        ],
+    )
+    def test_handed_over_histogram_is_checked(self, reference_session, intervals):
+        frames = (0, 10, 20, 30)
+        with pytest.raises(
+            ValidationError, match=r"^frame interval histogram does not match frames$"
+        ):
+            dataclasses.replace(reference_session, frames=frames, _intervals=intervals)
+        session = dataclasses.replace(reference_session, frames=frames, _intervals=Counter({10: 3}))
+        assert session.frame_intervals == Counter({10: 3})
+
+    def test_histogram_check_follows_frame_count(self, reference_session):
+        with pytest.raises(ValidationError, match=r"^frames must contain at least 2 timestamps$"):
+            dataclasses.replace(reference_session, frames=(0,), _intervals=Counter({5: 1}))
+
 
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
