@@ -78,12 +78,12 @@ def _load_config(path: str | None) -> EngineConfig:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    valid = []
+    valid = []  # each valid session's settings; the session itself is dropped once parsed
     failures = 0
     for name in args.files:
         try:
             with open(name, "rb") as fh:
-                valid.append(parse_session(fh.read()))
+                valid.append(parse_session(fh.read()).settings)
         except (OSError, EngineError) as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             failures += 1

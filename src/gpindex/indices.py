@@ -16,7 +16,6 @@ middle values) to absorb the natural deviation between gameplay sessions.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -29,7 +28,7 @@ from .errors import (
     WeightError,
 )
 from .jsondoc import is_finite, is_number
-from .metrics import METRIC_IDS, extract_metrics
+from .metrics import METRIC_IDS, extract_metrics, median
 from .scoring import MappingCurve, SubIndexScore, map_metric
 from .telemetry import SessionTelemetry
 
@@ -191,7 +190,7 @@ def aggregate_sessions(per_session_overalls: Sequence[float]) -> float:
     """Median across sessions; even count takes the mean of the two middle values."""
     if not per_session_overalls:
         raise EmptyInputError("aggregate_sessions requires at least one value")
-    return float(statistics.median(per_session_overalls))
+    return median(per_session_overalls)
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ def weigh(
         median_main: dict[MainIndex, float | None] = {}
         for index in MainIndex:
             values = [s.main_scores[index] for s in scored if s.main_scores[index] is not None]
-            median_main[index] = float(statistics.median(values)) if values else None
+            median_main[index] = median(values) if values else None
         flags = tuple(sorted({flag for s in scored for flag in s.flags}))
         cards.append(
             ScoreCard(

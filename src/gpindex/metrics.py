@@ -30,12 +30,11 @@ the parser ensures; the test suite keeps the numpy version as its oracle.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, EngineError, InsufficientSamplesError, ValidationError
 from .telemetry import (
@@ -95,6 +94,13 @@ class MetricSet:
 
 # Fixed metric identifiers used by curves, weights and reports.
 METRIC_IDS = tuple(field.name for field in fields(MetricSet))
+
+
+def median(values: Iterable[float]) -> float:
+    """Middle of the sorted values; an even count takes the mean of the two middle ones."""
+    xs = sorted(values)
+    mid = len(xs) // 2
+    return float(xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2)
 
 
 def compute_fps_metrics(
@@ -177,7 +183,7 @@ def compute_responsiveness_metrics(touch: Sequence[TouchEvent]) -> float | None:
     """Median touch latency in ms (even count: mean of the two middle values)."""
     if not touch:
         return None
-    return float(statistics.median(event[1] for event in touch))
+    return median(event[1] for event in touch)
 
 
 def compute_gfx_quality(settings: GameSettings, device: DeviceMeta) -> float:

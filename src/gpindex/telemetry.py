@@ -18,10 +18,19 @@ Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
 (``set(map(type, xs))``, ``min``/``max``) and one per stream for
 timestamp order (``all(map(operator.le, xs, xs[1:]))``). Frames, almost
-all of a session's bytes, take one pass for types and one into the
-histogram of their intervals (:func:`frame_intervals`), which the
-session keeps for the FPS metrics: frames are in order iff no interval
-is negative, and then ``frames[0]`` and ``frames[-1]`` bound the rest.
+all of a session's bytes, take a single pass, into the histogram of
+their intervals (:func:`frame_intervals`), which the session keeps for
+the FPS metrics; that pass is a ``bytes`` string built in C whenever
+every interval is an integer in 0..255 ms. The histogram stands in for
+the type pass: its keys are exact ints only if every frame is an int or
+a bool (a float gives a float interval, any other type raises
+``TypeError``), and then frames are in order iff no interval is
+negative. In order, a bool (0 or 1) can only sit among the leading
+frames ``<= 1``, which alone are type-checked, and ``frames[0]`` and
+``frames[-1]`` bound the rest. Any other histogram (a float or negative
+key, fewer than 2 frames, a ``TypeError``) sends the frames through a
+type pass. The worst case, an interval above 255 ms or a negative one,
+costs one failed byte pass before the one-by-one count.
 Only when a bulk check fails is a stream walked element by element, and
 that walk alone decides the outcome and names the first offending entry,
 e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
@@ -38,7 +47,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from itertools import islice, starmap
+from itertools import islice, starmap, takewhile
 from operator import itemgetter, le, mul, sub
 from typing import Any, NamedTuple, Sequence
 
@@ -267,8 +276,17 @@ class SessionTelemetry:
 
 
 def frame_intervals(frames: Sequence[int]) -> Counter:
-    """Histogram of the intervals ``b - a`` between consecutive frame timestamps."""
-    return Counter(map(sub, islice(frames, 1, None), frames))
+    """Histogram of the intervals ``b - a`` between consecutive frame timestamps.
+
+    Intervals that are all integers in 0..255 ms (any session that never
+    drops below 4 FPS) are counted in C through ``bytes``; any other
+    interval makes ``bytes`` raise, and they are then counted one by one.
+    """
+    try:
+        steps = bytes(map(sub, islice(frames, 1, None), frames))
+    except (TypeError, ValueError):
+        return Counter(map(sub, islice(frames, 1, None), frames))
+    return Counter({d: steps.count(d) for d in set(steps)})
 
 
 def _first_decrease(ts: Sequence) -> int | None:
@@ -365,11 +383,22 @@ def _as_frame(value: Any, where: str) -> int:
 def _parse_frames(frames: list) -> Counter:
     """The histogram of the intervals of ``frames``, once every frame is checked."""
     lo, hi = 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1
-    if set(map(type, frames)) <= {int}:
+    try:
         intervals = frame_intervals(frames)
-        # In order (no negative interval), the endpoints bound every frame.
-        bounds = frames[:1] + frames[-1:] if min(intervals, default=0) >= 0 else frames
-        if not bounds or (lo <= min(bounds) and max(bounds) <= hi):
+    except TypeError:  # a frame that is not a number; the type pass below fails too
+        intervals = Counter()
+    if intervals and set(map(type, intervals)) <= {int} and min(intervals) >= 0:
+        # Integer intervals, none negative: every frame is an int or a bool
+        # (a float gives a float interval, any other type raises), in order.
+        # A bool is 0 or 1, so only the leading frames <= 1 can be one, and
+        # the endpoints bound every frame.
+        head = set(map(type, takewhile((1).__ge__, frames)))
+        if head <= {int} and lo <= frames[0] and frames[-1] <= hi:
+            return intervals
+    elif set(map(type, frames)) <= {int}:
+        # Fewer than 2 frames, or out of order: once every frame is in range,
+        # the constructor names the fault.
+        if not frames or (lo <= min(frames) and max(frames) <= hi):
             return intervals
     i = next(i for i, v in enumerate(frames) if type(v) is not int or not lo <= v <= hi)
     _as_frame(frames[i], f"events.frames[{i}]")  # the walk rejects what the bulk check does
@@ -463,17 +492,18 @@ class ComparabilityReport:
         return not self.flags
 
 
-def validate_comparability(sessions: Sequence[SessionTelemetry]) -> ComparabilityReport:
+def validate_comparability(settings: Sequence[GameSettings]) -> ComparabilityReport:
     """Flag sessions whose game or settings tiers differ from the modal values.
 
-    Purely advisory: nothing is mutated or rejected. Modal ties break
-    toward the smallest value so the report is deterministic.
+    ``settings`` holds each session's :class:`GameSettings`, in session
+    order. Purely advisory: nothing is mutated or rejected. Modal ties
+    break toward the smallest value so the report is deterministic.
     """
-    if not sessions:
+    if not settings:
         raise EmptyInputError("validate_comparability requires at least one session")
     flags = []
     for field_name in COMPARABILITY_FIELDS:
-        values = [getattr(s.settings, field_name) for s in sessions]
+        values = [getattr(s, field_name) for s in settings]
         counts = Counter(values)
         modal = min(counts, key=lambda v: (-counts[v], v))
         for i, value in enumerate(values):

@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion; any assertion failure marks the criterion red.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import random
@@ -358,6 +360,24 @@ def test_end_to_end_compare(tmp_path):
     elapsed = statistics.median(times)
     assert elapsed < 2.0
     report(f"end to end: compare on the 27-session demo corpus in {elapsed:.2f} s < 2 s (median of 3)")
+
+
+def test_end_to_end_validate(tmp_path):
+    """`gpindex validate` in-process on the 27 demo corpus files."""
+    demo = tmp_path / "demo"
+    assert main(["demo", "--out", str(demo)]) == 0
+    files = sorted(str(p) for p in (demo / "sessions").glob("*/*.json"))
+    times = []
+    for _ in range(3):
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            assert main(["validate", *files]) == 0
+        times.append(time.perf_counter() - t0)
+        assert out.getvalue() == "27 valid\n"
+    elapsed = statistics.median(times)
+    assert elapsed < 2.0
+    report(f"end to end: validate on the 27 demo corpus files in {elapsed:.2f} s < 2 s (median of 3)")
 
 
 def test_end_to_end_demo(tmp_path):

@@ -65,6 +65,19 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert result.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_statistics():
+    # statistics pulls in fractions and decimal, a measurable share of every cold start.
+    code = (
+        "import gpindex.cli, sys;"
+        " print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 def test_only_demo_loads_numpy(short_corpus, tmp_path):
     dirs = [str(write_sessions(tmp_path / name, s)) for name, s in sorted(short_corpus.items())]
     files = sorted(str(p) for d in dirs for p in Path(d).glob("*.json"))
@@ -132,6 +145,23 @@ class TestValidate:
         files = sorted(str(p) for p in d.glob("*.json"))
         assert main(["validate", "--comparability", *files]) == 0
         assert "texture_tier" in capsys.readouterr().err
+
+    def test_drops_each_session_once_parsed(self, demo_dir, monkeypatch, capsys):
+        parse = gpindex.cli.parse_session
+        parsed, alive_before = [], []
+
+        def tracking(data):
+            alive_before.append(sum(ref() is not None for ref in parsed))
+            session = parse(data)
+            parsed.append(weakref.ref(session))
+            return session
+
+        monkeypatch.setattr(gpindex.cli, "parse_session", tracking)
+        files = sorted(str(p) for p in (demo_dir / "sessions").glob("*/*.json"))
+        assert main(["validate", "--comparability", *files]) == 0
+        assert capsys.readouterr().out == "27 valid\n"
+        assert alive_before == [0] * 27
+        assert all(ref() is None for ref in parsed)
 
 
 class TestScore:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gpindex.metrics import (
     compute_swiftness_metrics,
     compute_thermal_metrics,
     extract_metrics,
+    median,
 )
 from gpindex.synth import default_demo_manifest, generate_corpus
 from gpindex.telemetry import (
@@ -287,6 +289,15 @@ class TestResponsivenessMetrics:
         latencies = [rng.uniform(1.0, 200.0) for _ in range(1000)]
         events = [TouchEvent(i, latency) for i, latency in enumerate(latencies)]
         assert compute_responsiveness_metrics(events) == median_oracle(latencies)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-1000, 1000), st.floats(-1e6, 1e6, allow_nan=False)),
+            min_size=1,
+        )
+    )
+    def test_median_equals_the_statistics_median(self, values):
+        assert median(values) == float(statistics.median(values))
 
 
 def _gfx(tiers, render_scale, ppi):

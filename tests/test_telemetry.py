@@ -3,6 +3,7 @@ import json
 import math
 import re
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -468,6 +469,69 @@ class TestFrameIntervals:
             dataclasses.replace(reference_session, frames=(0,), _intervals=Counter({5: 1}))
 
 
+def _oracle_parse_frames(frames):
+    """Reference frame check: a type pass, then the interval Counter, then the walk."""
+    lo, hi = 1 - telemetry.FRAME_LIMIT_MS, telemetry.FRAME_LIMIT_MS - 1
+    if set(map(type, frames)) <= {int}:
+        intervals = Counter(b - a for a, b in zip(frames, frames[1:]))
+        bounds = frames[:1] + frames[-1:] if min(intervals, default=0) >= 0 else frames
+        if not bounds or (lo <= min(bounds) and max(bounds) <= hi):
+            return intervals
+    i = next(i for i, v in enumerate(frames) if type(v) is not int or not lo <= v <= hi)
+    telemetry._as_frame(frames[i], f"events.frames[{i}]")
+    raise AssertionError(f"events.frames[{i}] passed the walk")
+
+
+_LIMIT = telemetry.FRAME_LIMIT_MS
+_STARTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(_LIMIT - 600, _LIMIT + 1),
+    st.integers(-_LIMIT - 1, -_LIMIT + 600),
+)
+_JUNK = st.sampled_from([True, False, 1.5, 16.0, -0.5, "16", None, [], {}])
+
+
+@st.composite
+def _frames_lists(draw):
+    """Frame lists near the edges of the byte path: intervals in -3..300, junk entries."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.one_of(_JUNK, st.integers(-3, 3)), max_size=3))
+    frames = [draw(_STARTS)]
+    for step in draw(st.lists(st.one_of(st.integers(-3, 300), st.sampled_from([0, 255, 256])))):
+        frames.append(frames[-1] + step)
+    for _ in range(draw(st.integers(0, 2))):
+        i = 0 if draw(st.booleans()) else draw(st.integers(0, len(frames) - 1))
+        frames[i] = draw(_JUNK)
+    return frames
+
+
+def _outcome(data):
+    try:
+        session = parse_session(data)
+    except (SchemaError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return session.frames, session.frame_intervals
+
+
+class TestFrameCheckOracle:
+    """The byte-path frame check decides every frame list as the reference check does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_frames_lists())
+    def test_same_outcome_as_the_oracle(self, frames):
+        data = to_bytes(make_doc(events={"frames": frames}))
+        with patch.object(telemetry, "_parse_frames", _oracle_parse_frames):
+            expected = _outcome(data)
+        assert _outcome(data) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 300), st.sampled_from([255, 256, -(2**70)]))))
+    def test_histogram_equals_the_counter(self, frames):
+        brute = Counter(b - a for a, b in zip(frames, frames[1:]))
+        got = telemetry.frame_intervals(frames)
+        assert got == brute and set(map(type, got)) <= {int}
+
+
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(sessions(max_intervals=30))
@@ -478,22 +542,22 @@ class TestRoundTrip:
         assert serialize_session(reference_session) == serialize_session(reference_session)
 
 
-def _session_with_settings(**overrides):
+def _game_settings(**overrides):
     doc = make_doc()
     doc["game"].update(overrides)
-    return parse_session(to_bytes(doc))
+    return parse_session(to_bytes(doc)).settings
 
 
 class TestComparability:
     def test_identical_sessions_no_flags(self):
-        group = [_session_with_settings() for _ in range(3)]
+        group = [_game_settings() for _ in range(3)]
         assert validate_comparability(group).ok
 
     def test_divergent_tier_flagged(self):
         group = [
-            _session_with_settings(texture_tier=3),
-            _session_with_settings(texture_tier=3),
-            _session_with_settings(texture_tier=1),
+            _game_settings(texture_tier=3),
+            _game_settings(texture_tier=3),
+            _game_settings(texture_tier=1),
         ]
         report = validate_comparability(group)
         assert len(report.flags) == 1
@@ -501,8 +565,8 @@ class TestComparability:
         assert (flag.session_index, flag.field, flag.value, flag.modal) == (2, "texture_tier", 1, 3)
 
     def test_nine_device_corpus_one_mismatch(self):
-        group = [_session_with_settings() for _ in range(9)]
-        group[4] = _session_with_settings(game_id="other_game")
+        group = [_game_settings() for _ in range(9)]
+        group[4] = _game_settings(game_id="other_game")
         report = validate_comparability(group)
         assert len(report.flags) == 1
         assert report.flags[0].session_index == 4
@@ -513,7 +577,7 @@ class TestComparability:
             validate_comparability([])
 
     def test_does_not_mutate(self):
-        group = [_session_with_settings(), _session_with_settings(texture_tier=0)]
+        group = [_game_settings(), _game_settings(texture_tier=0)]
         before = tuple(group)
         validate_comparability(group)
         assert tuple(group) == before
