@@ -27,7 +27,6 @@ _INDEX_BY_VALUE = {index.value: index for index in MainIndex}
 
 @dataclass(frozen=True)
 class EngineConfig:
-    schema_version: int
     curves: dict[str, MappingCurve]
     profiles: dict[str, IndexProfile]
 
@@ -92,7 +91,7 @@ def _read_config(doc: Any) -> EngineConfig:
             }
         profiles[name] = IndexProfile(name, main_weights, sub_weights)
 
-    return EngineConfig(CONFIG_SCHEMA_VERSION, curves, profiles)
+    return EngineConfig(curves, profiles)
 
 
 def load_config_file(path: str) -> EngineConfig:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
@@ -202,22 +202,9 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     Floats use shortest round-trip repr (not the 4-decimal report style)
     so values survive the round trip exactly.
     """
-    device: dict[str, Any] = {"device_id": session.device.device_id}
-    if session.device.battery_capacity_mah is not None:
-        device["battery_capacity_mah"] = session.device.battery_capacity_mah
-    if session.device.display_ppi is not None:
-        device["display_ppi"] = session.device.display_ppi
-    if session.device.display_resolution is not None:
-        device["display_resolution"] = session.device.display_resolution
-
-    game = {
-        "game_id": session.settings.game_id,
-        "render_scale": session.settings.render_scale,
-        "texture_tier": session.settings.texture_tier,
-        "effects_tier": session.settings.effects_tier,
-        "aa_tier": session.settings.aa_tier,
-        "dynamic_range_tier": session.settings.dynamic_range_tier,
-    }
+    # The records' fields in declaration order; an unrecorded device property is left out.
+    device = {name: value for name, value in asdict(session.device).items() if value is not None}
+    game = asdict(session.settings)
 
     # json writes tuples, NamedTuples included, as arrays: no stream is copied.
     events: dict[str, Any] = {}

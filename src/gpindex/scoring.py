@@ -80,10 +80,6 @@ class MappingCurve:
                 raise CurveError(f"{self.metric_id}: {kind} breakpoint at index {i}")
         return float(point[0]), float(point[1])
 
-    @property
-    def increasing(self) -> bool:
-        return self.breakpoints[-1][1] >= self.breakpoints[0][1]
-
 
 def map_metric(value: float, curve: MappingCurve) -> SubIndexScore:
     """Map a raw metric value through a curve.

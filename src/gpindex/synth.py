@@ -5,6 +5,14 @@ known in closed form, so the extraction pipeline can be checked against
 ground truth, and ships the demo corpus manifest used for the example
 device comparison.
 
+A DeviceModel builds, once, the ``DeviceMeta`` and ``GameSettings``
+records that every session it generates carries, from the parameters
+named as their fields, so the records' own rules check the model and a
+broken one is a ModelError. A manifest reads each model parameter by
+its declared type, and each session duration by the rule
+generate_session applies, so a bad manifest is refused when it loads,
+before any session is generated.
+
 Randomness comes from SplitMix64, a fixed 64-bit generator simple enough
 to reimplement bit-exactly anywhere, which keeps generated fixtures and
 golden files portable. Draw order per session is fixed: one frame-jitter
@@ -31,17 +39,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib.resources import files
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-from .errors import ModelError, SchemaError
+from .errors import ModelError, SchemaError, ValidationError
 from .jsondoc import (
     as_int, as_list, as_obj, as_real, as_str, decode, is_file_name, is_finite, require,
     require_version,
 )
 from .telemetry import (
-    GAME_TIER_FIELDS,
     BatterySample,
     DeviceMeta,
     GameSettings,
@@ -93,38 +100,6 @@ def _block_floats(seed: int, skip: int, n: int) -> np.ndarray:
     return u
 
 
-# DeviceModel fields as a manifest gives them, each with its reader.
-_MODEL_FIELDS = {
-    "device_id": as_str,
-    "base_frame_time_ms": as_real,
-    "drain_rate_pct_per_hour": as_real,
-    "temp_start_c": as_real,
-    "temp_peak_c": as_real,
-    "touch_latency_ms": as_real,
-    "launch_s": as_real,
-    "seed": as_int,
-}
-_OPTIONAL_MODEL_FIELDS = {
-    "frame_jitter_sd_ms": as_real,
-    "throttle_onset_s": as_real,
-    "throttle_factor": as_real,
-    "game_id": as_str,
-    "render_scale": as_real,
-    "texture_tier": as_int,
-    "effects_tier": as_int,
-    "aa_tier": as_int,
-    "dynamic_range_tier": as_int,
-    "display_ppi": as_real,
-    "battery_capacity_mah": as_int,
-}
-
-# DeviceModel fields that must hold a finite number, and those that must
-# hold an integer (or None, where that is the field's default).
-_ALL_MODEL_FIELDS = {**_MODEL_FIELDS, **_OPTIONAL_MODEL_FIELDS}
-_REAL_MODEL_FIELDS = tuple(name for name, read in _ALL_MODEL_FIELDS.items() if read is as_real)
-_INT_MODEL_FIELDS = tuple(name for name, read in _ALL_MODEL_FIELDS.items() if read is as_int)
-
-
 @dataclass(frozen=True)
 class DeviceModel:
     """Parametric ground truth for one synthetic device.
@@ -153,11 +128,14 @@ class DeviceModel:
     dynamic_range_tier: int = 3
     display_ppi: float | None = None
     battery_capacity_mah: int | None = None
+    # The records every generated session carries: built once, by their own rules.
+    settings: GameSettings = field(init=False, repr=False, compare=False)
+    device: DeviceMeta = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            name, value = field.name, getattr(self, field.name)
-            if value is None and field.default is None:
+        for param in _MODEL_PARAMS:
+            name, value = param.name, getattr(self, param.name)
+            if value is None and param.default is None:
                 continue
             if name in _REAL_MODEL_FIELDS and not is_finite(value):
                 raise ModelError(f"{name} must be finite, got {value!r}")
@@ -167,12 +145,7 @@ class DeviceModel:
         # `demo` writes a device's sessions to a directory named by its id.
         if not is_file_name(self.device_id):
             raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
-        # The settings every generated session records; GameSettings has the same rules.
-        if not 0 < self.render_scale <= 1:
-            raise ModelError(f"render_scale must be in (0, 1], got {self.render_scale}")
-        for name in GAME_TIER_FIELDS:
-            if getattr(self, name) not in (0, 1, 2, 3):
-                raise ModelError(f"{name} must be in 0..3, got {getattr(self, name)}")
+        object.__setattr__(self, "settings", self._record(GameSettings))
         if self.base_frame_time_ms <= 0:
             raise ModelError("base_frame_time_ms must be > 0")
         if self.frame_jitter_sd_ms < 0:
@@ -189,6 +162,24 @@ class DeviceModel:
             raise ModelError("touch_latency_ms must be >= 0")
         if self.launch_s < 0:
             raise ModelError("launch_s must be >= 0")
+        object.__setattr__(self, "device", self._record(DeviceMeta))
+
+    def _record(self, record: type) -> Any:
+        """``record`` built from the parameters named as its fields; its rules raise ModelError."""
+        shared = [f.name for f in fields(record) if f.name in _MODEL_READERS]
+        try:
+            return record(**{name: getattr(self, name) for name in shared})
+        except ValidationError as exc:
+            raise ModelError(str(exc)) from exc
+
+
+# DeviceModel's parameters, each read from a manifest by its declared type
+# (`T | None` as T); a parameter of a type no reader takes fails at import.
+_READERS = {"str": as_str, "float": as_real, "int": as_int}
+_MODEL_PARAMS = tuple(f for f in fields(DeviceModel) if f.init)
+_MODEL_READERS = {f.name: _READERS[f.type.removesuffix(" | None")] for f in _MODEL_PARAMS}
+_REAL_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_real}
+_INT_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_int}
 
 
 def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Counter, int]:
@@ -250,11 +241,8 @@ def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Cou
     return frames, intervals, used
 
 
-def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
-    """Generate one session of the given duration; deterministic per seed.
-
-    The output always satisfies every telemetry invariant.
-    """
+def _check_duration(duration_s: float) -> None:
+    """Raise ModelError unless a session of ``duration_s`` seconds can be generated."""
     if not (is_finite(duration_s) and duration_s * 1000.0 < _MAX_DURATION_MS):
         raise ModelError(
             f"duration_s must be finite and below {_MAX_DURATION_MS / 1000.0:g} s, "
@@ -262,6 +250,14 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
         )
     if duration_s < MIN_DURATION_S:
         raise ModelError(f"duration must be >= {MIN_DURATION_S:.0f} s, got {duration_s}")
+
+
+def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
+    """Generate one session of the given duration; deterministic per seed.
+
+    The output always satisfies every telemetry invariant.
+    """
+    _check_duration(duration_s)
     duration_ms = duration_s * 1000.0
     frames, intervals, used = _frame_times(model, duration_ms)
 
@@ -292,19 +288,8 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
 
     return SessionTelemetry(
         schema_version=1,
-        device=DeviceMeta(
-            device_id=model.device_id,
-            battery_capacity_mah=model.battery_capacity_mah,
-            display_ppi=model.display_ppi,
-        ),
-        settings=GameSettings(
-            game_id=model.game_id,
-            render_scale=model.render_scale,
-            texture_tier=model.texture_tier,
-            effects_tier=model.effects_tier,
-            aa_tier=model.aa_tier,
-            dynamic_range_tier=model.dynamic_range_tier,
-        ),
+        device=model.device,
+        settings=model.settings,
         frames=frames,
         _intervals=intervals,
         battery=battery,
@@ -325,14 +310,12 @@ class CorpusDevice:
 
 
 def _model_from_json(obj: dict, where: str) -> DeviceModel:
-    kwargs = {
-        name: read(require(obj, name, where), f"{where}.{name}")
-        for name, read in _MODEL_FIELDS.items()
-    }
-    for name, read in _OPTIONAL_MODEL_FIELDS.items():
-        if obj.get(name) is not None:
-            kwargs[name] = read(obj[name], f"{where}.{name}")
-    unknown = set(obj) - set(_ALL_MODEL_FIELDS)
+    kwargs = {}
+    for param in _MODEL_PARAMS:
+        name = param.name
+        if param.default is MISSING or obj.get(name) is not None:
+            kwargs[name] = _MODEL_READERS[name](require(obj, name, where), f"{where}.{name}")
+    unknown = set(obj) - set(_MODEL_READERS)
     if unknown:
         raise SchemaError(f"{where}: unknown model fields {sorted(unknown)}")
     return DeviceModel(**kwargs)
@@ -356,6 +339,7 @@ def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
         duration = as_real(
             require(entry, "session_duration_s", where), f"{where}.session_duration_s"
         )
+        _check_duration(duration)
         at = f"{where}.model"
         model = _model_from_json(as_obj(require(entry, "model", where), at), at)
         if model.device_id in first_index:

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from itertools import islice, starmap, takewhile
 from operator import itemgetter, le, mul, sub
 from typing import Any, NamedTuple, Sequence
@@ -299,8 +299,8 @@ def _first_decrease(ts: Sequence) -> int | None:
 # --- parsing -----------------------------------------------------------
 
 _TOP_KEYS = {"schema_version", "device", "game", "events"}
-_DEVICE_KEYS = {"device_id", "battery_capacity_mah", "display_ppi", "display_resolution"}
-_GAME_KEYS = {"game_id", "render_scale"} | set(GAME_TIER_FIELDS)
+_DEVICE_KEYS = {f.name for f in fields(DeviceMeta)}
+_GAME_KEYS = {f.name for f in fields(GameSettings)}
 _EVENT_KEYS = {"launch", "frames", "battery", "temperature", "touch", "scene_loads"}
 
 

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import gc
 import io
 import json
 import math
@@ -7,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from gpindex.cli import main
 from gpindex.errors import EngineError
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, default_demo_manifest, generate_session, load_manifest
+from gpindex.telemetry import parse_session
 from tests.strategies import manifest_bytes, one_field_mutations, sessions
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -35,6 +39,12 @@ HOSTILE_MANIFESTS = {
     # Once exited 1 with `error:`, from the sessions generated with these settings.
     "effects_tier_7": manifest_bytes({"effects_tier": 7}),
     "render_scale_2": manifest_bytes({"render_scale": 2.0}),
+    "empty_game_id": manifest_bytes({"game_id": ""}),
+    # On the second device these once left the first device's sessions behind.
+    "display_ppi_0": manifest_bytes({"device_id": "a"}, {"display_ppi": 0}),
+    "battery_capacity_0": manifest_bytes({"device_id": "a"}, {"battery_capacity_mah": 0}),
+    "duration_60": manifest_bytes({"device_id": "a"}, {"session_duration_s": 60}),
+    "duration_past_int64": manifest_bytes({"device_id": "a"}, {"session_duration_s": 1e16}),
 }
 
 
@@ -538,3 +548,62 @@ def test_demo_with_mutated_manifest_exits_0_1_or_2(data):
         argv = ["demo", "--out", str(Path(tmp) / "out"), "--manifest", str(manifest)]
         code, err = run_quietly(argv)
     assert (code == 2) == err.startswith("manifest error:")
+
+
+class TestBoundedMemory:
+    """Each command's peak memory is one session's worth, whatever the session count.
+
+    Every command runs in-process on N and on 4N sessions of 120 s, one per
+    device; the two tracemalloc peaks must differ by less than one parsed
+    session. A command that held every session would differ by 3N of them.
+    """
+
+    N = 2
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory, reference_model):
+        root = tmp_path_factory.mktemp("bounded")
+        for i in range(4 * self.N):
+            model = dataclasses.replace(reference_model, device_id=f"device_{i}", seed=i)
+            write_sessions(root / "sessions" / model.device_id, [generate_session(model, 120)])
+        for n in (self.N, 4 * self.N):
+            devices = ({"device_id": f"device_{i}", "session_duration_s": 120} for i in range(n))
+            (root / f"manifest_{n}.json").write_bytes(manifest_bytes(*devices))
+        return root
+
+    @staticmethod
+    def argv(command, root, n):
+        dirs = [str(root / "sessions" / f"device_{i}") for i in range(n)]
+        return {
+            "validate": ["validate", *(f"{d}/session_00.json" for d in dirs)],
+            "score": ["score", "--profile", "casual", "--out", str(root / "score.json"), *dirs],
+            "compare": ["compare", "--out", str(root / "compare"), *dirs],
+            "demo": ["demo", "--out", str(root / f"demo_{n}"),
+                     "--manifest", str(root / f"manifest_{n}.json")],
+        }[command]
+
+    @staticmethod
+    def traced_peak(argv):
+        """Peak traced memory of one run, above what was traced when it started."""
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+
+    @pytest.mark.parametrize("command", ["validate", "score", "compare", "demo"])
+    def test_peak_does_not_grow_with_sessions(self, corpus, command):
+        data = (corpus / "sessions" / "device_0" / "session_00.json").read_bytes()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            session = parse_session(data)
+            session_size = tracemalloc.get_traced_memory()[0] - start
+            del session
+            self.traced_peak(self.argv(command, corpus, self.N))  # warm up: imports, caches
+            peak_n = self.traced_peak(self.argv(command, corpus, self.N))
+            peak_4n = self.traced_peak(self.argv(command, corpus, 4 * self.N))
+        finally:
+            tracemalloc.stop()
+        assert abs(peak_4n - peak_n) < session_size, (peak_n, peak_4n, session_size)

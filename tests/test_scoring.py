@@ -47,8 +47,7 @@ class TestMapMetric:
 
 class TestValidateCurve:
     def test_valid_increasing(self):
-        curve = MappingCurve("avg_fps", [(0, 0), (60, 90), (120, 100)])
-        assert curve.increasing
+        MappingCurve("avg_fps", [(0, 0), (60, 90), (120, 100)])
 
     def test_values_not_increasing(self):
         with pytest.raises(CurveError, match="values not strictly increasing at index 2"):

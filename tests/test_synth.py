@@ -375,8 +375,9 @@ class TestGenerateSession:
         with pytest.raises(ModelError, match="^device_id must name one directory"):
             dataclasses.replace(reference_model, device_id=device_id)
 
-    # Out-of-range settings were once a GameSettings ValidationError mid-generation,
-    # so `demo --manifest` exited 1 instead of reporting a manifest error.
+    # Each of these was once a ValidationError mid-generation, from the device
+    # or game record or the duration, so `demo --manifest` exited 1 instead of
+    # reporting a manifest error.
     @pytest.mark.parametrize(
         "field,value,message",
         [
@@ -384,13 +385,29 @@ class TestGenerateSession:
             ("texture_tier", -1, "texture_tier must be in 0..3, got -1"),
             ("render_scale", 0.0, "render_scale must be in (0, 1], got 0.0"),
             ("render_scale", 1.5, "render_scale must be in (0, 1], got 1.5"),
+            ("display_ppi", 0, "display_ppi must be positive"),
+            ("battery_capacity_mah", 0, "battery_capacity_mah must be positive"),
+            ("game_id", "", "game_id must be non-empty"),
+            ("session_duration_s", 60, "duration must be >= 120 s, got 60"),
+            ("session_duration_s", 1e16, "duration_s must be finite and below 9.22337e+15 s, "
+             "got 1e+16"),
         ],
     )
     def test_model_settings_must_be_in_range(self, reference_model, field, value, message):
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(reference_model, **{field: value})
+            if field == "session_duration_s":
+                generate_session(reference_model, value)
+            else:
+                dataclasses.replace(reference_model, **{field: value})
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             load_manifest(manifest_bytes({field: value}))
+
+    def test_model_carries_the_records_its_sessions_take(self, reference_model):
+        session = generate_session(reference_model, 120)
+        assert session.device is reference_model.device
+        assert session.settings is reference_model.settings
+        assert reference_model.device == telemetry.DeviceMeta("ref_device", display_ppi=500.0)
+        assert reference_model.settings == telemetry.GameSettings("demo_game", 1.0, 3, 3, 3, 3)
 
 
 class TestManifest:
