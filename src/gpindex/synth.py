@@ -133,6 +133,9 @@ class DeviceModel:
     device: DeviceMeta = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # `demo` writes a device's sessions to a directory named by its id.
+        if not is_file_name(self.device_id):
+            raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
         for param in _MODEL_PARAMS:
             name, value = param.name, getattr(self, param.name)
             if value is None and param.default is None:
@@ -142,9 +145,8 @@ class DeviceModel:
             is_int = isinstance(value, int) and not isinstance(value, bool)
             if name in _INT_MODEL_FIELDS and not is_int:
                 raise ModelError(f"{name} must be an integer, got {value!r}")
-        # `demo` writes a device's sessions to a directory named by its id.
-        if not is_file_name(self.device_id):
-            raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
+            if name in _STR_MODEL_FIELDS and not isinstance(value, str):
+                raise ModelError(f"{name} must be a string, got {value!r}")
         object.__setattr__(self, "settings", self._record(GameSettings))
         if self.base_frame_time_ms <= 0:
             raise ModelError("base_frame_time_ms must be > 0")
@@ -180,6 +182,7 @@ _MODEL_PARAMS = tuple(f for f in fields(DeviceModel) if f.init)
 _MODEL_READERS = {f.name: _READERS[f.type.removesuffix(" | None")] for f in _MODEL_PARAMS}
 _REAL_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_real}
 _INT_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_int}
+_STR_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_str}
 
 
 def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Counter, int]:

@@ -23,14 +23,17 @@ their intervals (:func:`frame_intervals`), which the session keeps for
 the FPS metrics; that pass is a ``bytes`` string built in C whenever
 every interval is an integer in 0..255 ms. The histogram stands in for
 the type pass: its keys are exact ints only if every frame is an int or
-a bool (a float gives a float interval, any other type raises
-``TypeError``), and then frames are in order iff no interval is
-negative. In order, a bool (0 or 1) can only sit among the leading
-frames ``<= 1``, which alone are type-checked, and ``frames[0]`` and
-``frames[-1]`` bound the rest. Any other histogram (a float or negative
-key, fewer than 2 frames, a ``TypeError``) sends the frames through a
-type pass. The worst case, an interval above 255 ms or a negative one,
-costs one failed byte pass before the one-by-one count.
+a bool (a float gives a float interval, which keeps a key of its own,
+and any other type raises ``TypeError``), and then frames are in order
+iff no interval is negative. In order, a bool (0 or 1) can only sit
+among the leading frames ``<= 1``, which alone are type-checked, and
+``frames[0]`` and ``frames[-1]`` bound the rest. That rule,
+:func:`ordered_int_frames`, is shared with ``report.serialize_session``,
+which writes proven frames with one ``%d`` printf. Any other histogram
+(a float or negative key, fewer than 2 frames, a ``TypeError``) sends
+the frames through a type pass. The worst case, an interval above
+255 ms or a negative one, costs one failed byte pass before the
+one-by-one count and a type pass over the frames.
 Only when a bulk check fails is a stream walked element by element, and
 that walk alone decides the outcome and names the first offending entry,
 e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
@@ -47,9 +50,10 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields
+from functools import partial
 from itertools import islice, starmap, takewhile
-from operator import itemgetter, le, mul, sub
-from typing import Any, NamedTuple, Sequence
+from operator import ge, itemgetter, le, mul, sub
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -281,12 +285,49 @@ def frame_intervals(frames: Sequence[int]) -> Counter:
     Intervals that are all integers in 0..255 ms (any session that never
     drops below 4 FPS) are counted in C through ``bytes``; any other
     interval makes ``bytes`` raise, and they are then counted one by one.
+    When no interval is negative, every key is an ``int`` only if every
+    interval is an integer: ``bytes`` takes integers alone, and one by one
+    a float interval equal to an int one (16.0 and 16) would count under
+    the int's key, so when a frame is not an int or a bool the non-int
+    intervals are counted first, under keys of their own type.
     """
+
+    def intervals() -> Iterator:
+        return map(sub, islice(frames, 1, None), frames)
+
     try:
-        steps = bytes(map(sub, islice(frames, 1, None), frames))
+        steps = bytes(intervals())
     except (TypeError, ValueError):
-        return Counter(map(sub, islice(frames, 1, None), frames))
-    return Counter({d: steps.count(d) for d in set(steps)})
+        counts = Counter(intervals())
+    else:
+        return Counter({d: steps.count(d) for d in set(steps)})
+    if (
+        set(map(type, counts)) <= {int}
+        and min(counts) >= 0
+        and not set(map(type, frames)) <= {int, bool}
+    ):
+        counts = Counter(d for d in intervals() if type(d) is not int)
+        counts.update(d for d in intervals() if type(d) is int)
+    return counts
+
+
+def ordered_int_frames(frames: Sequence, intervals: Counter) -> bool:
+    """Whether ``intervals``, the histogram of ``frames``, proves every frame an ``int``, in order.
+
+    ``intervals`` is :func:`frame_intervals` of ``frames`` or a producer's
+    equal histogram with keys of the intervals' types. Integer keys, none
+    negative, then mean every frame is an int or a bool (a float gives a
+    float interval, kept under a float key; any other type raises) and the
+    frames are in order. A bool is 0 or 1, so only the leading frames
+    ``<= 1`` can be one, and those alone are type-checked: no pass over
+    all frames. An empty histogram (fewer than 2 frames) proves nothing.
+    """
+    return (
+        bool(intervals)
+        and set(map(type, intervals)) <= {int}
+        and min(intervals) >= 0
+        and set(map(type, takewhile(partial(ge, 1), frames))) <= {int}
+    )
 
 
 def _first_decrease(ts: Sequence) -> int | None:
@@ -387,17 +428,12 @@ def _parse_frames(frames: list) -> Counter:
         intervals = frame_intervals(frames)
     except TypeError:  # a frame that is not a number; the type pass below fails too
         intervals = Counter()
-    if intervals and set(map(type, intervals)) <= {int} and min(intervals) >= 0:
-        # Integer intervals, none negative: every frame is an int or a bool
-        # (a float gives a float interval, any other type raises), in order.
-        # A bool is 0 or 1, so only the leading frames <= 1 can be one, and
-        # the endpoints bound every frame.
-        head = set(map(type, takewhile((1).__ge__, frames)))
-        if head <= {int} and lo <= frames[0] and frames[-1] <= hi:
+    if ordered_int_frames(frames, intervals):
+        if lo <= frames[0] and frames[-1] <= hi:  # in order: the endpoints bound every frame
             return intervals
     elif set(map(type, frames)) <= {int}:
         # Fewer than 2 frames, or out of order: once every frame is in range,
-        # the constructor names the fault.
+        # the constructor names the fault. A leading bool fails this pass.
         if not frames or (lo <= min(frames) and max(frames) <= hi):
             return intervals
     i = next(i for i, v in enumerate(frames) if type(v) is not int or not lo <= v <= hi)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -247,6 +248,18 @@ class TestDemo:
     def test_reports_match_goldens(self, demo_dir):
         for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
             assert (demo_dir / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
+
+    # Pins the session-file bytes, which the report goldens do not see.
+    def test_session_files_match_golden_digests(self, demo_dir):
+        golden = {}
+        for line in (GOLDEN_DIR / "demo_sessions.sha256").read_text().splitlines():
+            digest, path = line.split("  ")
+            golden[path] = digest
+        written = {
+            p.relative_to(demo_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in demo_dir.glob("sessions/*/*.json")
+        }
+        assert len(golden) == 27 and written == golden
 
     def test_plot_rows(self, demo_dir):
         lines = (demo_dir / "plot_data.csv").read_text().splitlines()

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 
 import pytest
@@ -18,7 +21,14 @@ from gpindex.report import (
     round_display,
     serialize_session,
 )
-from gpindex.telemetry import DeviceMeta, GameSettings, SessionTelemetry
+from gpindex.telemetry import (
+    FRAME_LIMIT_MS,
+    DeviceMeta,
+    GameSettings,
+    SessionTelemetry,
+    parse_session,
+)
+from tests.strategies import sessions
 
 
 def parse_report(data):
@@ -198,6 +208,15 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(self.table(), "xml")
 
+    # A bare "\r" in an id once split its row in two for csv readers.
+    @pytest.mark.parametrize("device_id", ["dev\rX", "dev\r\nX", 'a,"b"\rc'])
+    def test_csv_rows_read_back_whole(self, device_id):
+        table = rank_devices([make_card(device_id, 50.0, profile="p\rq")])
+        rows = list(csv.reader(io.StringIO(emit_report(table, "csv").decode(), newline="")))
+        assert [row[:3] for row in rows[1:]] == [[device_id, "p\rq", "1"]]
+        rows = list(csv.reader(io.StringIO(emit_plot_data([table]).decode(), newline="")))
+        assert rows[1:] == [[device_id, "p\rq", "50"]]
+
 
 class TestPlotData:
     def test_cardinality_9x2(self):
@@ -255,3 +274,119 @@ class TestSerializeSession:
             '"events":{"launch":[0,5],"frames":[0,16,33],"battery":[[0,100.0],[16,99.5]],'
             '"temperature":[[0,30.25,"soc"]],"touch":[[10,41.0]],"scene_loads":[[1,2]]}}\n'
         ).encode()
+
+
+def oracle_bytes(session):
+    """The session-file format's definition: the whole document through json.dumps."""
+    device = {k: v for k, v in dataclasses.asdict(session.device).items() if v is not None}
+    events = {}
+    if session.launch is not None:
+        events["launch"] = session.launch
+    events["frames"] = session.frames
+    for name in ("battery", "temperature", "touch", "scene_loads"):
+        if getattr(session, name):
+            events[name] = getattr(session, name)
+    doc = {
+        "schema_version": session.schema_version,
+        "device": device,
+        "game": dataclasses.asdict(session.settings),
+        "events": events,
+    }
+    return (json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n").encode()
+
+
+# Strings json escapes or the frame printf must not read as a format: quotes,
+# '%', a literal '"frames":[]', control and non-ASCII characters.
+_tricky_text = st.text(min_size=1, max_size=8) | st.sampled_from(
+    ['"frames":[]', "%d%s%%", "%", 'a"b\\c', "\r\n\t\x00", "ü東😀"]
+)
+
+
+@st.composite
+def wide_frames(draw):
+    """Ordered frames far beyond the demo's: any start, ends at +/-2**53, ints past
+    int64 (only a directly built session holds those) and intervals above 255 ms;
+    now and then with bools among the leading frames <= 1 or one float frame."""
+    gaps = draw(st.lists(st.integers(0, 255) | st.integers(256, 2**40), min_size=1, max_size=30))
+    if not any(gaps):
+        gaps[-1] = draw(st.integers(1, 300))
+    span = sum(gaps)
+    start = draw(
+        st.integers(-3, 1)
+        | st.integers(-(2**53), 2**53)
+        | st.integers(0, 8).map(lambda k: FRAME_LIMIT_MS - 1 - span - k)
+        | st.integers(0, 8).map(lambda k: 1 - FRAME_LIMIT_MS + k)
+        | st.integers(-(2**80), 2**80)
+    )
+    frames = [start]
+    for gap in gaps:
+        frames.append(frames[-1] + gap)
+    kind = draw(st.sampled_from(["int", "int", "bool", "float"]))
+    if kind == "bool":
+        frames = [bool(t) if t in (0, 1) else t for t in frames]
+    elif kind == "float":
+        i = draw(st.integers(0, len(frames) - 1))
+        if abs(frames[i]) < FRAME_LIMIT_MS // 2:  # exact as a float, and so is t + 0.5
+            frames[i] = float(frames[i])
+            if i == len(frames) - 1 and draw(st.booleans()):
+                frames[i] += 0.5
+    return tuple(frames)
+
+
+@st.composite
+def wide_sessions(draw):
+    session = draw(sessions(max_intervals=8))
+    return dataclasses.replace(
+        session,
+        device=dataclasses.replace(session.device, device_id=draw(_tricky_text)),
+        settings=dataclasses.replace(session.settings, game_id=draw(_tricky_text)),
+        frames=draw(wide_frames()),
+        temperature=tuple(t._replace(sensor=draw(_tricky_text)) for t in session.temperature),
+    )
+
+
+class Millis(int):
+    """An int subclass: json and %d both write its int value, never its repr."""
+
+    def __repr__(self):
+        return "millis"
+
+    __str__ = __repr__
+
+
+class TestSerializeSessionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_sessions())
+    def test_equals_whole_document_json(self, session):
+        expected = oracle_bytes(session)
+        assert serialize_session(session) == expected
+        if set(map(type, session.frames)) <= {int} and all(
+            abs(t) < FRAME_LIMIT_MS for t in (session.frames[0], session.frames[-1])
+        ):
+            # The parser's histogram, handed over, drives the printf the same way.
+            assert serialize_session(parse_session(expected)) == expected
+
+    # Bools and floats, which %d would write as 1 or 16, fall back to json;
+    # int subclasses and ints past int64 are written as json writes them.
+    @pytest.mark.parametrize(
+        "frames,text",
+        [
+            ((False, True, 5), b'"frames":[false,true,5]'),
+            ((0, 16.5, 33), b'"frames":[0,16.5,33]'),
+            ((5, 21.0, 37), b'"frames":[5,21.0,37]'),
+            ((-5, 0, True, 300), b'"frames":[-5,0,true,300]'),
+            ((0, Millis(16), 33), b'"frames":[0,16,33]'),
+            ((-(2**70), 2**64, 2**64 + 1), b'"frames":[-1180591620717411303424,'
+             b"18446744073709551616,18446744073709551617]"),
+        ],
+    )
+    def test_frames_written_as_json_writes_them(self, frames, text):
+        session = SessionTelemetry(
+            schema_version=1,
+            device=DeviceMeta("%d"),
+            settings=GameSettings("g", 1.0, 0, 0, 0, 0),
+            frames=frames,
+        )
+        payload = serialize_session(session)
+        assert payload == oracle_bytes(session)
+        assert text in payload

@@ -369,6 +369,13 @@ class TestGenerateSession:
         with pytest.raises(ModelError, match=f"^{field} must be an integer, got {value!r}$"):
             dataclasses.replace(reference_model, **{field: value})
 
+    # A non-string game_id was once accepted, and its sessions' files failed to parse.
+    @pytest.mark.parametrize("value", [5, None, b"g", ["g"]])
+    def test_model_strings_must_be_strings(self, reference_model, value):
+        with pytest.raises(ModelError) as info:
+            dataclasses.replace(reference_model, game_id=value)
+        assert str(info.value) == f"game_id must be a string, got {value!r}"
+
     # demo writes each device's sessions to a directory named by its id.
     @pytest.mark.parametrize("device_id", ["", ".", "..", "../x", "/", "a\\b", "a\x00", None])
     def test_device_id_must_name_one_directory(self, reference_model, device_id):

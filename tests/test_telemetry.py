@@ -6,7 +6,7 @@ from collections import Counter
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpindex import metrics, telemetry
@@ -501,7 +501,9 @@ def _frames_lists(draw):
         frames.append(frames[-1] + step)
     for _ in range(draw(st.integers(0, 2))):
         i = 0 if draw(st.booleans()) else draw(st.integers(0, len(frames) - 1))
-        frames[i] = draw(_JUNK)
+        # A float of a frame's own value keeps the values of its intervals.
+        floats = st.just(float(frames[i])) if type(frames[i]) is int else st.nothing()
+        frames[i] = draw(_JUNK | floats)
     return frames
 
 
@@ -518,6 +520,9 @@ class TestFrameCheckOracle:
 
     @settings(max_examples=400, deadline=None)
     @given(_frames_lists())
+    # A float frame whose intervals equal int ones was once accepted.
+    @example([0, 16, 32.0, 48])
+    @example([0, 0, 256, 256.0, 256])
     def test_same_outcome_as_the_oracle(self, frames):
         data = to_bytes(make_doc(events={"frames": frames}))
         with patch.object(telemetry, "_parse_frames", _oracle_parse_frames):
@@ -530,6 +535,20 @@ class TestFrameCheckOracle:
         brute = Counter(b - a for a, b in zip(frames, frames[1:]))
         got = telemetry.frame_intervals(frames)
         assert got == brute and set(map(type, got)) <= {int}
+
+    # Frames in order, a few as floats: repeated intervals make a float one
+    # equal to an int one, which once counted under the int's key.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0, 16, 17, 300]), st.booleans()), min_size=2))
+    def test_keys_show_a_float_frame_in_order(self, steps):
+        frames, t = [], 0
+        for gap, as_float in steps:
+            t += gap
+            frames.append(float(t) if as_float else t)
+        brute = Counter(b - a for a, b in zip(frames, frames[1:]))
+        got = telemetry.frame_intervals(frames)
+        assert got == brute
+        assert (set(map(type, got)) <= {int}) == (set(map(type, frames)) <= {int})
 
 
 class TestRoundTrip:
