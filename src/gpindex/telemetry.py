@@ -20,28 +20,32 @@ with one C-level pass per column for element types and ranges
 timestamp order (``all(map(operator.le, xs, xs[1:]))``). Frames, almost
 all of a session's bytes, take a single pass, into the histogram of
 their intervals (:func:`frame_intervals`), which the session keeps for
-the FPS metrics; that pass is a ``bytes`` string built in C whenever
-every interval is an integer in 0..255 ms. The histogram stands in for
-the type pass: its keys are exact ints only if every frame is an int or
-a bool (a float gives a float interval, which keeps a key of its own,
-and any other type raises ``TypeError``), and then frames are in order
-iff no interval is negative. In order, a bool (0 or 1) can only sit
-among the leading frames ``<= 1``, which alone are type-checked, and
-``frames[0]`` and ``frames[-1]`` bound the rest. That rule,
-:func:`ordered_int_frames`, is shared with ``report.serialize_session``,
-which writes proven frames with one ``%d`` printf. Any other histogram
-(a float or negative key, fewer than 2 frames, a ``TypeError``) sends
-the frames through a type pass. The worst case, an interval above
-255 ms or a negative one, costs one failed byte pass before the
-one-by-one count and a type pass over the frames.
+the FPS metrics. That pass goes block by block, ``_FRAME_BLOCK``
+intervals at a time, each block a ``bytes`` string built in C whenever
+its intervals are integers in 0..255 ms; a block ``bytes`` rejects is
+counted one by one, so a long frame or a fault costs one block. The
+histogram stands in for the type pass: its keys are exact ints only if
+every frame is an int or a bool (a float gives a float interval, which
+keeps a key of its own, and any other type raises ``TypeError``), and
+then frames are in order iff no interval is negative. In order, a bool
+(0 or 1) can only sit among the leading frames ``<= 1``, which alone are
+type-checked, and ``frames[0]`` and ``frames[-1]`` bound the rest. That
+rule, :func:`ordered_int_frames`, is shared with
+``report.serialize_session``, which writes proven frames with one ``%d``
+printf. Any other histogram (a float or negative key, fewer than 2
+frames, a ``TypeError``) sends the frames through the same rule block by
+block: a block ``bytes`` took holds ints or bools in order, so only its
+leading frames ``<= 1`` are type-checked and its endpoints bound it; a
+block ``bytes`` rejected takes a type pass and ``min``/``max``.
 Only when a bulk check fails is a stream walked element by element, and
 that walk alone decides the outcome and names the first offending entry,
 e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
 non-decreasing at t=...ms``. The bulk checks never accept what the walk
 would reject, so a valid stream is never walked and every diagnostic is
-the walk's; the frame walk reads only the first frame the bulk check
-rejects. The per-sample battery, touch-latency and scene-load
-invariants are few-sample streams and are walked directly.
+the walk's; a frame walk reads only the first block that fails, and
+from it only the first frame the bulk check rejects. The per-sample
+battery, touch-latency and scene-load invariants are few-sample streams
+and are walked directly.
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
-from itertools import islice, starmap, takewhile
+from itertools import starmap, takewhile
 from operator import ge, itemgetter, le, mul, sub
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -85,6 +89,9 @@ GAME_TIER_FIELDS = ("texture_tier", "effects_tier", "aa_tier", "dynamic_range_ti
 
 # Frame timestamps lie strictly between -FRAME_LIMIT_MS and FRAME_LIMIT_MS.
 FRAME_LIMIT_MS = 2**53
+
+# Frame intervals are counted and checked in blocks of this many.
+_FRAME_BLOCK = 1 << 12
 
 
 class UnknownKeyWarning(UserWarning):
@@ -225,6 +232,13 @@ class SessionTelemetry:
             or sum(map(mul, intervals, intervals.values())) != self.duration_ms
         ):
             raise ValidationError("frame interval histogram does not match frames")
+        if not all(-math.inf < d < math.inf for d in intervals):  # NaN compares false
+            i = next((i for i, t in enumerate(self.frames) if not -math.inf < t < math.inf), None)
+            raise ValidationError(
+                "frame intervals must be finite"  # finite frames too far apart for a float
+                if i is None
+                else f"non-finite frame timestamp at frames[{i}]"
+            )
         if min(intervals) < 0:
             i = _first_decrease(self.frames)
             raise ValidationError(f"frames not non-decreasing at t={self.frames[i]}ms")
@@ -279,36 +293,55 @@ class SessionTelemetry:
         return self.frames[-1] - self.frames[0]
 
 
+class _Intervals(Counter):
+    """A :func:`frame_intervals` histogram, with the blocks ``bytes`` rejected.
+
+    ``rejected`` holds the first interval index of each such block.
+    """
+
+    rejected: frozenset = frozenset()
+
+
 def frame_intervals(frames: Sequence[int]) -> Counter:
     """Histogram of the intervals ``b - a`` between consecutive frame timestamps.
 
-    Intervals that are all integers in 0..255 ms (any session that never
-    drops below 4 FPS) are counted in C through ``bytes``; any other
-    interval makes ``bytes`` raise, and they are then counted one by one.
-    When no interval is negative, every key is an ``int`` only if every
-    interval is an integer: ``bytes`` takes integers alone, and one by one
-    a float interval equal to an int one (16.0 and 16) would count under
-    the int's key, so when a frame is not an int or a bool the non-int
-    intervals are counted first, under keys of their own type.
+    The intervals are taken in blocks of ``_FRAME_BLOCK``. A block whose
+    intervals are all integers in 0..255 ms (any stretch that never drops
+    below 4 FPS) becomes a ``bytes`` string in C; the joined strings are
+    counted by deleting one distinct interval at a time. Any other
+    interval makes ``bytes`` raise, and that block alone is counted one
+    by one. When no interval is negative, every key is an ``int`` only if
+    every interval is an integer: ``bytes`` takes integers alone, and the
+    non-int intervals of every rejected block are counted before any int
+    one, so a float interval equal to an int one (16.0 and 16) keeps a
+    key of its own type. The histogram lists the rejected blocks
+    (``_Intervals.rejected``) for the parser's per-block checks.
     """
-
-    def intervals() -> Iterator:
-        return map(sub, islice(frames, 1, None), frames)
-
-    try:
-        steps = bytes(intervals())
-    except (TypeError, ValueError):
-        counts = Counter(intervals())
-    else:
-        return Counter({d: steps.count(d) for d in set(steps)})
-    if (
-        set(map(type, counts)) <= {int}
-        and min(counts) >= 0
-        and not set(map(type, frames)) <= {int, bool}
-    ):
-        counts = Counter(d for d in intervals() if type(d) is not int)
-        counts.update(d for d in intervals() if type(d) is int)
+    size = _FRAME_BLOCK
+    accepted, odd, rejected = [], [], []
+    for s in range(0, len(frames) - 1, size):
+        ends, starts = frames[s + 1 : s + size + 1], frames[s : s + size]
+        try:
+            accepted.append(bytes(map(sub, ends, starts)))
+        except (TypeError, ValueError):
+            odd.append(list(map(sub, ends, starts)))  # a frame that is not a number raises
+            rejected.append(s)
+    counts = _Intervals()
+    counts.update(d for block in odd for d in block if type(d) is not int)
+    counts.update(d for block in odd for d in block if type(d) is int)
+    steps = b"".join(accepted)
+    while steps:
+        d = steps[0]
+        rest = steps.translate(None, bytes((d,)))
+        counts[d] += len(steps) - len(rest)
+        steps = rest
+    counts.rejected = frozenset(rejected)
     return counts
+
+
+def _int_head(frames: Sequence) -> bool:
+    """Whether the leading frames ``<= 1`` of frames in order are ``int``: only they can be bools."""
+    return set(map(type, takewhile(partial(ge, 1), frames))) <= {int}
 
 
 def ordered_int_frames(frames: Sequence, intervals: Counter) -> bool:
@@ -326,15 +359,24 @@ def ordered_int_frames(frames: Sequence, intervals: Counter) -> bool:
         bool(intervals)
         and set(map(type, intervals)) <= {int}
         and min(intervals) >= 0
-        and set(map(type, takewhile(partial(ge, 1), frames))) <= {int}
+        and _int_head(frames)
     )
 
 
 def _first_decrease(ts: Sequence) -> int | None:
-    """Index of the first element below its predecessor, or None."""
-    if all(map(le, ts, islice(ts, 1, None))):
-        return None
-    return next((i for i in range(1, len(ts)) if ts[i] < ts[i - 1]), None)
+    """Index of the first element below its predecessor, or None.
+
+    Checked in C a block of ``_FRAME_BLOCK`` steps at a time
+    (``all(map(le, ...))``); only a block that fails is walked.
+    """
+    size = _FRAME_BLOCK
+    for s in range(0, len(ts) - 1, size):
+        starts, ends = ts[s : s + size], ts[s + 1 : s + size + 1]
+        if not all(map(le, starts, ends)):
+            i = next((i for i, (a, b) in enumerate(zip(starts, ends)) if b < a), None)
+            if i is not None:  # else a NaN, which no order check can place
+                return s + i + 1
+    return None
 
 
 # --- parsing -----------------------------------------------------------
@@ -426,19 +468,30 @@ def _parse_frames(frames: list) -> Counter:
     lo, hi = 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1
     try:
         intervals = frame_intervals(frames)
-    except TypeError:  # a frame that is not a number; the type pass below fails too
+    except (TypeError, OverflowError):  # a frame that is not a number, or an int past float
         intervals = Counter()
-    if ordered_int_frames(frames, intervals):
-        if lo <= frames[0] and frames[-1] <= hi:  # in order: the endpoints bound every frame
-            return intervals
-    elif set(map(type, frames)) <= {int}:
-        # Fewer than 2 frames, or out of order: once every frame is in range,
-        # the constructor names the fault. A leading bool fails this pass.
-        if not frames or (lo <= min(frames) and max(frames) <= hi):
-            return intervals
-    i = next(i for i, v in enumerate(frames) if type(v) is not int or not lo <= v <= hi)
-    _as_frame(frames[i], f"events.frames[{i}]")  # the walk rejects what the bulk check does
-    raise AssertionError(f"events.frames[{i}] passed the walk")
+        rejected = range(0, len(frames), _FRAME_BLOCK)  # every block takes the type pass
+    else:
+        if ordered_int_frames(frames, intervals):
+            if lo <= frames[0] and frames[-1] <= hi:  # in order: the endpoints bound every frame
+                return intervals
+        rejected = intervals.rejected
+    # Otherwise each block is checked by the rule its byte pass allows and
+    # only the first that fails is walked. Fewer than 2 frames, or out of
+    # order: once every frame is in range, the constructor names the fault.
+    for s in range(0, max(len(frames) - 1, 1), _FRAME_BLOCK):
+        block = frames[s : s + _FRAME_BLOCK + 1]
+        if len(block) < 2 or s in rejected:
+            ok = set(map(type, block)) <= {int} and (
+                not block or (lo <= min(block) and max(block) <= hi)
+            )
+        else:  # bytes took its intervals: ints or bools, in order
+            ok = _int_head(block) and lo <= block[0] and block[-1] <= hi
+        if not ok:
+            i = s + next(j for j, v in enumerate(block) if type(v) is not int or not lo <= v <= hi)
+            _as_frame(frames[i], f"events.frames[{i}]")  # the walk rejects what the bulk check does
+            raise AssertionError(f"events.frames[{i}] passed the walk")
+    return intervals
 
 
 def _parse_device(obj: dict) -> DeviceMeta:

@@ -380,6 +380,60 @@ def test_end_to_end_validate(tmp_path):
     report(f"end to end: validate on the 27 demo corpus files in {elapsed:.2f} s < 2 s (median of 3)")
 
 
+def _late_fault(path: Path, k: int) -> tuple[str, str | None]:
+    """Write a late-fault copy of a session file; return its path and diagnostic (None: valid).
+
+    In turn a float frame, a swapped pair of frames, or a 300 ms frame
+    (a valid session), a few frames from the end of the stream.
+    """
+    doc = json.loads(path.read_bytes())
+    frames = doc["events"]["frames"]
+    n = len(frames) - 5 - k
+    kind = k % 3
+    if kind == 0:
+        frames[n] += 0.5
+        message = f"events.frames[{n}]: expected integer, got float"
+    elif kind == 1:
+        while frames[n] >= frames[n + 1]:
+            n -= 1
+        frames[n], frames[n + 1] = frames[n + 1], frames[n]
+        message = f"frames not non-decreasing at t={frames[n + 1]}ms"
+    else:
+        frames[n:] = [t + 300 - (frames[n] - frames[n - 1]) for t in frames[n:]]
+        message = None
+    copy = path.with_name(f"{path.stem}_late.json")
+    copy.write_text(json.dumps(doc, separators=(",", ":")))
+    return str(copy), message
+
+
+def test_end_to_end_validate_rejections(tmp_path):
+    """`gpindex validate` in-process on the 27 demo files and a late-fault copy of each."""
+    demo = tmp_path / "demo"
+    assert main(["demo", "--out", str(demo)]) == 0
+    files, diagnostics = [], []
+    for k, path in enumerate(sorted((demo / "sessions").glob("*/*.json"))):
+        copy, message = _late_fault(path, k)
+        files += [str(path), copy]
+        if message is not None:
+            diagnostics.append(f"{copy}: {message}\n")
+    valid = len(files) - len(diagnostics)
+    times = []
+    for _ in range(3):
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["validate", *files]) == 1
+        times.append(time.perf_counter() - t0)
+        assert out.getvalue() == f"{valid} valid\n"
+        assert err.getvalue() == "".join(diagnostics)
+    elapsed = statistics.median(times)
+    assert elapsed < 2.0
+    report(
+        f"end to end: validate on {len(files)} demo files, {len(diagnostics)} with a late fault, "
+        f"in {elapsed:.2f} s < 2 s (median of 3)"
+    )
+
+
 def test_end_to_end_demo(tmp_path):
     """`gpindex demo` in-process: generate, write and score the 27-session demo corpus."""
     goldens = Path(__file__).parent / "goldens"

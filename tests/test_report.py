@@ -4,9 +4,12 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from unittest.mock import patch
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gpindex import telemetry
 from gpindex.errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from gpindex.indices import MainIndex, ScoreCard
 from gpindex.report import (
@@ -354,17 +357,31 @@ class Millis(int):
     __str__ = __repr__
 
 
+def _session(frames):
+    return SessionTelemetry(
+        schema_version=1,
+        device=DeviceMeta("%d"),
+        settings=GameSettings("g", 1.0, 0, 0, 0, 0),
+        frames=frames,
+    )
+
+
 class TestSerializeSessionOracle:
+    # Block sizes of 2-5 intervals split the drawn frames into several blocks.
     @settings(max_examples=300, deadline=None)
-    @given(wide_sessions())
-    def test_equals_whole_document_json(self, session):
+    @given(wide_sessions(), st.integers(2, 5))
+    # A float frame only in a later block, after int blocks of its interval.
+    @example(_session((0, 16, 32, 48, 64, 80, 96.0)), 2)
+    def test_equals_whole_document_json(self, session, block):
         expected = oracle_bytes(session)
-        assert serialize_session(session) == expected
-        if set(map(type, session.frames)) <= {int} and all(
-            abs(t) < FRAME_LIMIT_MS for t in (session.frames[0], session.frames[-1])
-        ):
-            # The parser's histogram, handed over, drives the printf the same way.
-            assert serialize_session(parse_session(expected)) == expected
+        with patch.object(telemetry, "_FRAME_BLOCK", block):
+            session = dataclasses.replace(session)  # takes its histogram block by block
+            assert serialize_session(session) == expected
+            if set(map(type, session.frames)) <= {int} and all(
+                abs(t) < FRAME_LIMIT_MS for t in (session.frames[0], session.frames[-1])
+            ):
+                # The parser's histogram, handed over, drives the printf the same way.
+                assert serialize_session(parse_session(expected)) == expected
 
     # Bools and floats, which %d would write as 1 or 16, fall back to json;
     # int subclasses and ints past int64 are written as json writes them.
@@ -381,12 +398,7 @@ class TestSerializeSessionOracle:
         ],
     )
     def test_frames_written_as_json_writes_them(self, frames, text):
-        session = SessionTelemetry(
-            schema_version=1,
-            device=DeviceMeta("%d"),
-            settings=GameSettings("g", 1.0, 0, 0, 0, 0),
-            frames=frames,
-        )
+        session = _session(frames)
         payload = serialize_session(session)
         assert payload == oracle_bytes(session)
         assert text in payload

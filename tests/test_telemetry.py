@@ -221,6 +221,9 @@ class TestClosedErrorSurface:
             # frame intervals taken in integers and in floats could differ.
             ({"frames": [0, 16, 2**53]}, "events.frames[2]: frame timestamp outside +/-2**53 ms"),
             ({"frames": [-(2**53), 16]}, "events.frames[0]: frame timestamp outside +/-2**53 ms"),
+            # An int too large for a float next to a float frame once escaped
+            # as OverflowError from the interval count.
+            ({"frames": [0, 10**400, 0.5]}, "events.frames[1]: integer outside the int64 range"),
         ],
     )
     def test_event_values_out_of_domain(self, events, message):
@@ -244,6 +247,21 @@ class TestClosedErrorSurface:
         rows[index] = rows[index][:1] + (value,) + rows[index][2:]
         with pytest.raises(ValidationError, match=rf"non-finite .* at t={rows[index][0]}ms"):
             dataclasses.replace(reference_session, **{stream: rows})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_non_finite_frame_in_built_session(self, reference_session, value, index):
+        # Once accepted, and then an IndexError from measure.
+        frames = [0, 16, 32]
+        frames[index] = value
+        with pytest.raises(
+            ValidationError, match=rf"^non-finite frame timestamp at frames\[{index}\]$"
+        ):
+            dataclasses.replace(reference_session, frames=tuple(frames))
+
+    def test_frames_too_far_apart_for_a_float(self, reference_session):
+        with pytest.raises(ValidationError, match=r"^frame intervals must be finite$"):
+            dataclasses.replace(reference_session, frames=(-1e308, 1e308))
 
     def test_infinite_display_ppi(self):
         doc = make_doc()
@@ -413,6 +431,67 @@ class TestFixtureFile:
         assert [w for w in read if w.startswith("events.frames")] == ["events.frames[35990]"]
 
 
+def _late_float(frames):
+    frames[-10] += 0.5
+    return SchemaError, f"events.frames[{len(frames) - 10}]: expected integer, got float"
+
+
+def _late_swap(frames):
+    n = len(frames) - 10
+    frames[n], frames[n + 1] = frames[n + 1], frames[n]
+    return ValidationError, f"frames not non-decreasing at t={frames[n + 1]}ms"
+
+
+def _late_hitch(frames):
+    n = len(frames) - 10
+    frames[n:] = [t + 300 - (frames[n] - frames[n - 1]) for t in frames[n:]]
+    return None
+
+
+class TestLateFaultWork:
+    """A late fault or a long frame counts and walks one block, not the stream."""
+
+    @pytest.mark.parametrize("change", [_late_float, _late_swap, _late_hitch])
+    def test_one_block_counted_and_walked(
+        self, fixture_session_path, reference_session, monkeypatch, change
+    ):
+        doc = json.loads(fixture_session_path.read_bytes())
+        frames = doc["events"]["frames"]
+        outcome = change(frames)
+        # Every interval is taken once by the byte pass; one block again, one by one.
+        taken = 0
+        sub = telemetry.sub
+
+        def counting_sub(a, b):
+            nonlocal taken
+            taken += 1
+            return sub(a, b)
+
+        read = []
+        as_int = telemetry.as_int
+
+        def counting_as_int(value, where):
+            read.append(where)
+            return as_int(value, where)
+
+        monkeypatch.setattr(telemetry, "sub", counting_sub)
+        monkeypatch.setattr(telemetry, "as_int", counting_as_int)
+        data = to_bytes(doc)
+        if outcome is None:
+            session = parse_session(data)
+        else:
+            error, message = outcome
+            with pytest.raises(error) as info:
+                parse_session(data)
+            assert type(info.value) is error and str(info.value) == message
+        assert taken <= len(frames) - 1 + telemetry._FRAME_BLOCK
+        assert len([w for w in read if w.startswith("events.frames")]) <= 1
+        if outcome is None:
+            assert session == dataclasses.replace(reference_session, frames=tuple(frames))
+            brute = Counter(b - a for a, b in zip(frames, frames[1:]))
+            assert session.frame_intervals == brute and max(brute) == 300
+
+
 class TestFrameIntervals:
     """A session takes the histogram of its frame intervals once, parsed or built."""
 
@@ -515,38 +594,67 @@ def _outcome(data):
     return session.frames, session.frame_intervals
 
 
+# Block sizes small enough that a drawn frame list spans several blocks.
+_BLOCKS = st.integers(2, 5)
+
+
 class TestFrameCheckOracle:
     """The byte-path frame check decides every frame list as the reference check does."""
 
     @settings(max_examples=400, deadline=None)
-    @given(_frames_lists())
+    @given(_frames_lists(), _BLOCKS)
     # A float frame whose intervals equal int ones was once accepted.
-    @example([0, 16, 32.0, 48])
-    @example([0, 0, 256, 256.0, 256])
-    def test_same_outcome_as_the_oracle(self, frames):
+    @example([0, 16, 32.0, 48], 4)
+    @example([0, 0, 256, 256.0, 256], 4)
+    # Faults at a block's first interval (3) and at its last (5).
+    @example([0, 16, 32, 48, 40, 80, 96, 112, 128], 3)
+    @example([0, 16, 32, 48, 64, 80, 70, 112, 128], 3)
+    @example([0, 16, 32, 48, 64.5, 80, 96, 112, 128], 3)
+    @example([0, 16, 32, 48, 64, 80, 96.5, 112, 128], 3)
+    @example([0, 16, 32, 2**53, 2**53 + 16, 2**53 + 32, 2**53 + 48], 3)
+    # A float frame only in a later block.
+    @example([0, 16, 32, 48, 64, 80, 96.0, 112], 2)
+    # A bool in a block bytes took, after a block rejected for disorder.
+    @example([5, 0, 0, True, 3], 2)
+    # An out-of-range int in a block bytes took, before a later disorder.
+    @example([2**53 - 16, 2**53, 2**53 + 16, 0], 2)
+    # A frame that is not a number, after an out-of-range one.
+    @example([0, 16, 32, 48, 2**53, "64", 80], 2)
+    def test_same_outcome_as_the_oracle(self, frames, block):
         data = to_bytes(make_doc(events={"frames": frames}))
         with patch.object(telemetry, "_parse_frames", _oracle_parse_frames):
             expected = _outcome(data)
-        assert _outcome(data) == expected
+        with patch.object(telemetry, "_FRAME_BLOCK", block):
+            assert _outcome(data) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.integers(-3, 300), st.sampled_from([255, 256, -(2**70)]))))
-    def test_histogram_equals_the_counter(self, frames):
+    @given(
+        st.lists(st.one_of(st.integers(-3, 300), st.sampled_from([255, 256, -(2**70)]))),
+        _BLOCKS,
+    )
+    def test_histogram_equals_the_counter(self, frames, block):
         brute = Counter(b - a for a, b in zip(frames, frames[1:]))
-        got = telemetry.frame_intervals(frames)
+        with patch.object(telemetry, "_FRAME_BLOCK", block):
+            got = telemetry.frame_intervals(frames)
         assert got == brute and set(map(type, got)) <= {int}
 
     # Frames in order, a few as floats: repeated intervals make a float one
     # equal to an int one, which once counted under the int's key.
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from([0, 16, 17, 300]), st.booleans()), min_size=2))
-    def test_keys_show_a_float_frame_in_order(self, steps):
+    @given(
+        st.lists(st.tuples(st.sampled_from([0, 16, 17, 300]), st.booleans()), min_size=2),
+        _BLOCKS,
+    )
+    # The float frame in the last block, after int blocks of the same interval.
+    @example([(16, False)] * 6 + [(16, True)], 2)
+    def test_keys_show_a_float_frame_in_order(self, steps, block):
         frames, t = [], 0
         for gap, as_float in steps:
             t += gap
             frames.append(float(t) if as_float else t)
         brute = Counter(b - a for a, b in zip(frames, frames[1:]))
-        got = telemetry.frame_intervals(frames)
+        with patch.object(telemetry, "_FRAME_BLOCK", block):
+            got = telemetry.frame_intervals(frames)
         assert got == brute
         assert (set(map(type, got)) <= {int}) == (set(map(type, frames)) <= {int})
 
