@@ -23,8 +23,9 @@ so extraction reads no frame but the first and the last: walking its
 sorted keys with cumulative counts gives the percentile interval, the
 median and the band count. Intervals become floats exactly where
 float64 arrays would hold them, so the results equal those of the same
-rules in numpy bit for bit while timestamps stay within +/-2**53 ms, as
-the parser ensures; the test suite keeps the numpy version as its oracle.
+rules in numpy bit for bit, since every session's frames are ints
+within +/-2**53 ms (``SessionTelemetry`` checks them, parsed or built);
+the test suite keeps the numpy version as its oracle.
 """
 
 from __future__ import annotations

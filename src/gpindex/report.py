@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from .indices import MainIndex, ScoreCard
-from .telemetry import SessionTelemetry, ordered_int_frames
+from .telemetry import SessionTelemetry
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -205,25 +205,19 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     4-decimal report style) so values survive the round trip exactly.
 
     The frame stream, almost all of a file's bytes, is written by one
-    bytes printf, ``b"%d,...,%d" % frames``, when the session's interval
-    histogram proves every frame an ``int`` (``telemetry.ordered_int_frames``:
-    integer keys, none negative, and ``int`` leading frames ``<= 1``);
-    ``%d`` writes an int exactly as json does. The parser and the
-    generator always hand over such a histogram for int frames. A
-    session built directly with bool or float frames, which ``%d`` would
-    write as ``1`` or ``16``, is written by ``json.dumps`` whole.
+    bytes printf, ``b"%d,...,%d" % frames``: every session's frames are
+    ints (``SessionTelemetry`` checks them), and ``%d`` writes an int
+    exactly as json does.
     """
     # The records' fields in declaration order; an unrecorded device property is left out.
     device = {name: value for name, value in asdict(session.device).items() if value is not None}
     game = asdict(session.settings)
 
     # json writes tuples, NamedTuples included, as arrays: no stream is copied.
-    frames = session.frames
-    printf = ordered_int_frames(frames, session.frame_intervals)
     events: dict[str, Any] = {}
     if session.launch is not None:
         events["launch"] = session.launch
-    events["frames"] = () if printf else frames
+    events["frames"] = ()
     for name in ("battery", "temperature", "touch", "scene_loads"):
         if getattr(session, name):
             events[name] = getattr(session, name)
@@ -235,11 +229,10 @@ def serialize_session(session: SessionTelemetry) -> bytes:
         "events": events,
     }
     text = json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
-    if not printf:
-        return text.encode("utf-8")
     # json escapes every quote inside a string, so '"frames":[]' can only be
     # the frames key; a '%' can only sit inside a string and is escaped for
     # the printf. The whole file is then one format string, formatted once.
     head, _, tail = text.replace("%", "%%").encode("utf-8").partition(b'"frames":[]')
+    frames = session.frames
     template = b"".join((head, b'"frames":[', b"%d," * (len(frames) - 1), b"%d]", tail))
     return template % frames

@@ -10,9 +10,11 @@ a fully validated :class:`SessionTelemetry` or exactly one of
 ``SessionSyntaxError`` / ``SchemaError`` / ``ValidationError``. The
 document is decoded and its fields read by :mod:`gpindex.jsondoc`, so
 reals must be finite and integers must fit in int64. Frame timestamps
-must also lie strictly within +/-2**53 ms, where every integer is exact
-as a float64, so frame intervals are the same whether taken in integers
-or in floats.
+must also be ints strictly within +/-2**53 ms, where every integer is
+exact as a float64, so frame intervals are the same whether taken in
+integers or in floats. That rule holds for every session, parsed or
+built directly: one check, :func:`_parse_frames`, decides it for both,
+and names a bad frame ``events.frames[N]`` or ``frames[N]``.
 
 Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
@@ -29,14 +31,12 @@ every frame is an int or a bool (a float gives a float interval, which
 keeps a key of its own, and any other type raises ``TypeError``), and
 then frames are in order iff no interval is negative. In order, a bool
 (0 or 1) can only sit among the leading frames ``<= 1``, which alone are
-type-checked, and ``frames[0]`` and ``frames[-1]`` bound the rest. That
-rule, :func:`ordered_int_frames`, is shared with
-``report.serialize_session``, which writes proven frames with one ``%d``
-printf. Any other histogram (a float or negative key, fewer than 2
-frames, a ``TypeError``) sends the frames through the same rule block by
-block: a block ``bytes`` took holds ints or bools in order, so only its
-leading frames ``<= 1`` are type-checked and its endpoints bound it; a
-block ``bytes`` rejected takes a type pass and ``min``/``max``.
+type-checked, and ``frames[0]`` and ``frames[-1]`` bound the rest. Any
+other histogram (a float or negative key, fewer than 2 frames, a
+``TypeError``) sends the frames through the same rule block by block:
+a block ``bytes`` took holds ints or bools in order, so only its leading
+frames ``<= 1`` are type-checked and its endpoints bound it; a block
+``bytes`` rejected takes a type pass and ``min``/``max``.
 Only when a bulk check fails is a stream walked element by element, and
 that walk alone decides the outcome and names the first offending entry,
 e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
@@ -136,14 +136,29 @@ class DeviceMeta:
     def __post_init__(self) -> None:
         if not self.device_id:
             raise ValidationError("device_id must be non-empty")
-        if self.battery_capacity_mah is not None and self.battery_capacity_mah <= 0:
+        capacity, ppi = self.battery_capacity_mah, self.display_ppi
+        resolution = self.display_resolution
+        try:  # a record built directly holds what the parser reads, or names the field
+            as_str(self.device_id, "device_id")
+            if capacity is not None:
+                as_int(capacity, "battery_capacity_mah")
+            if ppi is not None:
+                as_real(ppi, "display_ppi")
+            if resolution is not None:
+                resolution = as_pair(
+                    list(resolution) if isinstance(resolution, tuple) else resolution,
+                    "display_resolution",
+                    as_int,
+                )
+        except SchemaError as exc:
+            raise ValidationError(str(exc)) from exc
+        if capacity is not None and capacity <= 0:
             raise ValidationError("battery_capacity_mah must be positive")
-        if self.display_ppi is not None and not self.display_ppi > 0:
+        if ppi is not None and not ppi > 0:
             raise ValidationError("display_ppi must be positive")
-        if self.display_resolution is not None:
-            object.__setattr__(self, "display_resolution", tuple(self.display_resolution))
-            w, h = self.display_resolution
-            if w <= 0 or h <= 0:
+        if resolution is not None:
+            object.__setattr__(self, "display_resolution", resolution)
+            if min(resolution) <= 0:
                 raise ValidationError("display_resolution must be positive")
 
 
@@ -181,15 +196,18 @@ class SessionTelemetry:
 
     All event streams are immutable and sorted (non-decreasing in t);
     the constructor enforces every invariant, so any instance that
-    exists is valid. ``frame_intervals`` is derived from ``frames``
-    (see :func:`frame_intervals`) and takes no part in eq or repr. Its
-    two producers hand it over through ``_intervals``: the parser, which
-    counts it while checking the frames, and ``synth.generate_session``,
-    which counts it from its numpy frame blocks. The constructor checks a
-    handed-over histogram against ``frames`` in time proportional to its
-    distinct intervals (the counts sum to ``len(frames) - 1`` and the
-    intervals to ``frames[-1] - frames[0]``); every other caller lets the
-    constructor take it.
+    exists is valid. Frames are ints strictly within +/-2**53 ms, as the
+    parser reads them: a bad one raises the parser's ``SchemaError``,
+    e.g. ``frames[1]: expected integer, got float``. ``frame_intervals``
+    is derived from ``frames`` (see :func:`frame_intervals`) and takes no
+    part in eq or repr. Its two producers hand it over through
+    ``_intervals``: the parser, which counts it while checking the
+    frames, and ``synth.generate_session``, which counts it from its
+    numpy frame blocks. The constructor checks a handed-over histogram
+    against ``frames`` in time proportional to its distinct intervals
+    (the counts sum to ``len(frames) - 1`` and the intervals to
+    ``frames[-1] - frames[0]``); for every other caller the constructor
+    checks the frames and takes it in the one pass the parser makes.
     """
 
     schema_version: int
@@ -209,7 +227,7 @@ class SessionTelemetry:
         object.__setattr__(self, "frames", tuple(self.frames))
         handed_over = _intervals is not None
         if not handed_over:
-            _intervals = frame_intervals(self.frames)
+            _intervals = _parse_frames(self.frames, "frames")
         object.__setattr__(self, "frame_intervals", _intervals)
         object.__setattr__(self, "battery", tuple(starmap(BatterySample, self.battery)))
         object.__setattr__(self, "temperature", tuple(starmap(TempSample, self.temperature)))
@@ -232,13 +250,6 @@ class SessionTelemetry:
             or sum(map(mul, intervals, intervals.values())) != self.duration_ms
         ):
             raise ValidationError("frame interval histogram does not match frames")
-        if not all(-math.inf < d < math.inf for d in intervals):  # NaN compares false
-            i = next((i for i, t in enumerate(self.frames) if not -math.inf < t < math.inf), None)
-            raise ValidationError(
-                "frame intervals must be finite"  # finite frames too far apart for a float
-                if i is None
-                else f"non-finite frame timestamp at frames[{i}]"
-            )
         if min(intervals) < 0:
             i = _first_decrease(self.frames)
             raise ValidationError(f"frames not non-decreasing at t={self.frames[i]}ms")
@@ -344,25 +355,6 @@ def _int_head(frames: Sequence) -> bool:
     return set(map(type, takewhile(partial(ge, 1), frames))) <= {int}
 
 
-def ordered_int_frames(frames: Sequence, intervals: Counter) -> bool:
-    """Whether ``intervals``, the histogram of ``frames``, proves every frame an ``int``, in order.
-
-    ``intervals`` is :func:`frame_intervals` of ``frames`` or a producer's
-    equal histogram with keys of the intervals' types. Integer keys, none
-    negative, then mean every frame is an int or a bool (a float gives a
-    float interval, kept under a float key; any other type raises) and the
-    frames are in order. A bool is 0 or 1, so only the leading frames
-    ``<= 1`` can be one, and those alone are type-checked: no pass over
-    all frames. An empty histogram (fewer than 2 frames) proves nothing.
-    """
-    return (
-        bool(intervals)
-        and set(map(type, intervals)) <= {int}
-        and min(intervals) >= 0
-        and _int_head(frames)
-    )
-
-
 def _first_decrease(ts: Sequence) -> int | None:
     """Index of the first element below its predecessor, or None.
 
@@ -463,8 +455,15 @@ def _as_frame(value: Any, where: str) -> int:
     return t
 
 
-def _parse_frames(frames: list) -> Counter:
-    """The histogram of the intervals of ``frames``, once every frame is checked."""
+def _parse_frames(frames: Sequence, where: str) -> Counter:
+    """Check every frame an int within +/-2**53 ms; return the histogram of the intervals.
+
+    A bad frame raises the walk's ``SchemaError``, ``<where>[N]: ...``.
+    Integer keys, none negative, prove every frame an int or a bool, in
+    order (a float gives a float interval, kept under a float key; any
+    other type raises): then only the leading frames ``<= 1``, the only
+    ones a bool can be, are type-checked, and the endpoints bound the rest.
+    """
     lo, hi = 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1
     try:
         intervals = frame_intervals(frames)
@@ -472,13 +471,14 @@ def _parse_frames(frames: list) -> Counter:
         intervals = Counter()
         rejected = range(0, len(frames), _FRAME_BLOCK)  # every block takes the type pass
     else:
-        if ordered_int_frames(frames, intervals):
-            if lo <= frames[0] and frames[-1] <= hi:  # in order: the endpoints bound every frame
+        if intervals and set(map(type, intervals)) <= {int} and min(intervals) >= 0:
+            if _int_head(frames) and lo <= frames[0] and frames[-1] <= hi:
                 return intervals
         rejected = intervals.rejected
     # Otherwise each block is checked by the rule its byte pass allows and
-    # only the first that fails is walked. Fewer than 2 frames, or out of
-    # order: once every frame is in range, the constructor names the fault.
+    # only the frames of a block that fails are walked, up to the first the
+    # walk rejects. Fewer than 2 frames, or out of order: once every frame
+    # is in range, the constructor names the fault.
     for s in range(0, max(len(frames) - 1, 1), _FRAME_BLOCK):
         block = frames[s : s + _FRAME_BLOCK + 1]
         if len(block) < 2 or s in rejected:
@@ -488,9 +488,9 @@ def _parse_frames(frames: list) -> Counter:
         else:  # bytes took its intervals: ints or bools, in order
             ok = _int_head(block) and lo <= block[0] and block[-1] <= hi
         if not ok:
-            i = s + next(j for j, v in enumerate(block) if type(v) is not int or not lo <= v <= hi)
-            _as_frame(frames[i], f"events.frames[{i}]")  # the walk rejects what the bulk check does
-            raise AssertionError(f"events.frames[{i}] passed the walk")
+            for i, v in enumerate(block, s):
+                if type(v) is not int or not lo <= v <= hi:
+                    _as_frame(v, f"{where}[{i}]")  # of these, only an int subclass passes
     return intervals
 
 
@@ -523,7 +523,7 @@ def _parse_game(obj: dict) -> GameSettings:
 def _parse_events(obj: dict) -> dict[str, Any]:
     _warn_unknown(obj, _EVENT_KEYS, "events")
     frames = as_list(require(obj, "frames", "events"), "events.frames")
-    intervals = _parse_frames(frames)
+    intervals = _parse_frames(frames, "events.frames")
 
     launch = None
     if obj.get("launch") is not None:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 from collections import Counter
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -21,6 +22,7 @@ from gpindex.indices import measure
 from gpindex.report import serialize_session
 from gpindex.telemetry import (
     SCHEMA_VERSION,
+    DeviceMeta,
     UnknownKeyWarning,
     parse_session,
     validate_comparability,
@@ -188,6 +190,26 @@ class TestParseSession:
         with pytest.raises(ValidationError, match="display_ppi"):
             parse_session(to_bytes(doc))
 
+    # Built directly: the first three once escaped as a bare ValueError or
+    # TypeError, the rest were accepted and written to files the parser
+    # rejects.
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("display_resolution", (1, 2, 3), "display_resolution: expected a 2-element array"),
+            ("display_resolution", "ab", "display_resolution: expected array, got str"),
+            ("battery_capacity_mah", "5", "battery_capacity_mah: expected integer, got str"),
+            ("display_ppi", math.inf, "display_ppi: expected finite number"),
+            ("battery_capacity_mah", True, "battery_capacity_mah: expected integer, got bool"),
+            ("display_resolution", (1.5, 2), "display_resolution[0]: expected integer, got float"),
+            ("device_id", 5, "device_id: expected string, got int"),
+        ],
+    )
+    def test_built_device_fields_checked(self, field, value, message):
+        with pytest.raises(ValidationError) as info:
+            DeviceMeta(**{"device_id": "x", field: value})
+        assert type(info.value) is ValidationError and str(info.value) == message
+
     def test_null_streams_mean_absent(self):
         doc = make_doc()
         doc["events"].update(battery=None, touch=None, launch=None)
@@ -248,6 +270,8 @@ class TestClosedErrorSurface:
         with pytest.raises(ValidationError, match=rf"non-finite .* at t={rows[index][0]}ms"):
             dataclasses.replace(reference_session, **{stream: rows})
 
+    # A session built directly checks its frames as the parser does and names
+    # a bad one as the parser's walk would, with the path "frames".
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_non_finite_frame_in_built_session(self, reference_session, value, index):
@@ -255,13 +279,32 @@ class TestClosedErrorSurface:
         frames = [0, 16, 32]
         frames[index] = value
         with pytest.raises(
-            ValidationError, match=rf"^non-finite frame timestamp at frames\[{index}\]$"
+            SchemaError, match=rf"^frames\[{index}\]: expected integer, got float$"
         ):
             dataclasses.replace(reference_session, frames=tuple(frames))
 
     def test_frames_too_far_apart_for_a_float(self, reference_session):
-        with pytest.raises(ValidationError, match=r"^frame intervals must be finite$"):
-            dataclasses.replace(reference_session, frames=(-1e308, 1e308))
+        # Once accepted with duration_ms == inf.
+        with pytest.raises(SchemaError, match=r"^frames\[0\]: expected integer, got float$"):
+            dataclasses.replace(reference_session, frames=(-1e308, 0.0, 1e308))
+
+    # Each was once accepted (or a bare TypeError) although the parser
+    # rejects the file serialize_session wrote for it.
+    @pytest.mark.parametrize(
+        "frames,message",
+        [
+            ((0, "16"), "frames[1]: expected integer, got str"),
+            ((0, None, 5), "frames[1]: expected integer, got NoneType"),
+            ((0, 16.5, 33), "frames[1]: expected integer, got float"),
+            ((False, True, 5), "frames[0]: expected integer, got bool"),
+            ((0, 2**53), "frames[1]: frame timestamp outside +/-2**53 ms"),
+            ((-(2**70), 2**64, 2**64 + 1), "frames[0]: integer outside the int64 range"),
+        ],
+    )
+    def test_bad_frame_in_built_session(self, reference_session, frames, message):
+        with pytest.raises(SchemaError) as info:
+            dataclasses.replace(reference_session, frames=frames)
+        assert type(info.value) is SchemaError and str(info.value) == message
 
     def test_infinite_display_ppi(self):
         doc = make_doc()
@@ -548,7 +591,7 @@ class TestFrameIntervals:
             dataclasses.replace(reference_session, frames=(0,), _intervals=Counter({5: 1}))
 
 
-def _oracle_parse_frames(frames):
+def _oracle_parse_frames(frames, where):
     """Reference frame check: a type pass, then the interval Counter, then the walk."""
     lo, hi = 1 - telemetry.FRAME_LIMIT_MS, telemetry.FRAME_LIMIT_MS - 1
     if set(map(type, frames)) <= {int}:
@@ -557,8 +600,8 @@ def _oracle_parse_frames(frames):
         if not bounds or (lo <= min(bounds) and max(bounds) <= hi):
             return intervals
     i = next(i for i, v in enumerate(frames) if type(v) is not int or not lo <= v <= hi)
-    telemetry._as_frame(frames[i], f"events.frames[{i}]")
-    raise AssertionError(f"events.frames[{i}] passed the walk")
+    telemetry._as_frame(frames[i], f"{where}[{i}]")
+    raise AssertionError(f"{where}[{i}] passed the walk")
 
 
 _LIMIT = telemetry.FRAME_LIMIT_MS
@@ -586,9 +629,9 @@ def _frames_lists(draw):
     return frames
 
 
-def _outcome(data):
+def _outcome(make):
     try:
-        session = parse_session(data)
+        session = make()
     except (SchemaError, ValidationError) as exc:
         return type(exc), str(exc)
     return session.frames, session.frame_intervals
@@ -621,11 +664,17 @@ class TestFrameCheckOracle:
     # A frame that is not a number, after an out-of-range one.
     @example([0, 16, 32, 48, 2**53, "64", 80], 2)
     def test_same_outcome_as_the_oracle(self, frames, block):
+        # Parsed, the frames are checked as "events.frames"; built directly, as "frames".
         data = to_bytes(make_doc(events={"frames": frames}))
-        with patch.object(telemetry, "_parse_frames", _oracle_parse_frames):
-            expected = _outcome(data)
-        with patch.object(telemetry, "_FRAME_BLOCK", block):
-            assert _outcome(data) == expected
+        base = parse_session(to_bytes(make_doc()))
+        for make in (
+            partial(parse_session, data),
+            partial(dataclasses.replace, base, frames=frames),
+        ):
+            with patch.object(telemetry, "_parse_frames", _oracle_parse_frames):
+                expected = _outcome(make)
+            with patch.object(telemetry, "_FRAME_BLOCK", block):
+                assert _outcome(make) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
