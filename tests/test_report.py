@@ -15,6 +15,7 @@ from gpindex.errors import (
     EmptyInputError,
     EngineError,
     MixedProfilesError,
+    SchemaError,
 )
 from gpindex.indices import MainIndex, ScoreCard
 from gpindex.report import (
@@ -429,3 +430,32 @@ class TestSerializeSessionOracle:
         payload = serialize_session(session)
         assert payload == oracle_bytes(session)
         assert parse_session(payload) == session
+
+    # The frames as json writes them in a file: a direct build and the parser
+    # reading that file agree. Bools, floats and ints past +/-2**53 ms raise the
+    # same SchemaError at the same index; an int subclass is written as its
+    # int value and read back equal.
+    @pytest.mark.parametrize(
+        "frames,text",
+        [
+            ((False, True, 5), b'"frames":[false,true,5]'),
+            ((0, 16.5, 33), b'"frames":[0,16.5,33]'),
+            ((5, 21.0, 37), b'"frames":[5,21.0,37]'),
+            ((-5, 0, True, 300), b'"frames":[-5,0,true,300]'),
+            ((0, Millis(16), 33), b'"frames":[0,16,33]'),
+            ((-(2**70), 2**64, 2**64 + 1), b'"frames":[-1180591620717411303424,'
+             b"18446744073709551616,18446744073709551617]"),
+        ],
+    )
+    def test_frames_written_as_json_writes_them(self, frames, text):
+        assert json.dumps({"frames": frames}, separators=(",", ":")).encode() == b"{%s}" % text
+        document = oracle_bytes(_session((0, 16, 33))).replace(b'"frames":[0,16,33]', text)
+        try:
+            session = _session(frames)
+        except SchemaError as built_error:
+            with pytest.raises(SchemaError) as parsed_error:
+                parse_session(document)
+            assert str(parsed_error.value) == f"events.{built_error}"
+        else:
+            assert serialize_session(session) == document
+            assert parse_session(document) == session
