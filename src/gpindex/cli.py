@@ -12,8 +12,12 @@ Exit status contract: 0 success, 1 data error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .config import EngineConfig, default_config, load_config_file
 from .errors import ConfigError, EngineError
@@ -139,13 +143,47 @@ def _write_reports(
 
 
 def _demo_device(device: CorpusDevice, out_dir: Path, config: EngineConfig) -> list[MeasuredSession]:
-    """Generate, write and measure one device's sessions; they are dropped on return."""
+    """Generate, write and measure one device's sessions; they are dropped on return.
+
+    Run in a worker process when ``demo`` has more than one: only the
+    measured scores come back.
+    """
     ((device_id, sessions),) = generate_corpus((device,)).items()
     device_dir = out_dir / "sessions" / device_id
     device_dir.mkdir(parents=True, exist_ok=True)
     for i, session in enumerate(sessions):
         (device_dir / f"session_{i:02d}.json").write_bytes(serialize_session(session))
     return [measure(session, config.curves) for session in sessions]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _ordered_map(workers: int) -> Iterator[Callable]:
+    """A ``map`` that yields results in input order, over ``workers`` forked processes.
+
+    Each item goes to the next free worker (``imap``, one item a task),
+    and an item's error is raised when its turn comes, so the first
+    failing item's error wins, as in a loop. With one worker, or where
+    the platform cannot fork, it is the builtin ``map``, in-process.
+    Every worker has exited when the block is left, on any path.
+    """
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            import numpy  # noqa: F401  # imported once here, inherited by every worker
+
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                yield partial(pool.imap, chunksize=1)
+            return
+    yield map
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -218,7 +256,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     try:
         config = default_config()
-        _write_reports([_demo_device(d, out_dir, config) for d in corpus], config, out_dir, "json")
+        demo_device = partial(_demo_device, out_dir=out_dir, config=config)
+        with _ordered_map(min(_usable_cpus(), len(corpus))) as ordered_map:
+            groups = list(ordered_map(demo_device, corpus))
+        _write_reports(groups, config, out_dir, "json")
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
         return EXIT_DATA

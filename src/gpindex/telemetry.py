@@ -55,7 +55,7 @@ import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
-from itertools import starmap, takewhile
+from itertools import repeat, starmap, takewhile
 from operator import ge, itemgetter, le, mul, sub
 from typing import Any, NamedTuple, Sequence
 
@@ -174,6 +174,13 @@ class GameSettings:
     dynamic_range_tier: int
 
     def __post_init__(self) -> None:
+        try:  # a record built directly holds what the parser reads, or names the field
+            as_str(self.game_id, "game_id")
+            as_real(self.render_scale, "render_scale")
+            for name in GAME_TIER_FIELDS:
+                as_int(getattr(self, name), name)
+        except SchemaError as exc:
+            raise ValidationError(str(exc)) from exc
         if not self.game_id:
             raise ValidationError("game_id must be non-empty")
         if not 0 < self.render_scale <= 1:
@@ -207,7 +214,10 @@ class SessionTelemetry:
     against ``frames`` in time proportional to its distinct intervals
     (the counts sum to ``len(frames) - 1`` and the intervals to
     ``frames[-1] - frames[0]``); for every other caller the constructor
-    checks the frames and takes it in the one pass the parser makes.
+    checks the frames and takes it in the one pass the parser makes,
+    after one C-level ``isinstance`` pass: the parser's pass proves ints
+    through ``bytes``, which also takes numpy integers, and a JSON value
+    is never one, so only a direct build pays for that pass.
     """
 
     schema_version: int
@@ -227,6 +237,9 @@ class SessionTelemetry:
         object.__setattr__(self, "frames", tuple(self.frames))
         handed_over = _intervals is not None
         if not handed_over:
+            if not all(map(isinstance, self.frames, repeat(int))):  # e.g. a numpy scalar
+                for i, t in enumerate(self.frames):
+                    _as_frame(t, f"frames[{i}]")  # raises at the first frame not an int
             _intervals = _parse_frames(self.frames, "frames")
         object.__setattr__(self, "frame_intervals", _intervals)
         object.__setattr__(self, "battery", tuple(starmap(BatterySample, self.battery)))

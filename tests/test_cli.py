@@ -5,11 +5,13 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 import gpindex.cli
 import gpindex.indices
 from gpindex.cli import main
-from gpindex.errors import EngineError
+from gpindex.errors import EngineError, ModelError
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, default_demo_manifest, generate_session, load_manifest
 from gpindex.telemetry import parse_session
@@ -98,11 +100,13 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
         ["compare", "--out", str(tmp_path / "cmp"), *dirs],
         ["demo", "--out", str(tmp_path / "demo")],
     ]
-    # Each command's exit code and whether numpy was loaded after it, as the last line.
+    # Each command's exit code and whether numpy and multiprocessing were
+    # loaded after it, as the last line.
     code = (
         "import json, sys\n"
         "from gpindex.cli import main\n"
-        "outcomes = [(main(argv), 'numpy' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
+        "outcomes = [(main(argv), 'numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        "            for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps(outcomes))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
@@ -111,7 +115,9 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     outcomes = json.loads(result.stdout.splitlines()[-1])
-    assert outcomes == [[0, False], [0, False], [0, False], [0, True]]
+    # demo loads multiprocessing only when it has more than one CPU to use.
+    assert [outcome[:2] for outcome in outcomes] == [[0, False]] * 3 + [[0, True]]
+    assert [outcome[2] for outcome in outcomes[:3]] == [False] * 3
     for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
         assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
 
@@ -273,6 +279,8 @@ class TestDemo:
         assert first == second
 
     def test_generates_and_drops_one_device_at_a_time(self, tmp_path, monkeypatch):
+        # One worker: demo runs in-process, where the spies see every call.
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)
         generate, parse = gpindex.cli.generate_corpus, gpindex.cli.parse_session
         calls, alive_before, generated, parsed = [], [], [], []
 
@@ -311,6 +319,101 @@ class TestDemo:
         assert err.startswith("manifest error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def golden_tree_mismatches(out):
+    """Files under a demo output directory that differ from the goldens."""
+    golden = {}
+    for line in (GOLDEN_DIR / "demo_sessions.sha256").read_text().splitlines():
+        digest, path = line.split("  ")
+        golden[path] = digest
+    for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
+        golden[name] = hashlib.sha256((GOLDEN_DIR / f"demo_{name}").read_bytes()).hexdigest()
+    written = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.rglob("*") if p.is_file()
+    }
+    return sorted(k for k in golden.keys() | written.keys() if golden.get(k) != written.get(k))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="demo forks its workers"
+)
+class TestDemoWorkers:
+    """demo with two worker processes writes what one writes, and leaves none behind."""
+
+    def test_two_workers_write_the_golden_tree(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 2)
+        generate, parent_calls = gpindex.cli.generate_corpus, []
+
+        def tracking_generate(corpus):
+            parent_calls.append(os.getpid())
+            return generate(corpus)
+
+        monkeypatch.setattr(gpindex.cli, "generate_corpus", tracking_generate)
+        out = tmp_path / "demo"
+        assert main(["demo", "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert parent_calls == []  # every device was generated in a worker
+        assert golden_tree_mismatches(out) == []
+        assert capsys.readouterr().out == f"demo corpus and reports written to {out}\n"
+
+    def test_pending_output_is_written_once(self, tmp_path):
+        # Block-buffered stdout holds output when the workers fork; no worker writes it again.
+        code = (
+            "import sys\n"
+            "import gpindex.cli\n"
+            "gpindex.cli._usable_cpus = lambda: 2\n"
+            "print('before')\n"
+            "sys.exit(gpindex.cli.main(['demo', '--out', sys.argv[1]]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+        out = tmp_path / "demo"
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert result.stdout == f"before\ndemo corpus and reports written to {out}\n"
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("failure", ["engine", "io"])
+    def test_first_failing_device_wins(self, tmp_path, monkeypatch, capsys, failure):
+        manifest = tmp_path / "manifest.json"
+        ids = [f"d{i}" for i in range(4)]
+        manifest.write_bytes(
+            manifest_bytes(*({"device_id": d, "session_duration_s": 120} for d in ids))
+        )
+        out = tmp_path / "out"
+        generate = gpindex.cli.generate_corpus
+
+        def failing_generate(corpus):
+            device_id = corpus[0].model.device_id
+            if device_id == "d1":
+                time.sleep(0.3)  # d3 fails first in time; d1 fails first in order
+            if device_id in ("d1", "d3"):
+                raise ModelError(f"{device_id} failed")
+            return generate(corpus)
+
+        if failure == "engine":
+            monkeypatch.setattr(gpindex.cli, "generate_corpus", failing_generate)
+        outcomes = []
+        for workers in (1, 2):
+            monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: workers)
+            shutil.rmtree(out, ignore_errors=True)
+            if failure == "io":  # a file where d1's and d3's directories go
+                (out / "sessions").mkdir(parents=True)
+                (out / "sessions" / "d1").write_bytes(b"")
+                (out / "sessions" / "d3").write_bytes(b"")
+            code = main(["demo", "--out", str(out), "--manifest", str(manifest)])
+            assert multiprocessing.active_children() == []
+            outcomes.append((code, capsys.readouterr()))
+        expected_err = {
+            "engine": "error: d1 failed\n",
+            "io": f"i/o error under {out}: [Errno 17] File exists: '{out / 'sessions' / 'd1'}'\n",
+        }[failure]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 1 and outcomes[0][1].err == expected_err
+        assert not (out / "report_casual.json").exists()
 
 
 @pytest.mark.parametrize("command", ["score", "compare"])
@@ -606,7 +709,9 @@ class TestBoundedMemory:
         return tracemalloc.get_traced_memory()[1] - start
 
     @pytest.mark.parametrize("command", ["validate", "score", "compare", "demo"])
-    def test_peak_does_not_grow_with_sessions(self, corpus, command):
+    def test_peak_does_not_grow_with_sessions(self, corpus, command, monkeypatch):
+        # tracemalloc sees this process only, so demo runs its devices in it.
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)
         data = (corpus / "sessions" / "device_0" / "session_00.json").read_bytes()
         tracemalloc.start()
         try:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 from unittest.mock import patch
 
@@ -333,12 +334,13 @@ def wide_frames(draw):
 
 # Values a frame list built in Python may hold besides valid ints: ints at and
 # past +/-2**53 ms and past int64, floats (NaN and +/-inf included), bools,
-# None and strings.
+# numpy integers, None and strings.
 _odd_frames = st.one_of(
     st.sampled_from([2**53 - 1, 1 - 2**53, 2**53, -(2**53), 2**63, -(2**63) - 1, 2**70]),
     st.integers(),
     st.floats(),
     st.booleans(),
+    st.integers(-3, 300).map(np.int64) | st.integers(0, 255).map(np.uint8),
     st.none(),
     st.text(max_size=3),
 )

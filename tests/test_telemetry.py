@@ -6,6 +6,7 @@ from collections import Counter
 from functools import partial
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from gpindex.report import serialize_session
 from gpindex.telemetry import (
     SCHEMA_VERSION,
     DeviceMeta,
+    GameSettings,
     UnknownKeyWarning,
     parse_session,
     validate_comparability,
@@ -208,6 +210,27 @@ class TestParseSession:
     def test_built_device_fields_checked(self, field, value, message):
         with pytest.raises(ValidationError) as info:
             DeviceMeta(**{"device_id": "x", field: value})
+        assert type(info.value) is ValidationError and str(info.value) == message
+
+    # Built directly: the first two once escaped as a bare TypeError, the
+    # rest were accepted and written to files the parser rejects.
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("render_scale", "x", "render_scale: expected number, got str"),
+            ("render_scale", None, "render_scale: expected number, got NoneType"),
+            ("render_scale", math.nan, "render_scale: expected finite number"),
+            ("game_id", 5, "game_id: expected string, got int"),
+            ("texture_tier", 0.0, "texture_tier: expected integer, got float"),
+            ("aa_tier", True, "aa_tier: expected integer, got bool"),
+            ("dynamic_range_tier", "3", "dynamic_range_tier: expected integer, got str"),
+        ],
+    )
+    def test_built_game_fields_checked(self, field, value, message):
+        valid = {"game_id": "g", "render_scale": 1.0, "texture_tier": 0, "effects_tier": 0,
+                 "aa_tier": 0, "dynamic_range_tier": 0}
+        with pytest.raises(ValidationError) as info:
+            GameSettings(**{**valid, field: value})
         assert type(info.value) is ValidationError and str(info.value) == message
 
     def test_null_streams_mean_absent(self):
@@ -569,6 +592,20 @@ class TestFrameIntervals:
     def test_built_session_with_unordered_frames(self, reference_session):
         with pytest.raises(ValidationError, match=r"^frames not non-decreasing at t=10ms$"):
             dataclasses.replace(reference_session, frames=(0, 20, 10, 30))
+
+    # numpy integers: bytes() takes them, so (5, 21) was once accepted.
+    @pytest.mark.parametrize(
+        "frames,message",
+        [
+            ((np.int64(5), np.int64(21)), "frames[0]: expected integer, got int64"),
+            ((0, np.int64(16), 400), "frames[1]: expected integer, got int64"),
+            ((0, 16, np.uint8(32)), "frames[2]: expected integer, got uint8"),
+        ],
+    )
+    def test_built_session_with_numpy_frames(self, reference_session, frames, message):
+        with pytest.raises(SchemaError) as info:
+            dataclasses.replace(reference_session, frames=frames)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "intervals",
