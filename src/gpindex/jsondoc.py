@@ -7,16 +7,20 @@ decides what a bad input becomes: ``decode`` raises the caller's error
 class for bytes that are not a JSON document, and each reader raises
 ``SchemaError`` naming the field path, e.g. ``events.touch[3][1]:
 expected finite number``. Integers must fit in int64 and reals must be
-finite; readers check a value and return it as given. The engine's own
-constructors (curves, profiles, device models) check numbers with
-:func:`is_finite` too, and names the CLI writes files under with
-:func:`is_file_name`.
+finite; readers check a value and return it as given, so a record's
+real written ``500`` stays the int 500. A record field or event-row
+column is read by its declared type (:func:`reader`), the same whether
+parsed (:func:`read_record`) or built (:func:`check_record`), where an
+array may be a tuple. The engine's own constructors (curves, profiles,
+device models) check numbers with :func:`is_finite` too, and names the
+CLI writes files under with :func:`is_file_name`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
 from typing import Any, Callable, TypeVar
 
 from .errors import EngineError, SchemaError
@@ -62,8 +66,8 @@ def as_obj(value: Any, where: str) -> dict:
     return value
 
 
-def as_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
+def as_list(value: Any, where: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
         raise SchemaError(f"{where}: expected array, got {type(value).__name__}")
     return value
 
@@ -115,9 +119,54 @@ def as_str(value: Any, where: str) -> str:
     return value
 
 
+def as_row(value: Any, where: str, readers: tuple[Callable[[Any, str], Any], ...]) -> tuple:
+    """An array of ``len(readers)`` elements, each checked by its reader."""
+    row = as_list(value, where)
+    if len(row) != len(readers):
+        raise SchemaError(f"{where}: expected a {len(readers)}-element array")
+    return tuple(read(v, f"{where}[{j}]") for j, (read, v) in enumerate(zip(readers, row)))
+
+
 def as_pair(value: Any, where: str, read: Callable[[Any, str], T]) -> tuple[T, T]:
     """A 2-element array, each element checked by ``read``."""
-    pair = as_list(value, where)
-    if len(pair) != 2:
-        raise SchemaError(f"{where}: expected a 2-element array")
-    return read(pair[0], f"{where}[0]"), read(pair[1], f"{where}[1]")
+    return as_row(value, where, (read, read))
+
+
+# Readers by a field's declared type, as ``from __future__ import annotations`` keeps it.
+_BY_TYPE: dict[str, Callable[[Any, str], Any]] = {
+    "str": as_str,
+    "int": as_int,
+    "float": as_real,
+    "tuple[int, int]": lambda value, where: as_pair(value, where, as_int),
+}
+
+
+def reader(annotation: Any) -> Callable[[Any, str], Any]:
+    """The reader of a field declared ``annotation``; ``T | None`` reads as T."""
+    annotation = getattr(annotation, "__forward_arg__", annotation)  # as a NamedTuple keeps it
+    return _BY_TYPE[annotation.removesuffix(" | None")]
+
+
+def read_record(cls: type, obj: dict, path: str) -> dict[str, Any]:
+    """``cls``'s init fields read from ``obj``: one with no default is required; null is absent."""
+    kwargs = {}
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.init and (required or obj.get(f.name) is not None):
+            kwargs[f.name] = reader(f.type)(require(obj, f.name, path), f"{path}.{f.name}")
+    return kwargs
+
+
+def check_record(record: Any, error_cls: type[EngineError]) -> None:
+    """Check a built record's init fields with :func:`read_record`'s readers.
+
+    A field declared ``T | None`` may hold None, a bad field raises
+    ``error_cls`` naming it, and a pair is kept as the tuple its reader returns.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.init and not (value is None and f.type.endswith(" | None")):
+            try:
+                object.__setattr__(record, f.name, reader(f.type)(value, f.name))
+            except SchemaError as exc:
+                raise error_cls(str(exc)) from exc

@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib.resources import files
 from typing import TYPE_CHECKING, Any
 
 from .errors import ModelError, SchemaError, ValidationError
 from .jsondoc import (
-    as_int, as_list, as_obj, as_real, as_str, decode, is_file_name, is_finite, require,
-    require_version,
+    as_int, as_list, as_obj, as_real, as_str, decode, is_file_name, is_finite, read_record,
+    reader, require, require_version,
 )
 from .telemetry import (
     BatterySample,
@@ -136,16 +136,18 @@ class DeviceModel:
         # `demo` writes a device's sessions to a directory named by its id.
         if not is_file_name(self.device_id):
             raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
-        for param in _MODEL_PARAMS:
-            name, value = param.name, getattr(self, param.name)
+        # Each parameter by its declared type, as a manifest reads it, except
+        # that a seed may be any int: SplitMix64 takes it mod 2**64.
+        for name, (param, read) in _MODEL_PARAMS.items():
+            value = getattr(self, name)
             if value is None and param.default is None:
                 continue
-            if name in _REAL_MODEL_FIELDS and not is_finite(value):
+            if read is as_real and not is_finite(value):
                 raise ModelError(f"{name} must be finite, got {value!r}")
             is_int = isinstance(value, int) and not isinstance(value, bool)
-            if name in _INT_MODEL_FIELDS and not is_int:
+            if read is as_int and not is_int:
                 raise ModelError(f"{name} must be an integer, got {value!r}")
-            if name in _STR_MODEL_FIELDS and not isinstance(value, str):
+            if read is as_str and not isinstance(value, str):
                 raise ModelError(f"{name} must be a string, got {value!r}")
         object.__setattr__(self, "settings", self._record(GameSettings))
         if self.base_frame_time_ms <= 0:
@@ -168,21 +170,15 @@ class DeviceModel:
 
     def _record(self, record: type) -> Any:
         """``record`` built from the parameters named as its fields; its rules raise ModelError."""
-        shared = [f.name for f in fields(record) if f.name in _MODEL_READERS]
+        shared = [f.name for f in fields(record) if f.name in _MODEL_PARAMS]
         try:
             return record(**{name: getattr(self, name) for name in shared})
         except ValidationError as exc:
             raise ModelError(str(exc)) from exc
 
 
-# DeviceModel's parameters, each read from a manifest by its declared type
-# (`T | None` as T); a parameter of a type no reader takes fails at import.
-_READERS = {"str": as_str, "float": as_real, "int": as_int}
-_MODEL_PARAMS = tuple(f for f in fields(DeviceModel) if f.init)
-_MODEL_READERS = {f.name: _READERS[f.type.removesuffix(" | None")] for f in _MODEL_PARAMS}
-_REAL_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_real}
-_INT_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_int}
-_STR_MODEL_FIELDS = {name for name, read in _MODEL_READERS.items() if read is as_str}
+# Each parameter with its reader; an annotation no reader takes fails at import.
+_MODEL_PARAMS = {f.name: (f, reader(f.type)) for f in fields(DeviceModel) if f.init}
 
 
 def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Counter, int]:
@@ -312,18 +308,6 @@ class CorpusDevice:
     session_duration_s: float
 
 
-def _model_from_json(obj: dict, where: str) -> DeviceModel:
-    kwargs = {}
-    for param in _MODEL_PARAMS:
-        name = param.name
-        if param.default is MISSING or obj.get(name) is not None:
-            kwargs[name] = _MODEL_READERS[name](require(obj, name, where), f"{where}.{name}")
-    unknown = set(obj) - set(_MODEL_READERS)
-    if unknown:
-        raise SchemaError(f"{where}: unknown model fields {sorted(unknown)}")
-    return DeviceModel(**kwargs)
-
-
 def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
     """Parse a corpus manifest (same JSON syntax family as session files)."""
     root = as_obj(decode(data, SchemaError, "manifest"), "top level")
@@ -344,7 +328,12 @@ def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
         )
         _check_duration(duration)
         at = f"{where}.model"
-        model = _model_from_json(as_obj(require(entry, "model", where), at), at)
+        obj = as_obj(require(entry, "model", where), at)
+        params = read_record(DeviceModel, obj, at)
+        unknown = set(obj) - set(_MODEL_PARAMS)
+        if unknown:
+            raise SchemaError(f"{at}: unknown model fields {sorted(unknown)}")
+        model = DeviceModel(**params)
         if model.device_id in first_index:
             raise SchemaError(
                 f"{where}.model.device_id: {model.device_id!r} already used by "

@@ -12,9 +12,10 @@ document is decoded and its fields read by :mod:`gpindex.jsondoc`, so
 reals must be finite and integers must fit in int64. Frame timestamps
 must also be ints strictly within +/-2**53 ms, where every integer is
 exact as a float64, so frame intervals are the same whether taken in
-integers or in floats. That rule holds for every session, parsed or
-built directly: one check, :func:`_parse_frames`, decides it for both,
-and names a bad frame ``events.frames[N]`` or ``frames[N]``.
+integers or in floats. These rules hold for every session, parsed or
+built directly, with each record field and row column read by its
+declared type: one check decides each for both and names a bad entry
+``events.battery[0][1]`` or ``battery[0][1]``.
 
 Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
@@ -71,10 +72,15 @@ from .jsondoc import (
     as_int,
     as_list,
     as_obj,
-    as_pair,
     as_real,
+    as_row,
     as_str,
+    check_record,
     decode,
+    is_finite,
+    is_number,
+    read_record,
+    reader,
     require,
     require_version,
 )
@@ -124,6 +130,16 @@ class SceneLoad(NamedTuple):
     t_end_ms: int
 
 
+# A session's row streams, and each row's column readers by declared type.
+_ROW_STREAMS = {
+    "battery": BatterySample, "temperature": TempSample, "touch": TouchEvent, "scene_loads": SceneLoad
+}
+_COLUMNS = {
+    row: tuple(map(reader, row.__annotations__.values()))
+    for row in (LaunchEvent, *_ROW_STREAMS.values())
+}
+
+
 @dataclass(frozen=True)
 class DeviceMeta:
     """Identity and display/battery properties of the recorded device."""
@@ -134,32 +150,15 @@ class DeviceMeta:
     display_resolution: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        check_record(self, ValidationError)  # each field holds what the parser reads
         if not self.device_id:
             raise ValidationError("device_id must be non-empty")
-        capacity, ppi = self.battery_capacity_mah, self.display_ppi
-        resolution = self.display_resolution
-        try:  # a record built directly holds what the parser reads, or names the field
-            as_str(self.device_id, "device_id")
-            if capacity is not None:
-                as_int(capacity, "battery_capacity_mah")
-            if ppi is not None:
-                as_real(ppi, "display_ppi")
-            if resolution is not None:
-                resolution = as_pair(
-                    list(resolution) if isinstance(resolution, tuple) else resolution,
-                    "display_resolution",
-                    as_int,
-                )
-        except SchemaError as exc:
-            raise ValidationError(str(exc)) from exc
-        if capacity is not None and capacity <= 0:
+        if self.battery_capacity_mah is not None and self.battery_capacity_mah <= 0:
             raise ValidationError("battery_capacity_mah must be positive")
-        if ppi is not None and not ppi > 0:
+        if self.display_ppi is not None and not self.display_ppi > 0:
             raise ValidationError("display_ppi must be positive")
-        if resolution is not None:
-            object.__setattr__(self, "display_resolution", resolution)
-            if min(resolution) <= 0:
-                raise ValidationError("display_resolution must be positive")
+        if self.display_resolution is not None and min(self.display_resolution) <= 0:
+            raise ValidationError("display_resolution must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,13 +173,7 @@ class GameSettings:
     dynamic_range_tier: int
 
     def __post_init__(self) -> None:
-        try:  # a record built directly holds what the parser reads, or names the field
-            as_str(self.game_id, "game_id")
-            as_real(self.render_scale, "render_scale")
-            for name in GAME_TIER_FIELDS:
-                as_int(getattr(self, name), name)
-        except SchemaError as exc:
-            raise ValidationError(str(exc)) from exc
+        check_record(self, ValidationError)  # each field holds what the parser reads
         if not self.game_id:
             raise ValidationError("game_id must be non-empty")
         if not 0 < self.render_scale <= 1:
@@ -203,21 +196,21 @@ class SessionTelemetry:
 
     All event streams are immutable and sorted (non-decreasing in t);
     the constructor enforces every invariant, so any instance that
-    exists is valid. Frames are ints strictly within +/-2**53 ms, as the
-    parser reads them: a bad one raises the parser's ``SchemaError``,
-    e.g. ``frames[1]: expected integer, got float``. ``frame_intervals``
-    is derived from ``frames`` (see :func:`frame_intervals`) and takes no
-    part in eq or repr. Its two producers hand it over through
-    ``_intervals``: the parser, which counts it while checking the
-    frames, and ``synth.generate_session``, which counts it from its
-    numpy frame blocks. The constructor checks a handed-over histogram
-    against ``frames`` in time proportional to its distinct intervals
-    (the counts sum to ``len(frames) - 1`` and the intervals to
-    ``frames[-1] - frames[0]``); for every other caller the constructor
-    checks the frames and takes it in the one pass the parser makes,
-    after one C-level ``isinstance`` pass: the parser's pass proves ints
-    through ``bytes``, which also takes numpy integers, and a JSON value
-    is never one, so only a direct build pays for that pass.
+    exists is valid. ``frame_intervals`` is derived from ``frames`` (see
+    :func:`frame_intervals`) and takes no part in eq or repr. Its two
+    producers hand it over through ``_intervals``: the parser, which
+    counts it while checking the frames, and ``synth.generate_session``,
+    which counts it from its numpy frame blocks. A handed-over histogram
+    is checked against ``frames`` in time proportional to its distinct
+    intervals (the counts sum to ``len(frames) - 1`` and the intervals to
+    ``frames[-1] - frames[0]``), and the frames and rows are trusted,
+    except that a non-finite temperature or touch value raises for every
+    build. Every other build checks its frames and rows as the parser does and
+    raises the parser's ``SchemaError``, e.g. ``frames[1]: expected
+    integer, got float`` or ``battery[0][1]: expected number, got str``.
+    Its frames first take one C-level ``isinstance`` pass, since the
+    parser's pass proves ints through ``bytes``, which takes numpy
+    integers too; a JSON value is never one, so the parser skips it.
     """
 
     schema_version: int
@@ -235,17 +228,28 @@ class SessionTelemetry:
     def __post_init__(self, _intervals: Counter | None) -> None:
         # The one place events are built: parse_session hands over checked rows.
         object.__setattr__(self, "frames", tuple(self.frames))
+        for name in _ROW_STREAMS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        # Every build: a value the row readers call non-finite is an invariant
+        # named by its t (a producer's overflow too), ahead of the row check.
+        for name in ("temperature", "touch"):
+            for entry in getattr(self, name):
+                if isinstance(entry, (list, tuple)) and len(entry) > 1:
+                    if is_number(entry[1]) and not is_finite(entry[1]):
+                        raise ValidationError(f"non-finite {name} value at t={entry[0]}ms")
         handed_over = _intervals is not None
         if not handed_over:
             if not all(map(isinstance, self.frames, repeat(int))):  # e.g. a numpy scalar
                 for i, t in enumerate(self.frames):
                     _as_frame(t, f"frames[{i}]")  # raises at the first frame not an int
             _intervals = _parse_frames(self.frames, "frames")
+            if self.launch is not None:
+                as_row(self.launch, "launch", _COLUMNS[LaunchEvent])
+            for name, row in _ROW_STREAMS.items():
+                _parse_rows(getattr(self, name), row, name)
         object.__setattr__(self, "frame_intervals", _intervals)
-        object.__setattr__(self, "battery", tuple(starmap(BatterySample, self.battery)))
-        object.__setattr__(self, "temperature", tuple(starmap(TempSample, self.temperature)))
-        object.__setattr__(self, "touch", tuple(starmap(TouchEvent, self.touch)))
-        object.__setattr__(self, "scene_loads", tuple(starmap(SceneLoad, self.scene_loads)))
+        for name, row in _ROW_STREAMS.items():
+            object.__setattr__(self, name, tuple(starmap(row, getattr(self, name))))
         if self.launch is not None:
             object.__setattr__(self, "launch", LaunchEvent(*self.launch))
         self._validate(handed_over)
@@ -289,9 +293,6 @@ class SessionTelemetry:
             i = _first_decrease(list(map(itemgetter(0), stream)))
             if i is not None:
                 raise ValidationError(f"{name} not non-decreasing in t at t={stream[i][0]}ms")
-            for t_ms, value, *_ in stream:  # a session built directly skips the parser
-                if not math.isfinite(value):
-                    raise ValidationError(f"non-finite {name} value at t={t_ms}ms")
 
         for event in self.touch:
             if event.latency_ms < 0:
@@ -387,14 +388,12 @@ def _first_decrease(ts: Sequence) -> int | None:
 # --- parsing -----------------------------------------------------------
 
 _TOP_KEYS = {"schema_version", "device", "game", "events"}
-_DEVICE_KEYS = {f.name for f in fields(DeviceMeta)}
-_GAME_KEYS = {f.name for f in fields(GameSettings)}
 _EVENT_KEYS = {"launch", "frames", "battery", "temperature", "touch", "scene_loads"}
 
 
 def _warn_unknown(obj: dict, known: set[str], path: str) -> None:
-    # The warning names parse_session's caller: parse_session checks the
-    # top level itself and each section one call deeper, in _parse_<section>.
+    # The warning names parse_session's caller: parse_session checks the top
+    # level itself and each section one call deeper, in _parse_<record|events>.
     level = 4 if path else 3
     for key in obj:
         if key not in known:
@@ -402,16 +401,9 @@ def _warn_unknown(obj: dict, known: set[str], path: str) -> None:
             warnings.warn(f"ignoring unknown key '{where}'", UnknownKeyWarning, stacklevel=level)
 
 
-def _opt_list(obj: dict, key: str, where: str) -> list:
-    value = obj.get(key)
-    if value is None:  # absent and explicit null both mean "not recorded"
-        return []
-    return as_list(value, where)
-
-
-# Bulk column checks: each returns the column, with reals as floats, when
-# every element passes, and None otherwise. None sends the whole
-# stream to the element-by-element walk, which names the first bad entry.
+# Bulk column checks, by the reader the walk takes for the column: each
+# returns the column, with reals as floats, when every element passes, and
+# None otherwise, which sends the stream to the walk to name the bad entry.
 
 
 def _int_column(xs: list) -> list | None:
@@ -436,29 +428,20 @@ def _str_column(xs: list) -> list | None:
     return xs if set(map(type, xs)) <= {str} else None
 
 
-_COLUMN_CHECKS = {"int": _int_column, "real": _real_column, "str": _str_column}
+_COLUMN_CHECKS = {as_int: _int_column, as_real: _real_column, as_str: _str_column}
 
 
-def _parse_rows(obj: dict, key: str, kinds: tuple[str, ...]) -> list:
-    """Rows of the fixed-width event stream ``key``, one column kind per field."""
-    where = f"events.{key}"
-    rows = _opt_list(obj, key, where)
-    width = len(kinds)
-    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+def _parse_rows(rows: Sequence, row: type, where: str) -> list:
+    """``rows`` read as ``row`` NamedTuples; a bad entry raises the walk's ``<where>[i][j]: ...``."""
+    readers = _COLUMNS[row]
+    if all(map(isinstance, rows, repeat((list, tuple)))) and set(map(len, rows)) <= {len(readers)}:
         columns = [
-            _COLUMN_CHECKS[kind](list(map(itemgetter(j), rows))) for j, kind in enumerate(kinds)
+            _COLUMN_CHECKS[read](list(map(itemgetter(j), rows))) for j, read in enumerate(readers)
         ]
         if all(column is not None for column in columns):
             return list(zip(*columns))
-    walkers = [{"int": as_int, "real": as_real, "str": as_str}[kind] for kind in kinds]
-    checked = []
-    for i, entry in enumerate(rows):
-        at = f"{where}[{i}]"
-        row = as_list(entry, at)
-        if len(row) != width:
-            raise SchemaError(f"{at}: expected a {width}-element array")
-        checked.append(tuple(walk(row[j], f"{at}[{j}]") for j, walk in enumerate(walkers)))
-    return checked
+    # The walk returns only for a direct build's int, float or str subclasses.
+    return [as_row(entry, f"{where}[{i}]", readers) for i, entry in enumerate(rows)]
 
 
 def _as_frame(value: Any, where: str) -> int:
@@ -507,30 +490,11 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
     return intervals
 
 
-def _parse_device(obj: dict) -> DeviceMeta:
-    _warn_unknown(obj, _DEVICE_KEYS, "device")
-    device_id = as_str(require(obj, "device_id", "device"), "device.device_id")
-    capacity = obj.get("battery_capacity_mah")
-    if capacity is not None:
-        capacity = as_int(capacity, "device.battery_capacity_mah")
-    ppi = obj.get("display_ppi")
-    if ppi is not None:
-        ppi = float(as_real(ppi, "device.display_ppi"))
-    resolution = obj.get("display_resolution")
-    if resolution is not None:
-        resolution = as_pair(resolution, "device.display_resolution", as_int)
-    return DeviceMeta(device_id, capacity, ppi, resolution)
-
-
-def _parse_game(obj: dict) -> GameSettings:
-    _warn_unknown(obj, _GAME_KEYS, "game")
-    kwargs: dict[str, Any] = {
-        "game_id": as_str(require(obj, "game_id", "game"), "game.game_id"),
-        "render_scale": float(as_real(require(obj, "render_scale", "game"), "game.render_scale")),
-    }
-    for name in GAME_TIER_FIELDS:
-        kwargs[name] = as_int(require(obj, name, "game"), f"game.{name}")
-    return GameSettings(**kwargs)
+def _parse_record(root: dict, key: str, record: type) -> Any:
+    """The section ``key`` read into ``record`` by its fields' declared types."""
+    obj = as_obj(require(root, key, ""), key)
+    _warn_unknown(obj, {f.name for f in fields(record)}, key)
+    return record(**read_record(record, obj, key))
 
 
 def _parse_events(obj: dict) -> dict[str, Any]:
@@ -540,17 +504,14 @@ def _parse_events(obj: dict) -> dict[str, Any]:
 
     launch = None
     if obj.get("launch") is not None:
-        launch = as_pair(obj["launch"], "events.launch", as_int)
+        launch = as_row(obj["launch"], "events.launch", _COLUMNS[LaunchEvent])
 
-    return {
-        "frames": tuple(frames),
-        "_intervals": intervals,
-        "launch": launch,
-        "battery": _parse_rows(obj, "battery", ("int", "real")),
-        "temperature": _parse_rows(obj, "temperature", ("int", "real", "str")),
-        "touch": _parse_rows(obj, "touch", ("int", "real")),
-        "scene_loads": _parse_rows(obj, "scene_loads", ("int", "int")),
-    }
+    events = {"frames": tuple(frames), "_intervals": intervals, "launch": launch}
+    for name, row in _ROW_STREAMS.items():
+        where = f"events.{name}"  # absent and explicit null both mean "not recorded"
+        rows = [] if obj.get(name) is None else as_list(obj[name], where)
+        events[name] = _parse_rows(rows, row, where)
+    return events
 
 
 def parse_session(data: bytes) -> SessionTelemetry:
@@ -563,8 +524,8 @@ def parse_session(data: bytes) -> SessionTelemetry:
     root = as_obj(decode(data, SessionSyntaxError, "session document"), "top level")
     _warn_unknown(root, _TOP_KEYS, "")
     version = require_version(root, SCHEMA_VERSION)
-    device = _parse_device(as_obj(require(root, "device", ""), "device"))
-    settings = _parse_game(as_obj(require(root, "game", ""), "game"))
+    device = _parse_record(root, "device", DeviceMeta)
+    settings = _parse_record(root, "game", GameSettings)
     events = _parse_events(as_obj(require(root, "events", ""), "events"))
     return SessionTelemetry(
         schema_version=version, device=device, settings=settings, **events

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from importlib.resources import files
@@ -16,10 +17,11 @@ from gpindex.errors import (
     SessionSyntaxError,
     ValidationError,
 )
-from gpindex.jsondoc import as_int, as_pair, as_real, decode, require
+from gpindex import telemetry
+from gpindex.jsondoc import as_int, as_pair, as_real, decode, reader, require
 from gpindex.report import serialize_session
-from gpindex.synth import load_manifest
-from gpindex.telemetry import parse_session
+from gpindex.synth import DeviceModel, load_manifest
+from gpindex.telemetry import DeviceMeta, GameSettings, parse_session
 from tests.strategies import hostile_values, one_field_mutations, sessions
 
 
@@ -64,6 +66,18 @@ class TestReaders:
             as_pair([1, 2, 3], "p", as_real)
         with pytest.raises(SchemaError, match=r"^p\[1\]: expected integer, got float$"):
             as_pair([1, 2.5], "p", as_int)
+
+
+# Every field is read by its declared type: an annotation no reader takes
+# fails here (or, for an event row, at import), never as a KeyError mid-read.
+@pytest.mark.parametrize("record", [DeviceMeta, GameSettings, DeviceModel])
+def test_every_record_field_has_a_reader(record):
+    assert all(callable(reader(f.type)) for f in dataclasses.fields(record) if f.init)
+
+
+def test_every_event_row_column_has_a_bulk_check():
+    for readers in telemetry._COLUMNS.values():
+        assert all(read in telemetry._COLUMN_CHECKS for read in readers)
 
 
 def test_json_is_decoded_only_in_jsondoc():

@@ -16,7 +16,9 @@ from gpindex.errors import (
     EmptyInputError,
     EngineError,
     MixedProfilesError,
+    ModelError,
     SchemaError,
+    ValidationError,
 )
 from gpindex.indices import MainIndex, ScoreCard
 from gpindex.report import (
@@ -31,6 +33,7 @@ from gpindex.report import (
     round_display,
     serialize_session,
 )
+from gpindex.synth import DeviceModel
 from gpindex.telemetry import (
     FRAME_LIMIT_MS,
     DeviceMeta,
@@ -461,3 +464,89 @@ class TestSerializeSessionOracle:
         else:
             assert serialize_session(session) == document
             assert parse_session(document) == session
+
+    # The rows and launch as json writes them in a file: a direct build and
+    # the parser reading that file raise the same SchemaError. The first
+    # once escaped as a bare TypeError; the rest were accepted and written
+    # to files the parser rejects.
+    @pytest.mark.parametrize(
+        "stream,rows,message",
+        [
+            ("battery", ((0, "100"),), "battery[0][1]: expected number, got str"),
+            ("launch", (0.5, 1.5), "launch[0]: expected integer, got float"),
+            ("battery", ((0.5, 100.0),), "battery[0][0]: expected integer, got float"),
+            ("temperature", ((0, 30.0, 5),), "temperature[0][2]: expected string, got int"),
+            ("touch", ((True, 10.0),), "touch[0][0]: expected integer, got bool"),
+            ("scene_loads", ((0, 2.5),), "scene_loads[0][1]: expected integer, got float"),
+        ],
+    )
+    def test_rows_written_as_json_are_read_as_built(self, stream, rows, message):
+        with pytest.raises(SchemaError) as built_error:
+            dataclasses.replace(_session((0, 16, 33)), **{stream: rows})
+        assert type(built_error.value) is SchemaError and str(built_error.value) == message
+        doc = json.loads(oracle_bytes(_session((0, 16, 33))))
+        doc["events"][stream] = rows
+        with pytest.raises(SchemaError) as parsed_error:
+            parse_session(json.dumps(doc, separators=(",", ":")).encode())
+        assert str(parsed_error.value) == f"events.{message}"
+
+
+# Valid fields of each record a session carries, and of the model that builds them.
+_VALID_FIELDS = {
+    DeviceMeta: {"device_id": "d", "battery_capacity_mah": 4000, "display_ppi": 500,
+                 "display_resolution": (1080, 2400)},
+    GameSettings: {"game_id": "g", "render_scale": 0.75, "texture_tier": 3, "effects_tier": 2,
+                   "aa_tier": 1, "dynamic_range_tier": 0},
+    DeviceModel: {"device_id": "m", "base_frame_time_ms": 16.0, "drain_rate_pct_per_hour": 10.0,
+                  "temp_start_c": 25.0, "temp_peak_c": 35.0, "touch_latency_ms": 50.0,
+                  "launch_s": 3.0, "seed": 1, "frame_jitter_sd_ms": 0.5,
+                  "throttle_onset_s": 60.0, "throttle_factor": 1.5, "game_id": "g",
+                  "render_scale": 1, "texture_tier": 2, "effects_tier": 3, "aa_tier": 0,
+                  "dynamic_range_tier": 1, "display_ppi": 401.5, "battery_capacity_mah": 3000},
+}
+
+# What a direct build may be handed: ints (bools and values past int64
+# included), floats (NaN and infinities included), None, strings, numpy
+# scalars and tuples of the wrong length.
+_wild_values = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 2**70, True, False]),
+    st.floats(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from([np.int64(3), np.float64(0.5), np.float32(0.5), np.bool_(True), np.uint8(2)]),
+    st.tuples(st.integers(1, 4000)) | st.tuples(*[st.integers(1, 4000)] * 3),
+)
+
+
+@st.composite
+def _wild_fields(draw, record):
+    """``record``'s valid fields with up to three of them drawn from ``_wild_values``."""
+    valid = _VALID_FIELDS[record]
+    wild = draw(st.sets(st.sampled_from(sorted(valid)), max_size=3))
+    return {**valid, **{name: draw(_wild_values) for name in sorted(wild)}}
+
+
+class TestBuiltRecordsRoundTrip:
+    # A record built directly either raises one engine error, or holds what
+    # the parser reads: placed in a session, it is written as json writes it
+    # and read back equal.
+    @pytest.mark.parametrize("record", [DeviceMeta, GameSettings, DeviceModel])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    @example(data=None)  # the valid fields alone
+    def test_built_record_raises_or_round_trips(self, record, data):
+        fields = _VALID_FIELDS[record] if data is None else data.draw(_wild_fields(record))
+        try:
+            built = record(**fields)
+        except EngineError as exc:
+            assert type(exc) is (ModelError if record is DeviceModel else ValidationError)
+            return
+        device = built if record is DeviceMeta else DeviceMeta(**_VALID_FIELDS[DeviceMeta])
+        game = built if record is GameSettings else GameSettings(**_VALID_FIELDS[GameSettings])
+        if record is DeviceModel:
+            device, game = built.device, built.settings
+        session = SessionTelemetry(schema_version=1, device=device, settings=game, frames=(0, 16))
+        payload = serialize_session(session)
+        assert payload == oracle_bytes(session)
+        assert parse_session(payload) == session

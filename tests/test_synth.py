@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gpindex import metrics, synth, telemetry
 from gpindex.config import default_config
-from gpindex.errors import ModelError, SchemaError
+from gpindex.errors import ModelError, SchemaError, ValidationError
 from gpindex.indices import measure
 from gpindex.metrics import extract_metrics
 from gpindex.report import serialize_session
@@ -231,7 +231,10 @@ class TestGenerateSession:
         for device in default_demo_manifest():
             for session in generate_corpus((device,))[device.model.device_id]:
                 assert session.frame_intervals == brute_intervals(session.frames)
-                assert parse_session(serialize_session(session)) == session
+                data = serialize_session(session)  # the file demo writes
+                assert parse_session(data) == session
+                # Each value comes back as written: "display_ppi":500 stays an int.
+                assert serialize_session(parse_session(data)) == data
 
     def test_touch_jitter_within_ten_percent(self, reference_session, reference_model):
         true = reference_model.touch_latency_ms
@@ -392,6 +395,7 @@ class TestGenerateSession:
             ("texture_tier", -1, "texture_tier must be in 0..3, got -1"),
             ("render_scale", 0.0, "render_scale must be in (0, 1], got 0.0"),
             ("render_scale", 1.5, "render_scale must be in (0, 1], got 1.5"),
+            ("render_scale", 2, "render_scale must be in (0, 1], got 2"),
             ("display_ppi", 0, "display_ppi must be positive"),
             ("battery_capacity_mah", 0, "battery_capacity_mah must be positive"),
             ("game_id", "", "game_id must be non-empty"),
@@ -408,6 +412,22 @@ class TestGenerateSession:
                 dataclasses.replace(reference_model, **{field: value})
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             load_manifest(manifest_bytes({field: value}))
+
+    # Each passes the model's checks but overflows while generating; the
+    # session's own check must still refuse the non-finite values.
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"touch_latency_ms": 1.7e308}, "non-finite touch value at t="),
+            ({"temp_start_c": -1e308, "temp_peak_c": 1e308},
+             "non-finite temperature value at t=0ms"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_generated_overflow_is_refused(self, reference_model, overrides, message):
+        model = dataclasses.replace(reference_model, **overrides)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            generate_session(model, 120)
 
     def test_model_carries_the_records_its_sessions_take(self, reference_model):
         session = generate_session(reference_model, 120)

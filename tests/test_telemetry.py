@@ -182,6 +182,18 @@ class TestParseSession:
         with pytest.raises(ValidationError, match=message):
             parse_session(to_bytes(doc))
 
+    # A real is echoed as written, parsed or built alike: a session file's
+    # integer 2 once read as "got 2.0" while a manifest's read as "got 2".
+    @pytest.mark.parametrize("value,shown", [(2, "2"), (2.0, "2.0")])
+    def test_render_scale_echoed_as_written(self, value, shown):
+        message = f"^{re.escape(f'render_scale must be in (0, 1], got {shown}')}$"
+        doc = make_doc()
+        doc["game"]["render_scale"] = value
+        with pytest.raises(ValidationError, match=message):
+            parse_session(to_bytes(doc))
+        with pytest.raises(ValidationError, match=message):
+            GameSettings("g", value, 0, 0, 0, 0)
+
     def test_device_invariants(self):
         doc = make_doc()
         doc["device"]["device_id"] = ""
@@ -205,6 +217,7 @@ class TestParseSession:
             ("battery_capacity_mah", True, "battery_capacity_mah: expected integer, got bool"),
             ("display_resolution", (1.5, 2), "display_resolution[0]: expected integer, got float"),
             ("device_id", 5, "device_id: expected string, got int"),
+            ("device_id", 0, "device_id: expected string, got int"),
         ],
     )
     def test_built_device_fields_checked(self, field, value, message):
