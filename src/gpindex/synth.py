@@ -283,7 +283,7 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
     lo, hi = -TOUCH_JITTER_FRACTION, TOUCH_JITTER_FRACTION
     jitter = lo + (hi - lo) * _block_floats(model.seed, used, len(touch_times))
     latencies = model.touch_latency_ms * (1.0 + jitter)
-    touch = zip(touch_times, latencies.tolist())
+    touch = list(zip(touch_times, latencies.tolist()))
 
     return SessionTelemetry(
         schema_version=1,

@@ -77,8 +77,6 @@ from .jsondoc import (
     as_str,
     check_record,
     decode,
-    is_finite,
-    is_number,
     read_record,
     reader,
     require,
@@ -196,18 +194,21 @@ class SessionTelemetry:
 
     All event streams are immutable and sorted (non-decreasing in t);
     the constructor enforces every invariant, so any instance that
-    exists is valid. ``frame_intervals`` is derived from ``frames`` (see
+    exists is valid. It is the one row check, for every build (parsed,
+    generated or direct): ``launch`` and each row stream are read by the
+    parser's rule into their row NamedTuples, and a bad entry raises the
+    parser's ``SchemaError``, e.g. ``battery[0][1]: expected number, got
+    str`` or ``touch[3][1]: expected finite number`` (the parser adds
+    ``events.``). ``frame_intervals`` is derived from ``frames`` (see
     :func:`frame_intervals`) and takes no part in eq or repr. Its two
     producers hand it over through ``_intervals``: the parser, which
     counts it while checking the frames, and ``synth.generate_session``,
     which counts it from its numpy frame blocks. A handed-over histogram
-    is checked against ``frames`` in time proportional to its distinct
-    intervals (the counts sum to ``len(frames) - 1`` and the intervals to
-    ``frames[-1] - frames[0]``), and the frames and rows are trusted,
-    except that a non-finite temperature or touch value raises for every
-    build. Every other build checks its frames and rows as the parser does and
-    raises the parser's ``SchemaError``, e.g. ``frames[1]: expected
-    integer, got float`` or ``battery[0][1]: expected number, got str``.
+    vouches for the frames only: it is checked against ``frames`` in time
+    proportional to its distinct intervals (the counts sum to
+    ``len(frames) - 1`` and the intervals to ``frames[-1] - frames[0]``),
+    and the frames are trusted. Every other build checks its frames as
+    the parser does, e.g. ``frames[1]: expected integer, got float``.
     Its frames first take one C-level ``isinstance`` pass, since the
     parser's pass proves ints through ``bytes``, which takes numpy
     integers too; a JSON value is never one, so the parser skips it.
@@ -226,36 +227,24 @@ class SessionTelemetry:
     frame_intervals: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _intervals: Counter | None) -> None:
-        # The one place events are built: parse_session hands over checked rows.
-        object.__setattr__(self, "frames", tuple(self.frames))
-        for name in _ROW_STREAMS:
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        # Every build: a value the row readers call non-finite is an invariant
-        # named by its t (a producer's overflow too), ahead of the row check.
-        for name in ("temperature", "touch"):
-            for entry in getattr(self, name):
-                if isinstance(entry, (list, tuple)) and len(entry) > 1:
-                    if is_number(entry[1]) and not is_finite(entry[1]):
-                        raise ValidationError(f"non-finite {name} value at t={entry[0]}ms")
+        # The one place events are read: parse_session hands its rows over unread.
+        object.__setattr__(self, "frames", tuple(as_list(self.frames, "frames")))
         handed_over = _intervals is not None
         if not handed_over:
             if not all(map(isinstance, self.frames, repeat(int))):  # e.g. a numpy scalar
                 for i, t in enumerate(self.frames):
                     _as_frame(t, f"frames[{i}]")  # raises at the first frame not an int
             _intervals = _parse_frames(self.frames, "frames")
-            if self.launch is not None:
-                as_row(self.launch, "launch", _COLUMNS[LaunchEvent])
-            for name, row in _ROW_STREAMS.items():
-                _parse_rows(getattr(self, name), row, name)
         object.__setattr__(self, "frame_intervals", _intervals)
-        for name, row in _ROW_STREAMS.items():
-            object.__setattr__(self, name, tuple(starmap(row, getattr(self, name))))
         if self.launch is not None:
-            object.__setattr__(self, "launch", LaunchEvent(*self.launch))
+            launch = as_row(self.launch, "launch", _COLUMNS[LaunchEvent])
+            object.__setattr__(self, "launch", LaunchEvent(*launch))
+        for name, row in _ROW_STREAMS.items():
+            object.__setattr__(self, name, _parse_rows(getattr(self, name), row, name))
         self._validate(handed_over)
 
     def _validate(self, handed_over: bool) -> None:
-        if self.schema_version != SCHEMA_VERSION:
+        if type(self.schema_version) is not int or self.schema_version != SCHEMA_VERSION:
             raise ValidationError(
                 f"schema_version must be {SCHEMA_VERSION}, got {self.schema_version}"
             )
@@ -431,17 +420,18 @@ def _str_column(xs: list) -> list | None:
 _COLUMN_CHECKS = {as_int: _int_column, as_real: _real_column, as_str: _str_column}
 
 
-def _parse_rows(rows: Sequence, row: type, where: str) -> list:
-    """``rows`` read as ``row`` NamedTuples; a bad entry raises the walk's ``<where>[i][j]: ...``."""
+def _parse_rows(rows: Any, row: type, where: str) -> tuple:
+    """The array ``rows`` as ``row`` NamedTuples; a bad entry raises the walk's ``<where>[i][j]: ...``."""
+    rows = as_list(rows, where)
     readers = _COLUMNS[row]
     if all(map(isinstance, rows, repeat((list, tuple)))) and set(map(len, rows)) <= {len(readers)}:
         columns = [
             _COLUMN_CHECKS[read](list(map(itemgetter(j), rows))) for j, read in enumerate(readers)
         ]
         if all(column is not None for column in columns):
-            return list(zip(*columns))
+            return tuple(starmap(row, zip(*columns)))
     # The walk returns only for a direct build's int, float or str subclasses.
-    return [as_row(entry, f"{where}[{i}]", readers) for i, entry in enumerate(rows)]
+    return tuple(row(*as_row(entry, f"{where}[{i}]", readers)) for i, entry in enumerate(rows))
 
 
 def _as_frame(value: Any, where: str) -> int:
@@ -501,17 +491,9 @@ def _parse_events(obj: dict) -> dict[str, Any]:
     _warn_unknown(obj, _EVENT_KEYS, "events")
     frames = as_list(require(obj, "frames", "events"), "events.frames")
     intervals = _parse_frames(frames, "events.frames")
-
-    launch = None
-    if obj.get("launch") is not None:
-        launch = as_row(obj["launch"], "events.launch", _COLUMNS[LaunchEvent])
-
-    events = {"frames": tuple(frames), "_intervals": intervals, "launch": launch}
-    for name, row in _ROW_STREAMS.items():
-        where = f"events.{name}"  # absent and explicit null both mean "not recorded"
-        rows = [] if obj.get(name) is None else as_list(obj[name], where)
-        events[name] = _parse_rows(rows, row, where)
-    return events
+    # The constructor reads launch and the rows; absent and null both mean "not recorded".
+    rows = {name: obj[name] for name in _ROW_STREAMS if obj.get(name) is not None}
+    return {"frames": frames, "_intervals": intervals, "launch": obj.get("launch"), **rows}
 
 
 def parse_session(data: bytes) -> SessionTelemetry:
@@ -527,9 +509,12 @@ def parse_session(data: bytes) -> SessionTelemetry:
     device = _parse_record(root, "device", DeviceMeta)
     settings = _parse_record(root, "game", GameSettings)
     events = _parse_events(as_obj(require(root, "events", ""), "events"))
-    return SessionTelemetry(
-        schema_version=version, device=device, settings=settings, **events
-    )
+    try:
+        return SessionTelemetry(
+            schema_version=version, device=device, settings=settings, **events
+        )
+    except SchemaError as exc:  # the constructor's SchemaError names an event stream
+        raise SchemaError(f"events.{exc}") from exc
 
 
 # --- comparability -----------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -385,6 +386,47 @@ class Millis(int):
     __str__ = __repr__
 
 
+_time = st.integers(0, 100_000)
+_level = st.floats(0, 100)
+# Each event stream's columns, drawn valid.
+_ROW_COLUMNS = {
+    "launch": (_time, _time),
+    "battery": (_time, _level),
+    "temperature": (_time, st.floats(-20, 120), st.sampled_from(["soc", "gpu"])),
+    "touch": (_time, _level),
+    "scene_loads": (_time, _time),
+}
+# What a file may hold instead: ints (bools and ints past int64 included),
+# floats (NaN and infinities included), strings and null.
+_json_values = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 2**70, True, False]),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@st.composite
+def _json_row(draw, columns):
+    """A row of ``columns``, some values from ``_json_values``, or an array of the wrong length."""
+    if draw(st.integers(0, 9)) == 0:
+        size = draw(st.sampled_from([n for n in range(5) if n != len(columns)]))
+        return draw(st.lists(_json_values, min_size=size, max_size=size))
+    return [draw(_json_values if draw(st.integers(0, 7)) == 0 else column) for column in columns]
+
+
+@st.composite
+def _json_events(draw):
+    """Some of a session's launch and row streams, drawn as ``_json_row`` rows."""
+    events = {}
+    for name in draw(st.sets(st.sampled_from(sorted(_ROW_COLUMNS)), min_size=1)):
+        columns = _ROW_COLUMNS[name]
+        rows = _json_row(columns) if name == "launch" else st.lists(_json_row(columns), max_size=4)
+        events[name] = draw(rows)
+    return events
+
+
 def _session(frames):
     return SessionTelemetry(
         schema_version=1,
@@ -450,6 +492,7 @@ class TestSerializeSessionOracle:
             ((0, Millis(16), 33), b'"frames":[0,16,33]'),
             ((-(2**70), 2**64, 2**64 + 1), b'"frames":[-1180591620717411303424,'
              b"18446744073709551616,18446744073709551617]"),
+            (5, b'"frames":5'),  # once a bare TypeError
         ],
     )
     def test_frames_written_as_json_writes_them(self, frames, text):
@@ -466,9 +509,10 @@ class TestSerializeSessionOracle:
             assert parse_session(document) == session
 
     # The rows and launch as json writes them in a file: a direct build and
-    # the parser reading that file raise the same SchemaError. The first
-    # once escaped as a bare TypeError; the rest were accepted and written
-    # to files the parser rejects.
+    # the parser reading that file raise the same SchemaError. The first and
+    # the stream that is not an array once escaped as a bare TypeError, the
+    # non-finite values were a ValidationError of a build's own, and the
+    # rest were accepted and written to files the parser rejects.
     @pytest.mark.parametrize(
         "stream,rows,message",
         [
@@ -478,6 +522,9 @@ class TestSerializeSessionOracle:
             ("temperature", ((0, 30.0, 5),), "temperature[0][2]: expected string, got int"),
             ("touch", ((True, 10.0),), "touch[0][0]: expected integer, got bool"),
             ("scene_loads", ((0, 2.5),), "scene_loads[0][1]: expected integer, got float"),
+            ("battery", 5, "battery: expected array, got int"),
+            ("touch", ((0, math.inf),), "touch[0][1]: expected finite number"),
+            ("temperature", ((0, math.nan, "soc"),), "temperature[0][1]: expected finite number"),
         ],
     )
     def test_rows_written_as_json_are_read_as_built(self, stream, rows, message):
@@ -489,6 +536,34 @@ class TestSerializeSessionOracle:
         with pytest.raises(SchemaError) as parsed_error:
             parse_session(json.dumps(doc, separators=(",", ":")).encode())
         assert str(parsed_error.value) == f"events.{message}"
+
+    # Rows drawn from JSON values: a direct build and the parser reading the
+    # file json writes for them build equal sessions, or raise the same class
+    # with the same message, the parser's prefixed "events.". Non-finite
+    # values once raised a ValidationError of a build's own.
+    @settings(max_examples=300, deadline=None)
+    @given(_json_events())
+    @example({"battery": [[0, 100], [16, 99.5]], "temperature": [[0, 30, "soc"]],
+              "touch": [[5, 41]], "scene_loads": [[1, 2]], "launch": [0, 5]})
+    @example({"temperature": [[0, math.nan, "soc"]]})
+    @example({"touch": [[0, -math.inf]]})
+    @example({"battery": [[0, 2**70]]})
+    def test_built_rows_are_read_as_parsed(self, events):
+        session = _session((0, 16, 33))
+        doc = json.loads(oracle_bytes(session))
+        doc["events"].update(events)
+        payload = json.dumps(doc, separators=(",", ":")).encode()
+        try:
+            built = dataclasses.replace(session, **events)
+        except EngineError as built_error:
+            with pytest.raises(EngineError) as parsed_error:
+                parse_session(payload)
+            assert type(parsed_error.value) is type(built_error)
+            prefix = "events." if type(built_error) is SchemaError else ""
+            assert str(parsed_error.value) == prefix + str(built_error)
+        else:
+            assert parse_session(payload) == built
+            assert parse_session(serialize_session(built)) == built
 
 
 # Valid fields of each record a session carries, and of the model that builds them.

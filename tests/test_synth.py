@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gpindex import metrics, synth, telemetry
 from gpindex.config import default_config
-from gpindex.errors import ModelError, SchemaError, ValidationError
+from gpindex.errors import ModelError, SchemaError
 from gpindex.indices import measure
 from gpindex.metrics import extract_metrics
 from gpindex.report import serialize_session
@@ -414,19 +414,19 @@ class TestGenerateSession:
             load_manifest(manifest_bytes({field: value}))
 
     # Each passes the model's checks but overflows while generating; the
-    # session's own check must still refuse the non-finite values.
+    # session's row check, the parser's, must still refuse the non-finite values.
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"touch_latency_ms": 1.7e308}, "non-finite touch value at t="),
+            ({"touch_latency_ms": 1.7e308}, "touch[0][1]: expected finite number"),
             ({"temp_start_c": -1e308, "temp_peak_c": 1e308},
-             "non-finite temperature value at t=0ms"),
+             "temperature[0][1]: expected finite number"),
         ],
     )
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_generated_overflow_is_refused(self, reference_model, overrides, message):
         model = dataclasses.replace(reference_model, **overrides)
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             generate_session(model, 120)
 
     def test_model_carries_the_records_its_sessions_take(self, reference_model):

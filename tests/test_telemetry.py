@@ -303,8 +303,16 @@ class TestClosedErrorSurface:
     def test_non_finite_value_in_built_session(self, reference_session, stream, index, value):
         rows = list(getattr(reference_session, stream))
         rows[index] = rows[index][:1] + (value,) + rows[index][2:]
-        with pytest.raises(ValidationError, match=rf"non-finite .* at t={rows[index][0]}ms"):
+        # The parser's row rule, the one rule for every build.
+        message = f"{stream}[{index}][1]: expected finite number"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(reference_session, **{stream: rows})
+
+    # Once accepted, as each equals 1, and written to a file the parser rejects.
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_built_schema_version_must_be_an_int(self, reference_session, version):
+        with pytest.raises(ValidationError, match=f"^schema_version must be 1, got {version}$"):
+            dataclasses.replace(reference_session, schema_version=version)
 
     # A session built directly checks its frames as the parser does and names
     # a bad one as the parser's walk would, with the path "frames".
