@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -25,7 +26,7 @@ from .errors import ConfigError, EngineError
 from .indices import MeasuredSession, measure, score_device, weigh  # noqa: F401
 from .report import ComparisonTable, emit_plot_data, emit_report, rank_devices, serialize_session
 from .synth import CorpusDevice, default_demo_manifest, generate_corpus, load_manifest
-from .telemetry import parse_session, validate_comparability
+from .telemetry import UnknownKeyWarning, parse_session, validate_comparability
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -85,12 +86,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     valid = []  # each valid session's settings; the session itself is dropped once parsed
     failures = 0
     for name in args.files:
-        try:
-            with open(name, "rb") as fh:
-                valid.append(parse_session(fh.read()).settings)
-        except (OSError, EngineError) as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
-            failures += 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UnknownKeyWarning)
+            try:
+                with open(name, "rb") as fh:
+                    valid.append(parse_session(fh.read()).settings)
+            except (OSError, EngineError) as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                failures += 1
+        # Printed after the file's diagnostic, the only line that starts with its path.
+        for warning in caught:
+            print(f"warning: {name}: {warning.message}", file=sys.stderr)
     print(f"{len(valid)} valid")
     if args.comparability and valid:
         for flag in validate_comparability(valid).flags:

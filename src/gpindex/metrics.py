@@ -35,6 +35,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import accumulate
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, EngineError, InsufficientSamplesError, ValidationError
@@ -47,7 +48,6 @@ from .telemetry import (
     SessionTelemetry,
     TempSample,
     TouchEvent,
-    frame_intervals,
 )
 
 LOW_PERCENTILE = 1.0
@@ -109,9 +109,11 @@ def compute_fps_metrics(
 ) -> tuple[float, float, float]:
     """(avg_fps, low1_fps, fps_stability) from frame-present timestamps (ms).
 
-    ``intervals`` is ``frame_intervals(frames)`` when the caller has it
-    already. Zero-length intervals (simultaneous presents) merge into the
-    next interval, so instantaneous FPS is always defined.
+    ``intervals`` is the histogram of the intervals between consecutive
+    frames, ``Counter(map(sub, frames[1:], frames))``, when the caller has
+    it already (``SessionTelemetry.frame_intervals``). Zero-length
+    intervals (simultaneous presents) merge into the next interval, so
+    instantaneous FPS is always defined.
     """
     if len(frames) < 2:
         raise DegenerateInputError("need at least 2 frame timestamps")
@@ -121,7 +123,7 @@ def compute_fps_metrics(
 
     avg_fps = (len(frames) - 1) / (span_ms / 1000.0)
 
-    counts = frame_intervals(frames) if intervals is None else intervals
+    counts = Counter(map(sub, frames[1:], frames)) if intervals is None else intervals
     deltas = sorted(d for d in counts if d > 0)  # merge zero intervals into the next one
     ends = list(accumulate(counts[d] for d in deltas))
     n = ends[-1]

@@ -27,8 +27,9 @@ left to right exactly like the scalar ``t += step`` loop. Block generation
 therefore equals the scalar definition bit for bit; the test suite keeps
 the scalar generator and loop as its oracle. Each block of int64 frames
 also gives its share of the session's frame-interval histogram
-(``np.unique`` of its differences, plus the one interval across the block
-boundary), which generate_session hands to SessionTelemetry, so no
+(``SessionTelemetry.frame_intervals``: ``np.unique`` of its differences,
+plus the one interval across the block boundary), which
+generate_session hands to SessionTelemetry, so no
 Python loop runs over the frames and memory stays bounded by the block
 size, not the session length. numpy is imported inside the
 two functions that generate frames and draws, so importing this module,
@@ -190,9 +191,10 @@ def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Cou
     jitter is one uniform draw (none when frame_jitter_sd_ms is 0). Each
     block below computes the next steps at once and keeps the frames up to
     the first time at or past its limit: the end, or the throttle onset,
-    after which the next block uses the throttled dt. The histogram is
-    ``telemetry.frame_intervals(frames)``, counted per block from the
-    block's int64 frames plus the one interval across the block boundary.
+    after which the next block uses the throttled dt. The histogram is the
+    ``Counter`` of the intervals ``b - a`` between consecutive frames (the
+    session's ``frame_intervals``), counted per block from the block's
+    int64 frames plus the one interval across the block boundary.
     """
     import numpy as np
 

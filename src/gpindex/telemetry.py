@@ -21,23 +21,17 @@ Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
 (``set(map(type, xs))``, ``min``/``max``) and one per stream for
 timestamp order (``all(map(operator.le, xs, xs[1:]))``). Frames, almost
-all of a session's bytes, take a single pass, into the histogram of
-their intervals (:func:`frame_intervals`), which the session keeps for
-the FPS metrics. That pass goes block by block, ``_FRAME_BLOCK``
-intervals at a time, each block a ``bytes`` string built in C whenever
-its intervals are integers in 0..255 ms; a block ``bytes`` rejects is
-counted one by one, so a long frame or a fault costs one block. The
-histogram stands in for the type pass: its keys are exact ints only if
-every frame is an int or a bool (a float gives a float interval, which
-keeps a key of its own, and any other type raises ``TypeError``), and
-then frames are in order iff no interval is negative. In order, a bool
-(0 or 1) can only sit among the leading frames ``<= 1``, which alone are
-type-checked, and ``frames[0]`` and ``frames[-1]`` bound the rest. Any
-other histogram (a float or negative key, fewer than 2 frames, a
-``TypeError``) sends the frames through the same rule block by block:
-a block ``bytes`` took holds ints or bools in order, so only its leading
-frames ``<= 1`` are type-checked and its endpoints bound it; a block
-``bytes`` rejected takes a type pass and ``min``/``max``.
+all of a session's bytes, are checked and counted into the histogram of
+their intervals in one pass (:func:`_parse_frames`), which the session
+keeps for the FPS metrics. That pass goes block by block,
+``_FRAME_BLOCK`` intervals at a time, and each block proves itself by
+the rule its byte pass allows. A block whose intervals ``bytes`` takes
+(integers in 0..255 ms; a float has no ``__index__``) holds ints or
+bools in order: a bool (0 or 1) can only sit among its leading frames
+``<= 1``, which alone are type-checked, and its endpoints bound the
+rest. Its byte string is counted in C with the others. Any other block
+(a long frame, a fault) takes a type pass and ``min``/``max`` and is
+counted one by one, so a long frame or a fault costs one block.
 Only when a bulk check fails is a stream walked element by element, and
 that walk alone decides the outcome and names the first offending entry,
 e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
@@ -199,18 +193,19 @@ class SessionTelemetry:
     parser's rule into their row NamedTuples, and a bad entry raises the
     parser's ``SchemaError``, e.g. ``battery[0][1]: expected number, got
     str`` or ``touch[3][1]: expected finite number`` (the parser adds
-    ``events.``). ``frame_intervals`` is derived from ``frames`` (see
-    :func:`frame_intervals`) and takes no part in eq or repr. Its two
-    producers hand it over through ``_intervals``: the parser, which
-    counts it while checking the frames, and ``synth.generate_session``,
-    which counts it from its numpy frame blocks. A handed-over histogram
-    vouches for the frames only: it is checked against ``frames`` in time
-    proportional to its distinct intervals (the counts sum to
-    ``len(frames) - 1`` and the intervals to ``frames[-1] - frames[0]``),
-    and the frames are trusted. Every other build checks its frames as
+    ``events.``). ``frame_intervals``, the histogram of the intervals
+    ``b - a`` between consecutive frames, is derived from ``frames`` and
+    takes no part in eq or repr. Its two producers hand it over through
+    ``_intervals``: the parser, which counts it while checking the frames
+    (:func:`_parse_frames`), and ``synth.generate_session``, which counts
+    it from its numpy frame blocks. A handed-over histogram vouches for
+    the frames only: it is checked against ``frames`` in time proportional
+    to its distinct intervals (the counts sum to ``len(frames) - 1`` and
+    the intervals to ``frames[-1] - frames[0]``), and the frames are
+    trusted. Every other build checks its frames as
     the parser does, e.g. ``frames[1]: expected integer, got float``.
     Its frames first take one C-level ``isinstance`` pass, since the
-    parser's pass proves ints through ``bytes``, which takes numpy
+    parser's check proves ints through ``bytes``, which takes numpy
     integers too; a JSON value is never one, so the parser skips it.
     """
 
@@ -307,52 +302,6 @@ class SessionTelemetry:
         return self.frames[-1] - self.frames[0]
 
 
-class _Intervals(Counter):
-    """A :func:`frame_intervals` histogram, with the blocks ``bytes`` rejected.
-
-    ``rejected`` holds the first interval index of each such block.
-    """
-
-    rejected: frozenset = frozenset()
-
-
-def frame_intervals(frames: Sequence[int]) -> Counter:
-    """Histogram of the intervals ``b - a`` between consecutive frame timestamps.
-
-    The intervals are taken in blocks of ``_FRAME_BLOCK``. A block whose
-    intervals are all integers in 0..255 ms (any stretch that never drops
-    below 4 FPS) becomes a ``bytes`` string in C; the joined strings are
-    counted by deleting one distinct interval at a time. Any other
-    interval makes ``bytes`` raise, and that block alone is counted one
-    by one. When no interval is negative, every key is an ``int`` only if
-    every interval is an integer: ``bytes`` takes integers alone, and the
-    non-int intervals of every rejected block are counted before any int
-    one, so a float interval equal to an int one (16.0 and 16) keeps a
-    key of its own type. The histogram lists the rejected blocks
-    (``_Intervals.rejected``) for the parser's per-block checks.
-    """
-    size = _FRAME_BLOCK
-    accepted, odd, rejected = [], [], []
-    for s in range(0, len(frames) - 1, size):
-        ends, starts = frames[s + 1 : s + size + 1], frames[s : s + size]
-        try:
-            accepted.append(bytes(map(sub, ends, starts)))
-        except (TypeError, ValueError):
-            odd.append(list(map(sub, ends, starts)))  # a frame that is not a number raises
-            rejected.append(s)
-    counts = _Intervals()
-    counts.update(d for block in odd for d in block if type(d) is not int)
-    counts.update(d for block in odd for d in block if type(d) is int)
-    steps = b"".join(accepted)
-    while steps:
-        d = steps[0]
-        rest = steps.translate(None, bytes((d,)))
-        counts[d] += len(steps) - len(rest)
-        steps = rest
-    counts.rejected = frozenset(rejected)
-    return counts
-
-
 def _int_head(frames: Sequence) -> bool:
     """Whether the leading frames ``<= 1`` of frames in order are ``int``: only they can be bools."""
     return set(map(type, takewhile(partial(ge, 1), frames))) <= {int}
@@ -391,7 +340,7 @@ def _warn_unknown(obj: dict, known: set[str], path: str) -> None:
 
 
 # Bulk column checks, by the reader the walk takes for the column: each
-# returns the column, with reals as floats, when every element passes, and
+# returns the column as given, like the walk, when every element passes, and
 # None otherwise, which sends the stream to the walk to name the bad entry.
 
 
@@ -402,15 +351,12 @@ def _int_column(xs: list) -> list | None:
 
 
 def _real_column(xs: list) -> list | None:
-    kinds = set(map(type, xs))
-    if not kinds <= {int, float}:
+    if not set(map(type, xs)) <= {int, float}:
         return None
-    if int in kinds:
-        try:
-            xs = list(map(float, xs))
-        except OverflowError:
-            return None
-    return xs if all(map(math.isfinite, xs)) else None
+    try:
+        return xs if all(map(math.isfinite, xs)) else None
+    except OverflowError:  # an int past the float range
+        return None
 
 
 def _str_column(xs: list) -> list | None:
@@ -444,40 +390,46 @@ def _as_frame(value: Any, where: str) -> int:
 def _parse_frames(frames: Sequence, where: str) -> Counter:
     """Check every frame an int within +/-2**53 ms; return the histogram of the intervals.
 
-    A bad frame raises the walk's ``SchemaError``, ``<where>[N]: ...``.
-    Integer keys, none negative, prove every frame an int or a bool, in
-    order (a float gives a float interval, kept under a float key; any
-    other type raises): then only the leading frames ``<= 1``, the only
-    ones a bool can be, are type-checked, and the endpoints bound the rest.
+    One pass over blocks of ``_FRAME_BLOCK`` intervals, each checked by
+    the rule its byte pass allows. A block whose intervals ``bytes``
+    takes (integers in 0..255 ms) holds ints or bools in order, so only
+    its leading frames ``<= 1``, the only ones a bool can be, are
+    type-checked, and its endpoints bound the rest. Any other block takes
+    a type pass and ``min``/``max``. A block that fails its rule is walked
+    up to the first frame the walk rejects: ``<where>[N]: ...``. Out of
+    order or fewer than 2 frames, once every frame is in range, the
+    constructor names the fault.
     """
     lo, hi = 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1
-    try:
-        intervals = frame_intervals(frames)
-    except (TypeError, OverflowError):  # a frame that is not a number, or an int past float
-        intervals = Counter()
-        rejected = range(0, len(frames), _FRAME_BLOCK)  # every block takes the type pass
-    else:
-        if intervals and set(map(type, intervals)) <= {int} and min(intervals) >= 0:
-            if _int_head(frames) and lo <= frames[0] and frames[-1] <= hi:
-                return intervals
-        rejected = intervals.rejected
-    # Otherwise each block is checked by the rule its byte pass allows and
-    # only the frames of a block that fails are walked, up to the first the
-    # walk rejects. Fewer than 2 frames, or out of order: once every frame
-    # is in range, the constructor names the fault.
+    counts, accepted = Counter(), []
     for s in range(0, max(len(frames) - 1, 1), _FRAME_BLOCK):
         block = frames[s : s + _FRAME_BLOCK + 1]
-        if len(block) < 2 or s in rejected:
+        try:
+            steps = bytes(map(sub, block[1:], block)) if len(block) > 1 else None
+        except (TypeError, ValueError, OverflowError):  # not all ints 0..255 ms apart
+            steps = None
+        if steps is None:
             ok = set(map(type, block)) <= {int} and (
                 not block or (lo <= min(block) and max(block) <= hi)
             )
-        else:  # bytes took its intervals: ints or bools, in order
+        else:  # ints or bools, in order
             ok = _int_head(block) and lo <= block[0] and block[-1] <= hi
         if not ok:
             for i, v in enumerate(block, s):
                 if type(v) is not int or not lo <= v <= hi:
                     _as_frame(v, f"{where}[{i}]")  # of these, only an int subclass passes
-    return intervals
+        if steps is None:
+            counts.update(map(sub, block[1:], block))  # its frames are ints now
+        else:
+            accepted.append(steps)
+    # The byte strings are counted by deleting one distinct interval at a time.
+    steps = b"".join(accepted)
+    while steps:
+        d = steps[0]
+        rest = steps.translate(None, bytes((d,)))
+        counts[d] += len(steps) - len(rest)
+        steps = rest
+    return counts
 
 
 def _parse_record(root: dict, key: str, record: type) -> Any:

@@ -48,6 +48,7 @@ HOSTILE_MANIFESTS = {
     "battery_capacity_0": manifest_bytes({"device_id": "a"}, {"battery_capacity_mah": 0}),
     "duration_60": manifest_bytes({"device_id": "a"}, {"session_duration_s": 60}),
     "duration_past_int64": manifest_bytes({"device_id": "a"}, {"session_duration_s": 1e16}),
+    "zero_sessions": manifest_bytes({}).replace(b'"sessions": 1', b'"sessions": 0'),
 }
 
 
@@ -141,6 +142,29 @@ class TestValidate:
         assert "1 valid" in captured.out
         assert "charging.json" in captured.err
         assert "battery increased" in captured.err
+
+    # Once one warning for every file, naming a line of cli.py and no file.
+    def test_unknown_key_warned_for_each_file(self, tmp_path, reference_session, capsys):
+        doc = json.loads(serialize_session(reference_session))
+        doc["events"]["replay_markers"] = []
+        files = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in files:
+            path.write_text(json.dumps(doc))
+        assert main(["validate", *map(str, files)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "2 valid\n"
+        assert captured.err.splitlines() == [
+            f"warning: {path}: ignoring unknown key 'events.replay_markers'" for path in files
+        ]
+        # A file that fails starts its stderr with its diagnostic, then its warnings.
+        doc["events"]["frames"][1] = 16.5
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{bad}: events.frames[1]: expected integer, got float",
+            f"warning: {bad}: ignoring unknown key 'events.replay_markers'",
+        ]
 
     def test_missing_file_diagnosed(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
@@ -461,6 +485,14 @@ class TestCompare:
         assert (out / "plot_data.csv").read_bytes() == (
             GOLDEN_DIR / "demo_plot_data.csv"
         ).read_bytes()
+
+    def test_out_naming_a_file_is_data_error(self, demo_dir, tmp_path, capsys):
+        device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
+        out = tmp_path / "taken"
+        out.write_bytes(b"x")
+        assert main(["compare", "--out", str(out), *device_dirs]) == 1
+        assert capsys.readouterr().err.startswith(f"i/o error under {out}: ")
+        assert out.read_bytes() == b"x"
 
     def test_extracts_each_session_once(self, demo_dir, tmp_path, monkeypatch):
         calls = []

@@ -98,6 +98,18 @@ HOSTILE_CONFIGS = {
         config_bytes(drop_curve("low1_fps")),
         "curves: no curve for metric 'low1_fps'",
     ),
+    "empty_curves": (
+        config_bytes(lambda doc: doc.update(curves={})),
+        "curves: expected a non-empty object",
+    ),
+    "unknown_curve_metric": (
+        config_bytes(lambda doc: doc["curves"].update(warp=doc["curves"]["avg_fps"])),
+        "curves.warp: unknown metric",
+    ),
+    "unknown_main_index": (
+        config_bytes(lambda doc: doc["profiles"]["casual"]["main_weights"].update(warp=1.0)),
+        "profiles.casual.main_weights: unknown index 'warp'",
+    ),
 }
 
 
@@ -126,6 +138,18 @@ def test_compare_with_hostile_config_is_usage_error(
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
+
+def test_compare_with_missing_config_is_usage_error(tmp_path, reference_session, capsys):
+    config = tmp_path / "missing.json"
+    device = tmp_path / "device"
+    device.mkdir()
+    (device / "s.json").write_bytes(serialize_session(reference_session))
+    argv = ["compare", "--config", str(config), "--out", str(tmp_path / "out"), str(device)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {config}: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

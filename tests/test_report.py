@@ -525,6 +525,7 @@ class TestSerializeSessionOracle:
             ("battery", 5, "battery: expected array, got int"),
             ("touch", ((0, math.inf),), "touch[0][1]: expected finite number"),
             ("temperature", ((0, math.nan, "soc"),), "temperature[0][1]: expected finite number"),
+            ("battery", ((0, 10**400),), "battery[0][1]: expected finite number"),
         ],
     )
     def test_rows_written_as_json_are_read_as_built(self, stream, rows, message):
@@ -536,6 +537,15 @@ class TestSerializeSessionOracle:
         with pytest.raises(SchemaError) as parsed_error:
             parse_session(json.dumps(doc, separators=(",", ":")).encode())
         assert str(parsed_error.value) == f"events.{message}"
+
+    # A build with an int subclass takes the walk, which keeps an int level as
+    # written, as the parser's bulk check does: once the walk kept 100 and the
+    # parser read 100.0, so the two wrote different files.
+    def test_walked_rows_keep_reals_as_written(self):
+        built = dataclasses.replace(_session((0, 16, 33)), battery=((0, 100), (Millis(5), 99)))
+        payload = serialize_session(built)
+        assert serialize_session(parse_session(payload)) == payload
+        assert b'"battery":[[0,100],[5,99]]' in payload
 
     # Rows drawn from JSON values: a direct build and the parser reading the
     # file json writes for them build equal sessions, or raise the same class

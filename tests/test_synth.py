@@ -311,21 +311,27 @@ class TestGenerateSession:
 
     def test_measure_counts_no_frame_interval(self, monkeypatch, reference_model):
         """generate_session hands its block histogram over; nothing counts the frames again."""
-        calls = 0
-        take = telemetry.frame_intervals
+        calls, handed = 0, []
+        check, fps = telemetry._parse_frames, metrics.compute_fps_metrics
 
-        def counting(frames):
+        def counting(frames, where):
             nonlocal calls
             calls += 1
-            return take(frames)
+            return check(frames, where)
 
-        monkeypatch.setattr(telemetry, "frame_intervals", counting)
-        monkeypatch.setattr(metrics, "frame_intervals", counting)
+        def recording(frames, intervals=None):
+            handed.append(intervals)
+            return fps(frames, intervals)
+
+        monkeypatch.setattr(telemetry, "_parse_frames", counting)
+        monkeypatch.setattr(metrics, "compute_fps_metrics", recording)
         jittery = dataclasses.replace(
             reference_model, frame_jitter_sd_ms=2.0, throttle_onset_s=200.0, throttle_factor=1.7
         )
-        measure(generate_session(jittery, 600), default_config().curves)
+        session = generate_session(jittery, 600)
+        measure(session, default_config().curves)
         assert calls == 0
+        assert len(handed) == 1 and handed[0] is session.frame_intervals
 
     @pytest.mark.parametrize(
         "field,value",
@@ -507,6 +513,12 @@ class TestManifestRejections:
     def test_non_finite_numbers(self, overrides, match):
         with pytest.raises((ModelError, SchemaError), match=match):
             load_manifest(manifest_bytes(overrides))
+
+    def test_zero_sessions(self):
+        data = manifest_bytes({}).replace(b'"sessions": 1', b'"sessions": 0')
+        message = r"^devices\[0\]\.sessions: expected positive integer$"
+        with pytest.raises(SchemaError, match=message):
+            load_manifest(data)
 
     def test_deep_nesting_is_malformed(self):
         with pytest.raises(SchemaError, match="malformed manifest"):

@@ -204,6 +204,20 @@ class TestParseSession:
         with pytest.raises(ValidationError, match="display_ppi"):
             parse_session(to_bytes(doc))
 
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("events", "touch", [[2000, -1.5]], "negative touch latency at t=2000ms"),
+            ("device", "display_resolution", [0, 2400], "display_resolution must be positive"),
+        ],
+    )
+    def test_file_invariants_named(self, section, key, value, message):
+        doc = make_doc()
+        doc[section][key] = value
+        with pytest.raises(ValidationError) as info:
+            parse_session(to_bytes(doc))
+        assert type(info.value) is ValidationError and str(info.value) == message
+
     # Built directly: the first three once escaped as a bare ValueError or
     # TypeError, the rest were accepted and written to files the parser
     # rejects.
@@ -591,18 +605,24 @@ class TestFrameIntervals:
         assert dataclasses.replace(session, touch=()).frame_intervals == brute
 
     def test_measure_takes_the_histogram_once(self, fixture_session_path, monkeypatch):
-        calls = 0
-        take = telemetry.frame_intervals
+        calls, handed = 0, []
+        check, fps = telemetry._parse_frames, metrics.compute_fps_metrics
 
-        def counting(frames):
+        def counting(frames, where):
             nonlocal calls
             calls += 1
-            return take(frames)
+            return check(frames, where)
 
-        monkeypatch.setattr(telemetry, "frame_intervals", counting)
-        monkeypatch.setattr(metrics, "frame_intervals", counting)
-        measure(parse_session(fixture_session_path.read_bytes()), default_config().curves)
+        def recording(frames, intervals=None):
+            handed.append(intervals)
+            return fps(frames, intervals)
+
+        monkeypatch.setattr(telemetry, "_parse_frames", counting)
+        monkeypatch.setattr(metrics, "compute_fps_metrics", recording)
+        session = parse_session(fixture_session_path.read_bytes())
+        measure(session, default_config().curves)
         assert calls == 1
+        assert len(handed) == 1 and handed[0] is session.frame_intervals
 
     def test_left_out_of_eq_and_repr(self, reference_session):
         assert "frame_intervals" not in repr(reference_session)
@@ -715,12 +735,16 @@ class TestFrameCheckOracle:
     @example([0, 16, 32, 2**53, 2**53 + 16, 2**53 + 32, 2**53 + 48], 3)
     # A float frame only in a later block.
     @example([0, 16, 32, 48, 64, 80, 96.0, 112], 2)
+    # The float frame in the last block, after int blocks of the same interval.
+    @example([16, 32, 48, 64, 80, 96, 112.0], 2)
     # A bool in a block bytes took, after a block rejected for disorder.
     @example([5, 0, 0, True, 3], 2)
     # An out-of-range int in a block bytes took, before a later disorder.
     @example([2**53 - 16, 2**53, 2**53 + 16, 0], 2)
     # A frame that is not a number, after an out-of-range one.
     @example([0, 16, 32, 48, 2**53, "64", 80], 2)
+    # A first interval that overflows: an int past the float range, then a float.
+    @example([10**400, 0.5, 16], 2)
     def test_same_outcome_as_the_oracle(self, frames, block):
         # Parsed, the frames are checked as "events.frames"; built directly, as "frames".
         data = to_bytes(make_doc(events={"frames": frames}))
@@ -741,29 +765,15 @@ class TestFrameCheckOracle:
     )
     def test_histogram_equals_the_counter(self, frames, block):
         brute = Counter(b - a for a, b in zip(frames, frames[1:]))
+        far = [i for i, t in enumerate(frames) if abs(t) >= telemetry.FRAME_LIMIT_MS]
         with patch.object(telemetry, "_FRAME_BLOCK", block):
-            got = telemetry.frame_intervals(frames)
-        assert got == brute and set(map(type, got)) <= {int}
-
-    # Frames in order, a few as floats: repeated intervals make a float one
-    # equal to an int one, which once counted under the int's key.
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.tuples(st.sampled_from([0, 16, 17, 300]), st.booleans()), min_size=2),
-        _BLOCKS,
-    )
-    # The float frame in the last block, after int blocks of the same interval.
-    @example([(16, False)] * 6 + [(16, True)], 2)
-    def test_keys_show_a_float_frame_in_order(self, steps, block):
-        frames, t = [], 0
-        for gap, as_float in steps:
-            t += gap
-            frames.append(float(t) if as_float else t)
-        brute = Counter(b - a for a, b in zip(frames, frames[1:]))
-        with patch.object(telemetry, "_FRAME_BLOCK", block):
-            got = telemetry.frame_intervals(frames)
-        assert got == brute
-        assert (set(map(type, got)) <= {int}) == (set(map(type, frames)) <= {int})
+            if far:
+                with pytest.raises(SchemaError) as info:
+                    telemetry._parse_frames(frames, "frames")
+                assert str(info.value) == f"frames[{far[0]}]: integer outside the int64 range"
+            else:
+                got = telemetry._parse_frames(frames, "frames")
+                assert got == brute and set(map(type, got)) <= {int}
 
 
 class TestRoundTrip:
