@@ -18,7 +18,7 @@ import warnings
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .config import EngineConfig, default_config, load_config_file
 from .errors import ConfigError, EngineError
@@ -82,21 +82,34 @@ def _load_config(path: str | None) -> EngineConfig:
     return default_config() if path is None else load_config_file(path)
 
 
+def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> Any:
+    """What ``read`` makes of file ``name``'s bytes; None once its failure is printed.
+
+    The failure is printed as ``<prefix><name>: <error>``. Each warning
+    raised meanwhile, such as an unknown key, follows it as
+    ``warning: <name>: ...``, once per key. Only the diagnostic may start
+    with ``<prefix><name>: ``: perfbench's ``validate_mixed`` check counts
+    such a line as that file's diagnostic.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnknownKeyWarning)
+        try:
+            with open(name, "rb") as fh:
+                result = read(fh.read())
+        except (OSError, EngineError) as exc:
+            print(f"{prefix}{name}: {exc}", file=sys.stderr)
+            result = None
+    for warning in caught:
+        print(f"warning: {name}: {warning.message}", file=sys.stderr)
+    return result
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
-    valid = []  # each valid session's settings; the session itself is dropped once parsed
-    failures = 0
-    for name in args.files:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UnknownKeyWarning)
-            try:
-                with open(name, "rb") as fh:
-                    valid.append(parse_session(fh.read()).settings)
-            except (OSError, EngineError) as exc:
-                print(f"{name}: {exc}", file=sys.stderr)
-                failures += 1
-        # Printed after the file's diagnostic, the only line that starts with its path.
-        for warning in caught:
-            print(f"warning: {name}: {warning.message}", file=sys.stderr)
+    # Each file's settings, or None; the session itself is dropped once parsed.
+    results = [
+        _read_file(name, lambda data: parse_session(data).settings, "") for name in args.files
+    ]
+    valid = [settings for settings in results if settings is not None]
     print(f"{len(valid)} valid")
     if args.comparability and valid:
         for flag in validate_comparability(valid).flags:
@@ -105,11 +118,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 f"{flag.value} differs from modal {flag.modal}",
                 file=sys.stderr,
             )
-    return EXIT_DATA if failures else EXIT_OK
+    return EXIT_DATA if len(valid) < len(results) else EXIT_OK
 
 
-def _measure_dirs(device_dirs: list[str], config: EngineConfig) -> list[list[MeasuredSession]]:
-    """Each directory's sessions, measured file by file; a session is dropped once measured."""
+def _measure_dirs(
+    device_dirs: list[str], config: EngineConfig
+) -> list[list[MeasuredSession]] | None:
+    """Each directory's sessions, measured file by file; a session is dropped once measured.
+
+    None once the first file that fails is printed as ``error: <file>: ...``.
+    """
+
+    def read(data: bytes) -> MeasuredSession:
+        return measure(parse_session(data), config.curves)
+
     groups = []
     for dirname in device_dirs:
         files = sorted(Path(dirname).glob("*.json"))
@@ -117,10 +139,10 @@ def _measure_dirs(device_dirs: list[str], config: EngineConfig) -> list[list[Mea
             raise EngineError(f"{dirname}: no session files (*.json) found")
         measured = []
         for f in files:
-            try:
-                measured.append(measure(parse_session(f.read_bytes()), config.curves))
-            except (OSError, EngineError) as exc:
-                raise EngineError(f"{f}: {exc}") from exc
+            scores = _read_file(f, read, "error: ")
+            if scores is None:
+                return None
+            measured.append(scores)
         groups.append(measured)
     return groups
 
@@ -210,7 +232,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             print(f"refusing to overwrite input file {args.out}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        (table,) = _score_tables(_measure_dirs(args.device_dirs, config), config, [args.profile])
+        groups = _measure_dirs(args.device_dirs, config)
+        if groups is None:
+            return EXIT_DATA
+        (table,) = _score_tables(groups, config, [args.profile])
         payload = emit_report(table, args.format)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -237,6 +262,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         groups = _measure_dirs(args.device_dirs, config)
+        if groups is None:
+            return EXIT_DATA
         for path in _write_reports(groups, config, out_dir, args.format):
             print(f"wrote {path}")
     except OSError as exc:

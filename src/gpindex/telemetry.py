@@ -50,7 +50,7 @@ import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
-from itertools import repeat, starmap, takewhile
+from itertools import repeat, takewhile
 from operator import ge, itemgetter, le, mul, sub
 from typing import Any, NamedTuple, Sequence
 
@@ -375,7 +375,7 @@ def _parse_rows(rows: Any, row: type, where: str) -> tuple:
             _COLUMN_CHECKS[read](list(map(itemgetter(j), rows))) for j, read in enumerate(readers)
         ]
         if all(column is not None for column in columns):
-            return tuple(starmap(row, zip(*columns)))
+            return tuple(map(partial(tuple.__new__, row), zip(*columns)))  # as row._make does
     # The walk returns only for a direct build's int, float or str subclasses.
     return tuple(row(*as_row(entry, f"{where}[{i}]", readers)) for i, entry in enumerate(rows))
 

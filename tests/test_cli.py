@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import gpindex.cli
 import gpindex.indices
+from gpindex.__main__ import run
 from gpindex.cli import main
 from gpindex.errors import EngineError, ModelError
 from gpindex.report import serialize_session
@@ -549,6 +550,34 @@ class TestCompare:
             assert main(argv + device_dirs) == 0
             assert single.read_bytes() == (out / f"report_{profile}.{fmt}").read_bytes()
 
+    # Once one warning for every file, naming a line of cli.py and no file.
+    @pytest.mark.parametrize("command", ["score", "compare"])
+    def test_unknown_key_warned_for_each_file(self, tmp_path, reference_session, capsys, command):
+        doc = json.loads(serialize_session(reference_session))
+        doc["events"]["replay_markers"] = []
+        device = tmp_path / "device"
+        device.mkdir()
+        files = [device / "a.json", device / "b.json"]
+        for path in files:
+            path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "score": ["score", "--profile", "casual", "--out", str(out)],
+            "compare": ["compare", "--out", str(out)],
+        }[command] + [str(device)]
+        warned = [f"warning: {f}: ignoring unknown key 'events.replay_markers'" for f in files]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == warned
+        # The file that fails is named by its diagnostic first, then by its warnings.
+        doc["events"]["frames"][1] = 16.5
+        bad = device / "c.json"
+        bad.write_text(json.dumps(doc))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == warned + [
+            f"error: {bad}: events.frames[1]: expected integer, got float",
+            f"warning: {bad}: ignoring unknown key 'events.replay_markers'",
+        ]
+
     def test_duplicate_device_id_is_data_error(self, demo_dir, tmp_path, capsys):
         sessions = demo_dir / "sessions"
         copy = shutil.copytree(sessions / "device_a", tmp_path / "elsewhere" / "device_a")
@@ -757,3 +786,119 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert abs(peak_4n - peak_n) < session_size, (peak_n, peak_4n, session_size)
+
+
+def run_program(*args):
+    """``python -m gpindex *args`` in a fresh interpreter, as users run it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "gpindex", *args], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.fixture
+def collector_restored():
+    """Turn the cyclic collector back on, and unfreeze the heap, after the test."""
+    yield
+    gc.unfreeze()
+    gc.enable()
+
+
+class TestProgram:
+    """``gpindex.__main__.run``: ``main`` with the collector off, and the heap frozen at exit."""
+
+    def test_validate_good_session(self, tmp_path, reference_session):
+        path = tmp_path / "good.json"
+        path.write_bytes(serialize_session(reference_session))
+        result = run_program("validate", str(path))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1 valid\n", "")
+
+    def test_validate_bad_session(self, tmp_path, reference_session):
+        doc = json.loads(serialize_session(reference_session))
+        doc["events"]["frames"][1] = 16.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = run_program("validate", str(path))
+        assert (result.returncode, result.stdout) == (1, "0 valid\n")
+        assert result.stderr == f"{path}: events.frames[1]: expected integer, got float\n"
+
+    def test_no_arguments_is_usage_error(self):
+        result = run_program()
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("usage: gpindex ")
+
+    def test_compare_writes_what_main_writes(self, short_corpus, tmp_path):
+        dirs = [str(write_sessions(tmp_path / name, s)) for name, s in sorted(short_corpus.items())]
+        assert main(["compare", "--out", str(tmp_path / "main"), *dirs]) == 0
+        result = run_program("compare", "--out", str(tmp_path / "program"), *dirs)
+        assert (result.returncode, result.stderr) == (0, "")
+        names = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "program").iterdir())
+        for name in names:
+            program, in_process = tmp_path / "program" / name, tmp_path / "main" / name
+            assert program.read_bytes() == in_process.read_bytes()
+
+    def test_run_returns_mains_status(
+        self, tmp_path, reference_session, monkeypatch, capsys, collector_restored
+    ):
+        good = tmp_path / "good.json"
+        good.write_bytes(serialize_session(reference_session))
+        for argv, status in ([str(good)], 0), ([str(good), str(tmp_path / "nope.json")], 1):
+            monkeypatch.setattr(sys, "argv", ["gpindex", "validate", *argv])
+            assert run() == status
+            assert not gc.isenabled() and gc.get_freeze_count() > 0
+            gc.unfreeze()
+            gc.enable()
+        # A usage error leaves through argparse's SystemExit, frozen all the same.
+        monkeypatch.setattr(sys, "argv", ["gpindex"])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 2
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
+
+
+class TestReferenceCycles:
+    """A run's reference cycles do not grow with its input.
+
+    ``run`` keeps the cyclic collector off for a whole command, so a cycle
+    made per session would stay until the process exits. With the
+    collector off, ``gc.collect()`` after a command finds as many objects
+    for one input as for several.
+    """
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self, collector_restored, capsys):
+        gc.disable()
+
+    @staticmethod
+    def cycles_after(argv, status=0):
+        gc.collect()
+        assert main(argv) == status
+        return gc.collect()
+
+    def test_compare(self, demo_dir, tmp_path):
+        dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
+        self.cycles_after(["compare", "--out", str(tmp_path / "warm"), *dirs[:1]])
+        one = self.cycles_after(["compare", "--out", str(tmp_path / "one"), *dirs[:1]])
+        three = self.cycles_after(["compare", "--out", str(tmp_path / "three"), *dirs[:3]])
+        assert one == three
+
+    def test_validate(self, demo_dir, tmp_path):
+        files = sorted(str(p) for p in (demo_dir / "sessions").glob("*/*.json"))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"{")
+        self.cycles_after(["validate", *files[:1]])
+        one = self.cycles_after(["validate", *files[:1]])
+        several = self.cycles_after(["validate", *files[:9]])
+        assert one == several == self.cycles_after(["validate", *files[:9], str(bad)], 1)
+
+    def test_demo_device(self, tmp_path):
+        config = gpindex.cli.default_config()
+        first, *rest = default_demo_manifest()
+        gpindex.cli._demo_device(first, tmp_path, config)  # may fill numpy's lazy caches
+        gc.collect()
+        counts = []
+        for device in rest:
+            gpindex.cli._demo_device(device, tmp_path, config)
+            counts.append(gc.collect())
+        assert counts == [0] * len(rest)

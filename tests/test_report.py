@@ -572,8 +572,13 @@ class TestSerializeSessionOracle:
             prefix = "events." if type(built_error) is SchemaError else ""
             assert str(parsed_error.value) == prefix + str(built_error)
         else:
-            assert parse_session(payload) == built
+            parsed = parse_session(payload)
+            assert parsed == built
             assert parse_session(serialize_session(built)) == built
+            # Equal tuples are not enough: every row is its stream's NamedTuple.
+            for name, row in telemetry._ROW_STREAMS.items():
+                for session in (parsed, built):
+                    assert all(type(entry) is row for entry in getattr(session, name))
 
 
 # Valid fields of each record a session carries, and of the model that builds them.
