@@ -15,10 +15,11 @@ import argparse
 import os
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import closing
 from functools import partial
+from itertools import islice, takewhile
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from .config import EngineConfig, default_config, load_config_file
 from .errors import ConfigError, EngineError
@@ -82,10 +83,10 @@ def _load_config(path: str | None) -> EngineConfig:
     return default_config() if path is None else load_config_file(path)
 
 
-def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> Any:
-    """What ``read`` makes of file ``name``'s bytes; None once its failure is printed.
+def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> tuple[Any, list[str]]:
+    """What ``read`` makes of file ``name``'s bytes, or None, and the lines to write on stderr.
 
-    The failure is printed as ``<prefix><name>: <error>``. Each warning
+    A failure is the line ``<prefix><name>: <error>``. Each warning
     raised meanwhile, such as an unknown key, follows it as
     ``warning: <name>: ...``, once per key. Only the diagnostic may start
     with ``<prefix><name>: ``: perfbench's ``validate_mixed`` check counts
@@ -95,20 +96,19 @@ def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> A
         warnings.simplefilter("always", UnknownKeyWarning)
         try:
             with open(name, "rb") as fh:
-                result = read(fh.read())
+                result, lines = read(fh.read()), []
         except (OSError, EngineError) as exc:
-            print(f"{prefix}{name}: {exc}", file=sys.stderr)
-            result = None
-    for warning in caught:
-        print(f"warning: {name}: {warning.message}", file=sys.stderr)
-    return result
+            result, lines = None, [f"{prefix}{name}: {exc}\n"]
+    return result, lines + [f"warning: {name}: {warning.message}\n" for warning in caught]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     # Each file's settings, or None; the session itself is dropped once parsed.
-    results = [
-        _read_file(name, lambda data: parse_session(data).settings, "") for name in args.files
-    ]
+    results = []
+    for name in args.files:
+        settings, lines = _read_file(name, lambda data: parse_session(data).settings, "")
+        sys.stderr.writelines(lines)
+        results.append(settings)
     valid = [settings for settings in results if settings is not None]
     print(f"{len(valid)} valid")
     if args.comparability and valid:
@@ -124,27 +124,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _measure_dirs(
     device_dirs: list[str], config: EngineConfig
 ) -> list[list[MeasuredSession]] | None:
-    """Each directory's sessions, measured file by file; a session is dropped once measured.
-
-    None once the first file that fails is printed as ``error: <file>: ...``.
+    """Each directory's sessions, measured over ``_ordered_map`` in the order of a loop over
+    the directories up to the first empty one, each session dropped once measured; None once
+    the first file that fails is printed as ``error: <file>: ...``.
     """
 
-    def read(data: bytes) -> MeasuredSession:
-        return measure(parse_session(data), config.curves)
+    def read(path: Path) -> tuple[MeasuredSession | None, list[str]]:
+        return _read_file(path, lambda data: measure(parse_session(data), config.curves), "error: ")
 
-    groups = []
-    for dirname in device_dirs:
-        files = sorted(Path(dirname).glob("*.json"))
-        if not files:
-            raise EngineError(f"{dirname}: no session files (*.json) found")
-        measured = []
-        for f in files:
-            scores = _read_file(f, read, "error: ")
+    listed = list(takewhile(bool, (sorted(Path(d).glob("*.json")) for d in device_dirs)))
+    measured = []
+    with closing(_ordered_map(read, [f for found in listed for f in found])) as outcomes:
+        for scores, lines in outcomes:
+            sys.stderr.writelines(lines)
             if scores is None:
                 return None
             measured.append(scores)
-        groups.append(measured)
-    return groups
+    if len(listed) < len(device_dirs):
+        raise EngineError(f"{device_dirs[len(listed)]}: no session files (*.json) found")
+    in_order = iter(measured)
+    return [list(islice(in_order, len(found))) for found in listed]
 
 
 def _score_tables(
@@ -192,34 +191,75 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _ordered_map(workers: int) -> Iterator[Callable]:
-    """A ``map`` that yields results in input order, over ``workers`` forked processes.
+def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
+    """``map(fn, items)`` over one forked worker per usable CPU, up to the item count.
 
-    Each item goes to the next free worker (``imap``, one item a task),
-    and an item's error is raised when its turn comes, so the first
-    failing item's error wins, as in a loop. With one worker, or where
-    the platform cannot fork, it is the builtin ``map``, in-process.
-    Every worker has exited when the block is left, on any path.
+    Results come in input order, and an item's error is raised in its
+    turn, so the first failing item wins, as in a loop. Each free worker
+    reads the next item index from one task pipe, and writes each pickled
+    outcome onto its own result pipe; one that dies makes the map raise
+    ``ChildProcessError``. Closing or exhausting the map kills and reaps
+    every worker. With one worker, or without ``os.fork``, it is ``map``.
     """
-    if workers > 1:
-        import multiprocessing
+    workers = min(_usable_cpus(), len(items))
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(fn, items)
+        return
+    import pickle
+    import select
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            import numpy  # noqa: F401  # imported once here, inherited by every worker
-
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield partial(pool.imap, chunksize=1)
-            return
-    yield map
+    sys.stdout.flush()
+    sys.stderr.flush()
+    task_r, task_w = os.pipe()
+    pids: dict[int, int] = {}  # each worker's result pipe -> its pid
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    out = open(result_w, "wb")
+                    while record := os.read(task_r, 4):
+                        i = int.from_bytes(record, "little")
+                        try:
+                            data = pickle.dumps({i: (True, fn(items[i]))}, -1)
+                        except Exception as exc:
+                            data = pickle.dumps({i: (False, exc)}, -1)
+                        out.write(len(data).to_bytes(8, "little") + data)
+                        out.flush()
+                finally:
+                    os._exit(0)
+            os.close(result_w)
+            pids[result_r] = pid
+        tasks = iter(range(len(items)))  # handed out two a worker ahead of the results read
+        os.write(task_w, b"".join(i.to_bytes(4, "little") for i in islice(tasks, 2 * workers)))
+        buffers = {fd: bytearray() for fd in pids}
+        done: dict[int, tuple[bool, Any]] = {}
+        for want in range(len(items)):
+            while want not in done:
+                for fd in select.select(list(pids), [], [])[0]:
+                    if not (chunk := os.read(fd, 1 << 16)):
+                        raise ChildProcessError(f"worker {pids[fd]} ended before its items")
+                    buf = buffers[fd]
+                    buf += chunk
+                    while len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
+                        done.update(pickle.loads(buf[8 : 8 + size]))
+                        del buf[: 8 + size]
+                        os.write(task_w, b"".join(i.to_bytes(4, "little") for i in islice(tasks, 1)))
+            ok, value = done.pop(want)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for fd in (task_r, task_w, *pids):
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _load_config(args.config)
     if args.profile not in config.profiles:
         print(f"unknown profile '{args.profile}'", file=sys.stderr)
         return EXIT_USAGE
@@ -237,7 +277,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             return EXIT_DATA
         (table,) = _score_tables(groups, config, [args.profile])
         payload = emit_report(table, args.format)
-    except EngineError as exc:
+    except (OSError, EngineError) as exc:  # OSError: a worker that died
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
@@ -253,11 +293,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _load_config(args.config)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,10 +324,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     try:
+        import numpy  # noqa: F401  # imported once here, inherited by every forked worker
+
         config = default_config()
-        demo_device = partial(_demo_device, out_dir=out_dir, config=config)
-        with _ordered_map(min(_usable_cpus(), len(corpus))) as ordered_map:
-            groups = list(ordered_map(demo_device, corpus))
+        groups = list(_ordered_map(partial(_demo_device, out_dir=out_dir, config=config), corpus))
         _write_reports(groups, config, out_dir, "json")
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
@@ -305,7 +341,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:  # from --config; each handler reports a later one as data
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

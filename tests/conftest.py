@@ -1,5 +1,6 @@
 import pytest
 
+import gpindex.cli
 from gpindex.config import default_config
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, generate_session
@@ -8,6 +9,12 @@ from gpindex.synth import DeviceModel, generate_session
 @pytest.fixture(scope="session")
 def default_cfg():
     return default_config()
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """``gpindex.cli`` maps over two forked workers, even on a one-CPU runner."""
+    monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 2)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,9 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -103,12 +103,13 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
         ["demo", "--out", str(tmp_path / "demo")],
     ]
     # Each command's exit code and whether numpy and multiprocessing were
-    # loaded after it, as the last line.
+    # loaded after it, as the last line. Two workers, so the fork path runs.
     code = (
         "import json, sys\n"
-        "from gpindex.cli import main\n"
-        "outcomes = [(main(argv), 'numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
-        "            for argv in json.loads(sys.argv[1])]\n"
+        "import gpindex.cli\n"
+        "gpindex.cli._usable_cpus = lambda: 2\n"
+        "outcomes = [(gpindex.cli.main(argv), 'numpy' in sys.modules,\n"
+        "             'multiprocessing' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps(outcomes))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
@@ -117,9 +118,7 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     outcomes = json.loads(result.stdout.splitlines()[-1])
-    # demo loads multiprocessing only when it has more than one CPU to use.
-    assert [outcome[:2] for outcome in outcomes] == [[0, False]] * 3 + [[0, True]]
-    assert [outcome[2] for outcome in outcomes[:3]] == [False] * 3
+    assert outcomes == [[0, False, False]] * 3 + [[0, True, False]]
     for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
         assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
 
@@ -361,14 +360,20 @@ def golden_tree_mismatches(out):
     return sorted(k for k in golden.keys() | written.keys() if golden.get(k) != written.get(k))
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="demo forks its workers"
-)
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+
+
+@needs_fork
 class TestDemoWorkers:
     """demo with two worker processes writes what one writes, and leaves none behind."""
 
-    def test_two_workers_write_the_golden_tree(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 2)
+    def test_two_workers_write_the_golden_tree(self, tmp_path, monkeypatch, capsys, two_workers):
         generate, parent_calls = gpindex.cli.generate_corpus, []
 
         def tracking_generate(corpus):
@@ -378,28 +383,34 @@ class TestDemoWorkers:
         monkeypatch.setattr(gpindex.cli, "generate_corpus", tracking_generate)
         out = tmp_path / "demo"
         assert main(["demo", "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert parent_calls == []  # every device was generated in a worker
         assert golden_tree_mismatches(out) == []
         assert capsys.readouterr().out == f"demo corpus and reports written to {out}\n"
 
-    def test_pending_output_is_written_once(self, tmp_path):
+    def test_pending_output_is_written_once(self, demo_dir, tmp_path):
         # Block-buffered stdout holds output when the workers fork; no worker writes it again.
         code = (
-            "import sys\n"
+            "import json, sys\n"
             "import gpindex.cli\n"
             "gpindex.cli._usable_cpus = lambda: 2\n"
             "print('before')\n"
-            "sys.exit(gpindex.cli.main(['demo', '--out', sys.argv[1]]))\n"
+            "sys.exit(gpindex.cli.main(json.loads(sys.argv[1])))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
-        out = tmp_path / "demo"
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True,
-            check=True,
-        )
-        assert result.stdout == f"before\ndemo corpus and reports written to {out}\n"
-        assert result.stderr == ""
+        demo, cmp = tmp_path / "demo", tmp_path / "cmp"
+        names = ("report_casual.json", "report_competitive.json", "plot_data.csv")
+        runs = [
+            (["demo", "--out", str(demo)], f"demo corpus and reports written to {demo}\n"),
+            (compare_or_score("compare", cmp, sorted((demo_dir / "sessions").iterdir())),
+             "".join(f"wrote {cmp / name}\n" for name in names)),
+        ]
+        for argv, written in runs:
+            result = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True,
+                text=True, check=True,
+            )
+            assert (result.stdout, result.stderr) == ("before\n" + written, "")
 
     @pytest.mark.parametrize("failure", ["engine", "io"])
     def test_first_failing_device_wins(self, tmp_path, monkeypatch, capsys, failure):
@@ -430,7 +441,7 @@ class TestDemoWorkers:
                 (out / "sessions" / "d1").write_bytes(b"")
                 (out / "sessions" / "d3").write_bytes(b"")
             code = main(["demo", "--out", str(out), "--manifest", str(manifest)])
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             outcomes.append((code, capsys.readouterr()))
         expected_err = {
             "engine": "error: d1 failed\n",
@@ -496,6 +507,7 @@ class TestCompare:
         assert out.read_bytes() == b"x"
 
     def test_extracts_each_session_once(self, demo_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)  # the spy sees this process
         calls = []
         extract = gpindex.indices.extract_metrics
 
@@ -509,6 +521,7 @@ class TestCompare:
         assert len(calls) == 27
 
     def test_drops_each_session_once_measured(self, demo_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)  # the spy sees this process
         parse = gpindex.cli.parse_session
         parsed, alive_before = [], []
 
@@ -588,6 +601,133 @@ class TestCompare:
         assert err.startswith("error:") and "'device_a'" in err
         assert "Traceback" not in err
         assert not (out / "plot_data.csv").exists()
+
+
+def compare_or_score(command, out, dirs):
+    """``compare`` writing under ``out``, or ``score --profile casual`` writing stdout, on dirs."""
+    options = {"compare": ["compare", "--out", str(out)], "score": ["score", "--profile", "casual"]}
+    return options[command] + [str(d) for d in dirs]
+
+
+@needs_fork
+@pytest.mark.usefixtures("two_workers")
+class TestCompareWorkers:
+    """compare and score over two forked workers print and write what one process does."""
+
+    @pytest.fixture
+    def dirs(self, short_corpus, tmp_path):
+        return [write_sessions(tmp_path / name, s) for name, s in sorted(short_corpus.items())]
+
+    def test_write_the_golden_bytes(self, demo_dir, tmp_path, capsysbinary):
+        dirs = sorted((demo_dir / "sessions").iterdir())
+        assert main(compare_or_score("compare", tmp_path / "cmp", dirs)) == 0
+        assert main(compare_or_score("score", None, dirs)) == 0
+        assert_no_child_left()
+        for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
+            golden = (GOLDEN_DIR / f"demo_{name}").read_bytes()
+            assert (tmp_path / "cmp" / name).read_bytes() == golden
+        # score's stdout, the golden casual report, follows compare's last line.
+        casual = (GOLDEN_DIR / "demo_report_casual.json").read_bytes()
+        assert capsysbinary.readouterr().out.endswith(b"plot_data.csv\n" + casual)
+
+    @pytest.mark.parametrize("command", ["compare", "score"])
+    def test_first_failing_file_wins(self, dirs, tmp_path, monkeypatch, capsys, command):
+        first, last = dirs[0] / "session_00.json", dirs[1] / "session_01.json"
+        first.write_bytes(b"{")
+        last.write_bytes(b"[")
+        parse = gpindex.cli.parse_session
+
+        def slow_parse(data):
+            if data == b"{":
+                time.sleep(0.3)  # the last file fails first in time; the first fails first in order
+            return parse(data)
+
+        monkeypatch.setattr(gpindex.cli, "parse_session", slow_parse)
+        assert main(compare_or_score(command, tmp_path / "out", dirs)) == 1
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {first}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compare", "score"])
+    @pytest.mark.parametrize("case", ["good", "warnings", "bad_before_empty", "empty_between"])
+    def test_one_worker_prints_what_two_print(
+        self, dirs, tmp_path, monkeypatch, capsysbinary, command, case
+    ):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        if case == "warnings":  # every file warns; the last fails as well
+            for path in sorted(tmp_path.glob("dev_*/*.json")):
+                doc = json.loads(path.read_bytes())
+                doc["events"]["replay_markers"] = []
+                if path == dirs[1] / "session_01.json":
+                    doc["events"]["frames"][1] = 16.5
+                path.write_text(json.dumps(doc))
+        elif case == "bad_before_empty":
+            (dirs[0] / "session_01.json").write_bytes(b"{")
+        if "empty" in case:
+            dirs = [dirs[0], empty, dirs[1]]
+        outcomes = []
+        for workers in (1, 2):
+            monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: workers)
+            code = main(compare_or_score(command, tmp_path / "out", dirs))
+            outcomes.append((code, *capsysbinary.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, _, err = outcomes[0]
+        expected_err = {
+            "good": b"",
+            "warnings": b"warning: ",
+            "bad_before_empty": b"error: %s: " % bytes(dirs[0] / "session_01.json"),
+            "empty_between": b"error: %s: no session files (*.json) found\n" % bytes(empty),
+        }[case]
+        assert (code == 0) == (case == "good") and err.startswith(expected_err)
+        assert err.count(b"warning: ") == 4 * (case == "warnings")
+
+    def test_no_child_left(self, dirs, tmp_path, monkeypatch, capsys):
+        argv = compare_or_score("compare", tmp_path / "out", dirs)
+        assert main(argv) == 0
+        assert_no_child_left()
+        first = dirs[0] / "session_00.json"
+        good = first.read_bytes()
+        first.write_bytes(b"{")  # fails while the workers still hold later files
+        assert main(argv) == 1
+        assert_no_child_left()
+        first.write_bytes(good)
+
+        def failing_measure(session, curves):
+            raise RuntimeError("not an engine error")
+
+        monkeypatch.setattr(gpindex.cli, "measure", failing_measure)
+        with pytest.raises(RuntimeError, match="not an engine error"):
+            main(argv)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["compare", "score"])
+    def test_killed_worker_fails_the_command(self, dirs, tmp_path, command):
+        # The first worker to parse a file kills itself; the other goes on with its files.
+        code = (
+            "import json, os, signal, sys\n"
+            "import gpindex.cli\n"
+            "gpindex.cli._usable_cpus = lambda: 2\n"
+            "parse = gpindex.cli.parse_session\n"
+            "def dying(data):\n"
+            "    try:\n"
+            "        os.close(os.open(sys.argv[2], os.O_CREAT | os.O_EXCL))\n"
+            "    except FileExistsError:\n"
+            "        return parse(data)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "gpindex.cli.parse_session = dying\n"
+            "sys.exit(gpindex.cli.main(json.loads(sys.argv[1])))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+        out = tmp_path / "out"
+        argv = json.dumps(compare_or_score(command, out, dirs))
+        result = subprocess.run(
+            [sys.executable, "-c", code, argv, str(tmp_path / "killed")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        prefix = {"compare": f"i/o error under {out}: ", "score": "error: "}[command]
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith(f"{prefix}worker ") and "Traceback" not in result.stderr
 
 
 @pytest.fixture(scope="module")
