@@ -15,7 +15,7 @@ def run() -> int:
     reference cycles do not grow with its input: they are the argument
     parser's and the first ``demo`` device's lazy caches, the same count
     for one session or many (``tests/test_cli.py::TestReferenceCycles``
-    checks it). ``demo``'s forked workers inherit the collector off, so
+    checks it). The CLI's forked workers inherit the collector off, so
     none walks, and copies, the pages it shares with this process.
     In-process callers of ``cli.main`` keep the collector as it was.
     """

@@ -231,7 +231,7 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                     os._exit(0)
             os.close(result_w)
             pids[result_r] = pid
-        tasks = iter(range(len(items)))  # handed out two a worker ahead of the results read
+        tasks = iter(range(len(items)))  # two a worker ahead of the results read: no write blocks
         os.write(task_w, b"".join(i.to_bytes(4, "little") for i in islice(tasks, 2 * workers)))
         buffers = {fd: bytearray() for fd in pids}
         done: dict[int, tuple[bool, Any]] = {}
@@ -343,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:  # from --config; each handler reports a later one as data
+    except ConfigError as exc:  # a bad --config, loaded before any handler catches EngineError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
