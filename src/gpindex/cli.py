@@ -212,12 +212,13 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     sys.stdout.flush()
     sys.stderr.flush()
     task_r, task_w = os.pipe()
-    pids: dict[int, int] = {}  # each worker's result pipe -> its pid
+    pipes: dict[int, tuple[int, bytearray]] = {}  # each worker's result pipe -> pid, unread bytes
     try:
         for _ in range(workers):
             result_r, result_w = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
+                    os.close(task_w)  # left to the parent alone: its exit ends this loop
                     out = open(result_w, "wb")
                     while record := os.read(task_r, 4):
                         i = int.from_bytes(record, "little")
@@ -230,17 +231,16 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                 finally:
                     os._exit(0)
             os.close(result_w)
-            pids[result_r] = pid
+            pipes[result_r] = pid, bytearray()
         tasks = iter(range(len(items)))  # two a worker ahead of the results read: no write blocks
         os.write(task_w, b"".join(i.to_bytes(4, "little") for i in islice(tasks, 2 * workers)))
-        buffers = {fd: bytearray() for fd in pids}
         done: dict[int, tuple[bool, Any]] = {}
         for want in range(len(items)):
             while want not in done:
-                for fd in select.select(list(pids), [], [])[0]:
+                for fd in select.select(list(pipes), [], [])[0]:
+                    pid, buf = pipes[fd]
                     if not (chunk := os.read(fd, 1 << 16)):
-                        raise ChildProcessError(f"worker {pids[fd]} ended before its items")
-                    buf = buffers[fd]
+                        raise ChildProcessError(f"worker {pid} ended before its items")
                     buf += chunk
                     while len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
                         done.update(pickle.loads(buf[8 : 8 + size]))
@@ -251,9 +251,9 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                 raise value
             yield value
     finally:
-        for fd in (task_r, task_w, *pids):
+        for fd in (task_r, task_w, *pipes):
             os.close(fd)
-        for pid in pids.values():
+        for pid, _ in pipes.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

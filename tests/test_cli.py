@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -728,6 +729,47 @@ class TestCompareWorkers:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.startswith(f"{prefix}worker ") and "Traceback" not in result.stderr
 
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+    def test_killed_parent_leaves_no_worker_running(self, dirs, tmp_path):
+        # Each worker records its pid, then parses slowly; the parent is killed meanwhile.
+        code = (
+            "import json, os, sys, time\n"
+            "import gpindex.cli\n"
+            "gpindex.cli._usable_cpus = lambda: 2\n"
+            "parse = gpindex.cli.parse_session\n"
+            "def slow(data):\n"
+            "    open(os.path.join(sys.argv[2], str(os.getpid())), 'w').close()\n"
+            "    time.sleep(0.5)\n"
+            "    return parse(data)\n"
+            "gpindex.cli.parse_session = slow\n"
+            "sys.exit(gpindex.cli.main(json.loads(sys.argv[1])))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        argv = json.dumps(compare_or_score("compare", tmp_path / "out", dirs))
+        parent = subprocess.Popen([sys.executable, "-c", code, argv, str(pids)], env=env)
+        deadline = time.monotonic() + 60
+        while len(list(pids.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        parent.kill()
+        parent.wait()
+        workers = [int(p.name) for p in pids.iterdir()]
+        assert len(workers) == 2
+
+        def running(pid):
+            try:
+                return "State:\tZ" not in Path(f"/proc/{pid}/status").read_text()
+            except FileNotFoundError:
+                return False
+
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
 
 @pytest.fixture(scope="module")
 def short_corpus():
