@@ -191,15 +191,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class _WorkerTraceback(Exception):
+    """A worker's traceback, shown as the cause of its error when the parent raises it again."""
+
+
 def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     """``map(fn, items)`` over one forked worker per usable CPU, up to the item count.
 
-    Results come in input order, and an item's error is raised in its
-    turn, so the first failing item wins, as in a loop. Each free worker
-    reads the next item index from one task pipe, and writes each pickled
-    outcome onto its own result pipe; one that dies makes the map raise
-    ``ChildProcessError``. Closing or exhausting the map kills and reaps
-    every worker. With one worker, or without ``os.fork``, it is ``map``.
+    Results come in input order, and an item's error is raised in its turn,
+    from its worker's traceback, so the first failing item wins, as in a
+    loop. A worker that dies makes the map raise ``EngineError``. Closing or
+    exhausting the map kills and reaps every worker. With one worker, or
+    without ``os.fork``, it is ``map``.
     """
     workers = min(_usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
@@ -208,10 +211,11 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     import pickle
     import select
     import signal
+    import traceback
 
     sys.stdout.flush()
     sys.stderr.flush()
-    task_r, task_w = os.pipe()
+    task_r, task_w = os.pipe()  # 4-byte item indices; each free worker reads the next
     pipes: dict[int, tuple[int, bytearray]] = {}  # each worker's result pipe -> pid, unread bytes
     try:
         for _ in range(workers):
@@ -223,9 +227,14 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                     while record := os.read(task_r, 4):
                         i = int.from_bytes(record, "little")
                         try:
-                            data = pickle.dumps({i: (True, fn(items[i]))}, -1)
+                            data = pickle.dumps({i: (True, fn(items[i]), "")}, -1)
                         except Exception as exc:
-                            data = pickle.dumps({i: (False, exc)}, -1)
+                            text = traceback.format_exc()
+                            try:
+                                data = pickle.dumps({i: (False, exc, text)}, -1)
+                            except Exception:  # an error that does not pickle: its last line does
+                                last = RuntimeError(text.splitlines()[-1])
+                                data = pickle.dumps({i: (False, last, text)}, -1)
                         out.write(len(data).to_bytes(8, "little") + data)
                         out.flush()
                 finally:
@@ -234,21 +243,21 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
             pipes[result_r] = pid, bytearray()
         tasks = iter(range(len(items)))  # two a worker ahead of the results read: no write blocks
         os.write(task_w, b"".join(i.to_bytes(4, "little") for i in islice(tasks, 2 * workers)))
-        done: dict[int, tuple[bool, Any]] = {}
+        done: dict[int, tuple[bool, Any, str]] = {}
         for want in range(len(items)):
             while want not in done:
                 for fd in select.select(list(pipes), [], [])[0]:
                     pid, buf = pipes[fd]
                     if not (chunk := os.read(fd, 1 << 16)):
-                        raise ChildProcessError(f"worker {pid} ended before its items")
+                        raise EngineError(f"worker {pid} ended before its items")
                     buf += chunk
                     while len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
                         done.update(pickle.loads(buf[8 : 8 + size]))
                         del buf[: 8 + size]
                         os.write(task_w, b"".join(i.to_bytes(4, "little") for i in islice(tasks, 1)))
-            ok, value = done.pop(want)
+            ok, value, text = done.pop(want)
             if not ok:
-                raise value
+                raise value from _WorkerTraceback(text)
             yield value
     finally:
         for fd in (task_r, task_w, *pipes):
@@ -277,7 +286,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             return EXIT_DATA
         (table,) = _score_tables(groups, config, [args.profile])
         payload = emit_report(table, args.format)
-    except (OSError, EngineError) as exc:  # OSError: a worker that died
+    except (OSError, EngineError) as exc:  # OSError: a fork or pipe that failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:

@@ -701,6 +701,22 @@ class TestCompareWorkers:
             main(argv)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("pickles", [True, False])
+    def test_unexpected_error_keeps_its_worker_traceback(self, dirs, tmp_path, monkeypatch, pickles):
+        class LocalError(Exception):  # pickle cannot find a local class by name
+            pass
+
+        def failing_measure(session, curves):
+            raise (KeyError if pickles else LocalError)("not an engine error")
+
+        monkeypatch.setattr(gpindex.cli, "measure", failing_measure)
+        with pytest.raises(KeyError if pickles else RuntimeError, match="not an engine error") as caught:
+            main(compare_or_score("compare", tmp_path / "out", dirs))
+        assert_no_child_left()
+        worker_traceback = str(caught.value.__cause__)
+        assert worker_traceback.startswith("Traceback (most recent call last):\n")
+        assert "in failing_measure\n" in worker_traceback
+
     @pytest.mark.parametrize("command", ["compare", "score"])
     def test_killed_worker_fails_the_command(self, dirs, tmp_path, command):
         # The first worker to parse a file kills itself; the other goes on with its files.
@@ -725,9 +741,8 @@ class TestCompareWorkers:
             [sys.executable, "-c", code, argv, str(tmp_path / "killed")],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        prefix = {"compare": f"i/o error under {out}: ", "score": "error: "}[command]
         assert (result.returncode, result.stdout) == (1, "")
-        assert result.stderr.startswith(f"{prefix}worker ") and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: worker ") and "Traceback" not in result.stderr
 
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
@@ -1057,7 +1072,8 @@ class TestReferenceCycles:
         assert main(argv) == status
         return gc.collect()
 
-    def test_compare(self, demo_dir, tmp_path):
+    def test_compare(self, demo_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)  # the cycles stay in this process
         dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
         self.cycles_after(["compare", "--out", str(tmp_path / "warm"), *dirs[:1]])
         one = self.cycles_after(["compare", "--out", str(tmp_path / "one"), *dirs[:1]])
