@@ -14,6 +14,11 @@ parsed (:func:`read_record`) or built (:func:`check_record`), where an
 array may be a tuple. The engine's own constructors (curves, profiles,
 device models) check numbers with :func:`is_finite` too, and names the
 CLI writes files under with :func:`is_file_name`.
+
+Session files may also be decoded by orjson, when installed (the
+``fast`` extra). :func:`fast_decoder` imports it on first use only, as it
+loads ``uuid``, ``datetime`` and ``zoneinfo``. Its value is json's except
+where :func:`same_as_json` fails; there the caller decodes with json.
 """
 
 from __future__ import annotations
@@ -21,11 +26,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, fields
+from functools import cache, partial
+from itertools import chain, compress, repeat
+from operator import is_, is_not
 from typing import Any, Callable, TypeVar
 
 from .errors import EngineError, SchemaError
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+# Nesting levels json decodes (it fails near 1,000 less the caller's stack depth);
+# a session document needs 5.
+FAST_DEPTH = 32
 
 T = TypeVar("T")
 
@@ -42,6 +54,35 @@ def decode(data: bytes, error_cls: type[EngineError], what: str) -> Any:
     # interpreter's digit limit; RecursionError covers deep nesting.
     except (ValueError, RecursionError) as exc:
         raise error_cls(f"malformed {what}: {exc}") from exc
+
+
+@cache
+def fast_decoder() -> Callable[[bytes], Any] | None:
+    """``orjson.loads`` when orjson imports, else None; imported on the first call only."""
+    try:
+        from orjson import loads
+    except ImportError:
+        return None
+    return loads
+
+
+def same_as_json(value: Any, skip: Any = None) -> bool:
+    """Whether json decodes the text orjson decoded to ``value`` (``skip`` aside) to it too.
+
+    orjson reads an integer past int64/uint64 as a float and nests far deeper
+    than json, so no float may reach 2**63 and no container nest past ``FAST_DEPTH``.
+    """
+    level = [value]
+    for _ in range(FAST_DEPTH):
+        kinds = list(map(type, level))
+        if not max(map(abs, compress(level, map(is_, kinds, repeat(float)))), default=0) < 2**63:
+            return False
+        lists = filter(partial(is_not, skip), compress(level, map(is_, kinds, repeat(list))))
+        dicts = map(dict.values, compress(level, map(is_, kinds, repeat(dict))))
+        level = [*chain.from_iterable(lists), *chain.from_iterable(dicts)]
+        if not level:
+            return True
+    return False
 
 
 def require(obj: dict, key: str, path: str) -> Any:

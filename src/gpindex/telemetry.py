@@ -17,6 +17,11 @@ built directly, with each record field and row column read by its
 declared type: one check decides each for both and names a bad entry
 ``events.battery[0][1]`` or ``battery[0][1]``.
 
+With orjson installed, a document is decoded by orjson first, and its
+outcome (session or error) is kept only where ``jsondoc.same_as_json``
+holds; any other is decoded again by json. So every input gives json's
+outcome, and its unknown keys are warned once, for the outcome kept.
+
 Fast path and fallback: each event stream is checked in bulk first,
 with one C-level pass per column for element types and ranges
 (``set(map(type, xs))``, ``min``/``max``) and one per stream for
@@ -25,13 +30,14 @@ all of a session's bytes, are checked and counted into the histogram of
 their intervals in one pass (:func:`_parse_frames`), which the session
 keeps for the FPS metrics. That pass goes block by block,
 ``_FRAME_BLOCK`` intervals at a time, and each block proves itself by
-the rule its byte pass allows. A block whose intervals ``bytes`` takes
-(integers in 0..255 ms; a float has no ``__index__``) holds ints or
-bools in order: a bool (0 or 1) can only sit among its leading frames
-``<= 1``, which alone are type-checked, and its endpoints bound the
-rest. Its byte string is counted in C with the others. Any other block
-(a long frame, a fault) takes a type pass and ``min``/``max`` and is
-counted one by one, so a long frame or a fault costs one block.
+the rule its intervals allow. A block whose intervals are ints >= 0
+(``bytes`` takes those in 0..255 ms, ``& -256`` finds the longer ones,
+and neither takes a float) holds ints or bools in order: a bool (0 or
+1) can only sit among its leading frames ``<= 1``, which alone are
+type-checked, and its endpoints bound the rest. Its intervals in 0..255
+are counted in C as one byte string with the others', and only the long
+ones one by one. Any other block (a fault) takes a type pass and
+``min``/``max`` and is counted one by one.
 Only when a bulk check fails is a stream walked element by element, and
 that walk alone decides the outcome and names the first offending entry,
 e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
@@ -50,12 +56,13 @@ import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
-from itertools import repeat, takewhile
-from operator import ge, itemgetter, le, mul, sub
+from itertools import compress, repeat, takewhile
+from operator import and_, ge, itemgetter, le, mul, sub
 from typing import Any, NamedTuple, Sequence
 
 from .errors import (
     EmptyInputError,
+    EngineError,
     SchemaError,
     SessionSyntaxError,
     ValidationError,
@@ -71,10 +78,12 @@ from .jsondoc import (
     as_str,
     check_record,
     decode,
+    fast_decoder,
     read_record,
     reader,
     require,
     require_version,
+    same_as_json,
 )
 
 SCHEMA_VERSION = 1
@@ -329,14 +338,9 @@ _TOP_KEYS = {"schema_version", "device", "game", "events"}
 _EVENT_KEYS = {"launch", "frames", "battery", "temperature", "touch", "scene_loads"}
 
 
-def _warn_unknown(obj: dict, known: set[str], path: str) -> None:
-    # The warning names parse_session's caller: parse_session checks the top
-    # level itself and each section one call deeper, in _parse_<record|events>.
-    level = 4 if path else 3
-    for key in obj:
-        if key not in known:
-            where = f"{path}.{key}" if path else key
-            warnings.warn(f"ignoring unknown key '{where}'", UnknownKeyWarning, stacklevel=level)
+def _unknown(obj: dict, known: set[str], path: str) -> list[str]:
+    """The paths of ``obj``'s keys outside ``known``."""
+    return [f"{path}.{key}" if path else key for key in obj if key not in known]
 
 
 # Bulk column checks, by the reader the walk takes for the column: each
@@ -387,14 +391,30 @@ def _as_frame(value: Any, where: str) -> int:
     return t
 
 
+def _split_steps(block: Sequence) -> tuple[bytes | None, list | None]:
+    """A block's intervals, some outside 0..255 ms, as the bytes of the others and a list of these
+    when all are ints >= 0; the bytes are None where one is below 0, and both where one is no int."""
+    try:
+        steps = list(map(sub, block[1:], block))
+        long_at = list(compress(range(len(steps)), map(and_, steps, repeat(-256))))  # a float raises
+    except (TypeError, OverflowError):
+        return None, None
+    long = [steps[i] for i in long_at]
+    if min(long) < 0:
+        return None, steps
+    ends = zip([-1, *long_at], [*long_at, len(steps)])
+    return b"".join(bytes(steps[a + 1 : b]) for a, b in ends), long
+
+
 def _parse_frames(frames: Sequence, where: str) -> Counter:
     """Check every frame an int within +/-2**53 ms; return the histogram of the intervals.
 
     One pass over blocks of ``_FRAME_BLOCK`` intervals, each checked by
-    the rule its byte pass allows. A block whose intervals ``bytes``
-    takes (integers in 0..255 ms) holds ints or bools in order, so only
-    its leading frames ``<= 1``, the only ones a bool can be, are
-    type-checked, and its endpoints bound the rest. Any other block takes
+    the rule its intervals allow. A block whose intervals are ints >= 0
+    (``bytes`` takes them, or :func:`_split_steps` splits off the long
+    ones) holds ints or bools in order, so only its leading frames
+    ``<= 1``, the only ones a bool can be, are type-checked, and its
+    endpoints bound the rest. Any other block takes
     a type pass and ``min``/``max``. A block that fails its rule is walked
     up to the first frame the walk rejects: ``<where>[N]: ...``. Out of
     order or fewer than 2 frames, once every frame is in range, the
@@ -404,11 +424,15 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
     counts, accepted = Counter(), []
     for s in range(0, max(len(frames) - 1, 1), _FRAME_BLOCK):
         block = frames[s : s + _FRAME_BLOCK + 1]
+        short = long = None
         try:
-            steps = bytes(map(sub, block[1:], block)) if len(block) > 1 else None
-        except (TypeError, ValueError, OverflowError):  # not all ints 0..255 ms apart
-            steps = None
-        if steps is None:
+            if len(block) > 1:
+                short, long = bytes(map(sub, block[1:], block)), ()
+        except ValueError:  # an int interval outside 0..255: a long frame, or frames out of order
+            short, long = _split_steps(block)
+        except (TypeError, OverflowError):  # a frame or an interval that is not an int
+            pass
+        if short is None:
             ok = set(map(type, block)) <= {int} and (
                 not block or (lo <= min(block) and max(block) <= hi)
             )
@@ -418,10 +442,12 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
             for i, v in enumerate(block, s):
                 if type(v) is not int or not lo <= v <= hi:
                     _as_frame(v, f"{where}[{i}]")  # of these, only an int subclass passes
-        if steps is None:
+        if short is not None:
+            accepted.append(short)
+        if long is None:
             counts.update(map(sub, block[1:], block))  # its frames are ints now
-        else:
-            accepted.append(steps)
+        elif long:
+            counts.update(long)
     # The byte strings are counted by deleting one distinct interval at a time.
     steps = b"".join(accepted)
     while steps:
@@ -432,15 +458,15 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
     return counts
 
 
-def _parse_record(root: dict, key: str, record: type) -> Any:
+def _parse_record(root: dict, key: str, record: type, unknown: list[str]) -> Any:
     """The section ``key`` read into ``record`` by its fields' declared types."""
     obj = as_obj(require(root, key, ""), key)
-    _warn_unknown(obj, {f.name for f in fields(record)}, key)
+    unknown += _unknown(obj, {f.name for f in fields(record)}, key)
     return record(**read_record(record, obj, key))
 
 
-def _parse_events(obj: dict) -> dict[str, Any]:
-    _warn_unknown(obj, _EVENT_KEYS, "events")
+def _parse_events(obj: dict, unknown: list[str]) -> dict[str, Any]:
+    unknown += _unknown(obj, _EVENT_KEYS, "events")
     frames = as_list(require(obj, "frames", "events"), "events.frames")
     intervals = _parse_frames(frames, "events.frames")
     # The constructor reads launch and the rows; absent and null both mean "not recorded".
@@ -448,25 +474,57 @@ def _parse_events(obj: dict) -> dict[str, Any]:
     return {"frames": frames, "_intervals": intervals, "launch": obj.get("launch"), **rows}
 
 
+def _read_fields(root: Any, unknown: list[str]) -> dict[str, Any]:
+    """The constructor's arguments read from ``root``, frames checked; unknown keys go to ``unknown``."""
+    root = as_obj(root, "top level")
+    unknown += _unknown(root, _TOP_KEYS, "")
+    version = require_version(root, SCHEMA_VERSION)
+    device = _parse_record(root, "device", DeviceMeta, unknown)
+    settings = _parse_record(root, "game", GameSettings, unknown)
+    events = _parse_events(as_obj(require(root, "events", ""), "events"), unknown)
+    return {"schema_version": version, "device": device, "settings": settings, **events}
+
+
+def _fast_fields(data: bytes, unknown: list[str]) -> dict[str, Any] | None:
+    """:func:`_read_fields` of orjson's value of ``data``, or its error, where :func:`same_as_json`
+    holds; else None. Once read, the frames are proven ints, and the walk skips them."""
+    loads = fast_decoder()
+    if loads is None:
+        return None
+    try:
+        root = loads(data)
+    except ValueError:  # orjson.JSONDecodeError: json may still decode it (NaN, a lone surrogate)
+        return None
+    try:
+        kwargs = _read_fields(root, unknown)
+    except EngineError:
+        if same_as_json(root):
+            raise
+        return None
+    return kwargs if same_as_json(root, skip=kwargs["frames"]) else None
+
+
 def parse_session(data: bytes) -> SessionTelemetry:
     """Parse and validate one session document.
 
     Raises ``SessionSyntaxError`` for malformed text, ``SchemaError`` for
     missing/mistyped fields (naming the field path) and ``ValidationError``
-    for invariant violations (naming the invariant).
+    for invariant violations (naming the invariant). Each unknown key is
+    one ``UnknownKeyWarning`` naming the caller, once the outcome is known.
     """
-    root = as_obj(decode(data, SessionSyntaxError, "session document"), "top level")
-    _warn_unknown(root, _TOP_KEYS, "")
-    version = require_version(root, SCHEMA_VERSION)
-    device = _parse_record(root, "device", DeviceMeta)
-    settings = _parse_record(root, "game", GameSettings)
-    events = _parse_events(as_obj(require(root, "events", ""), "events"))
+    unknown: list[str] = []
     try:
-        return SessionTelemetry(
-            schema_version=version, device=device, settings=settings, **events
-        )
-    except SchemaError as exc:  # the constructor's SchemaError names an event stream
-        raise SchemaError(f"events.{exc}") from exc
+        kwargs = _fast_fields(data, unknown)
+        if kwargs is None:
+            unknown.clear()
+            kwargs = _read_fields(decode(data, SessionSyntaxError, "session document"), unknown)
+        try:
+            return SessionTelemetry(**kwargs)
+        except SchemaError as exc:  # the constructor's SchemaError names an event stream
+            raise SchemaError(f"events.{exc}") from exc
+    finally:
+        for path in unknown:
+            warnings.warn(f"ignoring unknown key '{path}'", UnknownKeyWarning, stacklevel=2)
 
 
 # --- comparability -----------------------------------------------------

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
 import gpindex.cli
 from gpindex.config import default_config
+from gpindex.jsondoc import fast_decoder
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, generate_session
 
@@ -15,6 +18,15 @@ def default_cfg():
 def two_workers(monkeypatch):
     """``gpindex.cli`` maps over two forked workers, even on a one-CPU runner."""
     monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def json_only(monkeypatch):
+    """Session documents are decoded by json alone: ``import orjson`` fails, as without it."""
+    monkeypatch.setitem(sys.modules, "orjson", None)
+    fast_decoder.cache_clear()
+    yield
+    fast_decoder.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -60,6 +61,21 @@ def demo_dir(tmp_path_factory):
     return out
 
 
+def failing_session_bytes(session, kind):
+    """``session``'s file with one fault by ``kind`` mod 3: frames out of order, charging, or an
+    unknown key (which only warns). orjson and json decode each alike."""
+    doc = json.loads(serialize_session(session))
+    events = doc["events"]
+    if kind % 3 == 0:
+        frames = events["frames"]
+        frames[-10], frames[-9] = frames[-9], frames[-10]
+    elif kind % 3 == 1:
+        events["battery"][-1][1] = events["battery"][0][1] + 10
+    else:
+        doc["replay"] = {"markers": [1, 2, 3]}
+    return json.dumps(doc).encode()
+
+
 def write_sessions(directory, sessions):
     directory.mkdir(parents=True, exist_ok=True)
     for i, session in enumerate(sessions):
@@ -96,29 +112,39 @@ def test_importing_the_cli_loads_no_statistics():
 def test_only_demo_loads_numpy(short_corpus, tmp_path):
     dirs = [str(write_sessions(tmp_path / name, s)) for name, s in sorted(short_corpus.items())]
     files = sorted(str(p) for d in dirs for p in Path(d).glob("*.json"))
-    runs = [
-        ["validate", *files],
-        ["score", "--profile", "casual", "--out", str(tmp_path / "casual.json"), *dirs],
-        ["compare", "--out", str(tmp_path / "cmp"), *dirs],
-        ["demo", "--out", str(tmp_path / "demo")],
-    ]
-    # Each command's exit code and whether numpy and multiprocessing were
-    # loaded after it, as the last line. Two workers, so the fork path runs.
+    runs = {
+        "validate": ["validate", *files],
+        "score": ["score", "--profile", "casual", "--out", str(tmp_path / "casual.json"), *dirs],
+        "compare": ["compare", "--out", str(tmp_path / "cmp"), *dirs],
+        "demo": ["demo", "--out", str(tmp_path / "demo")],
+    }
+    # Each command in a fresh process, with two workers so the fork path runs:
+    # whether the import loaded orjson, then the exit code and whether numpy,
+    # multiprocessing and orjson were loaded after the command.
     code = (
         "import json, sys\n"
         "import gpindex.cli\n"
         "gpindex.cli._usable_cpus = lambda: 2\n"
-        "outcomes = [(gpindex.cli.main(argv), 'numpy' in sys.modules,\n"
-        "             'multiprocessing' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps(outcomes))\n"
+        "imported = 'orjson' in sys.modules\n"
+        "status = gpindex.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([imported, status, *(m in sys.modules for m in\n"
+        "                  ('numpy', 'multiprocessing', 'orjson'))]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(runs)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    outcomes = json.loads(result.stdout.splitlines()[-1])
-    assert outcomes == [[0, False, False]] * 3 + [[0, True, False]]
+    outcomes = {}
+    for name, argv in runs.items():
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outcomes[name] = json.loads(result.stdout.splitlines()[-1])
+    reads = importlib.util.find_spec("orjson") is not None  # commands that read sessions load it
+    assert outcomes == {
+        "validate": [False, 0, False, False, reads],
+        "score": [False, 0, False, False, reads],
+        "compare": [False, 0, False, False, reads],
+        "demo": [False, 0, True, False, False],
+    }
     for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
         assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
 
@@ -938,7 +964,9 @@ class TestBoundedMemory:
         root = tmp_path_factory.mktemp("bounded")
         for i in range(4 * self.N):
             model = dataclasses.replace(reference_model, device_id=f"device_{i}", seed=i)
-            write_sessions(root / "sessions" / model.device_id, [generate_session(model, 120)])
+            session = generate_session(model, 120)
+            write_sessions(root / "sessions" / model.device_id, [session])
+            (root / f"failing_{i}.json").write_bytes(failing_session_bytes(session, i))
         for n in (self.N, 4 * self.N):
             devices = ({"device_id": f"device_{i}", "session_duration_s": 120} for i in range(n))
             (root / f"manifest_{n}.json").write_bytes(manifest_bytes(*devices))
@@ -949,6 +977,7 @@ class TestBoundedMemory:
         dirs = [str(root / "sessions" / f"device_{i}") for i in range(n)]
         return {
             "validate": ["validate", *(f"{d}/session_00.json" for d in dirs)],
+            "validate_failing": ["validate", *(str(root / f"failing_{i}.json") for i in range(n))],
             "score": ["score", "--profile", "casual", "--out", str(root / "score.json"), *dirs],
             "compare": ["compare", "--out", str(root / "compare"), *dirs],
             "demo": ["demo", "--out", str(root / f"demo_{n}"),
@@ -956,16 +985,18 @@ class TestBoundedMemory:
         }[command]
 
     @staticmethod
-    def traced_peak(argv):
+    def traced_peak(argv, status=0):
         """Peak traced memory of one run, above what was traced when it started."""
         gc.collect()
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == status
         return tracemalloc.get_traced_memory()[1] - start
 
-    @pytest.mark.parametrize("command", ["validate", "score", "compare", "demo"])
+    # validate_failing: files that fail in the session constructor, or warn; where orjson is
+    # installed, its outcome is kept for each (tests/test_session_decoders.py).
+    @pytest.mark.parametrize("command", ["validate", "validate_failing", "score", "compare", "demo"])
     def test_peak_does_not_grow_with_sessions(self, corpus, command, monkeypatch):
         # tracemalloc sees this process only, so demo runs its devices in it.
         monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)
@@ -976,9 +1007,10 @@ class TestBoundedMemory:
             session = parse_session(data)
             session_size = tracemalloc.get_traced_memory()[0] - start
             del session
-            self.traced_peak(self.argv(command, corpus, self.N))  # warm up: imports, caches
-            peak_n = self.traced_peak(self.argv(command, corpus, self.N))
-            peak_4n = self.traced_peak(self.argv(command, corpus, 4 * self.N))
+            status = int(command == "validate_failing")
+            self.traced_peak(self.argv(command, corpus, self.N), status)  # warm up: imports, caches
+            peak_n = self.traced_peak(self.argv(command, corpus, self.N), status)
+            peak_4n = self.traced_peak(self.argv(command, corpus, 4 * self.N), status)
         finally:
             tracemalloc.stop()
         assert abs(peak_4n - peak_n) < session_size, (peak_n, peak_4n, session_size)
@@ -1088,6 +1120,15 @@ class TestReferenceCycles:
         one = self.cycles_after(["validate", *files[:1]])
         several = self.cycles_after(["validate", *files[:9]])
         assert one == several == self.cycles_after(["validate", *files[:9], str(bad)], 1)
+
+    def test_validate_failing_files(self, tmp_path, reference_session):
+        files = []
+        for i in range(9):
+            files.append(tmp_path / f"failing_{i}.json")
+            files[-1].write_bytes(failing_session_bytes(reference_session, i))
+        self.cycles_after(["validate", *map(str, files[:3])], 1)
+        three = self.cycles_after(["validate", *map(str, files[:3])], 1)
+        assert three == self.cycles_after(["validate", *map(str, files)], 1)
 
     def test_demo_device(self, tmp_path):
         config = gpindex.cli.default_config()

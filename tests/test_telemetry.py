@@ -593,6 +593,27 @@ class TestLateFaultWork:
             assert session.frame_intervals == brute and max(brute) == 300
 
 
+    def test_only_long_intervals_counted_one_by_one(self, fixture_session_path, monkeypatch):
+        # Three 300 ms hitches in the last block: its other intervals are counted through bytes.
+        doc = json.loads(fixture_session_path.read_bytes())
+        frames = doc["events"]["frames"]
+        for n in (len(frames) - 900, len(frames) - 500, len(frames) - 100):
+            frames[n:] = [t + 300 - (frames[n] - frames[n - 1]) for t in frames[n:]]
+        assert (len(frames) - 900) // telemetry._FRAME_BLOCK == (len(frames) - 2) // telemetry._FRAME_BLOCK
+        counted = []
+
+        class CountingCounter(Counter):
+            def update(self, iterable=None, /, **kwds):
+                counted.extend(iterable := list(iterable or ()))
+                super().update(iterable, **kwds)
+
+        monkeypatch.setattr(telemetry, "Counter", CountingCounter)
+        session = parse_session(to_bytes(doc))
+        brute = Counter(b - a for a, b in zip(frames, frames[1:]))
+        assert session.frame_intervals == brute and brute[300] == 3
+        assert counted == [300, 300, 300]
+
+
 class TestFrameIntervals:
     """A session takes the histogram of its frame intervals once, parsed or built."""
 
