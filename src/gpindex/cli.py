@@ -25,7 +25,7 @@ from .config import EngineConfig, default_config, load_config_file
 from .errors import ConfigError, EngineError
 # Not called here: perfbench/tracing.py wraps gpindex.cli.score_device by name.
 from .indices import MeasuredSession, measure, score_device, weigh  # noqa: F401
-from .jsondoc import fast_decoder
+from .jsondoc import fast_json
 from .report import ComparisonTable, emit_plot_data, emit_report, rank_devices, serialize_session
 from .synth import CorpusDevice, default_demo_manifest, generate_corpus, load_manifest
 from .telemetry import UnknownKeyWarning, parse_session, validate_comparability
@@ -134,7 +134,7 @@ def _measure_dirs(
         return _read_file(path, lambda data: measure(parse_session(data), config.curves), "error: ")
 
     listed = list(takewhile(bool, (sorted(Path(d).glob("*.json")) for d in device_dirs)))
-    fast_decoder()  # orjson, if installed, imported once here and inherited by every forked worker
+    fast_json()  # orjson, if installed, imported once here and inherited by every forked worker
     measured = []
     with closing(_ordered_map(read, [f for found in listed for f in found])) as outcomes:
         for scores, lines in outcomes:
@@ -337,6 +337,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     try:
         import numpy  # noqa: F401  # imported once here, inherited by every forked worker
 
+        fast_json()  # orjson too, if installed: it writes the frames
         config = default_config()
         groups = list(_ordered_map(partial(_demo_device, out_dir=out_dir, config=config), corpus))
         _write_reports(groups, config, out_dir, "json")

@@ -16,9 +16,13 @@ device models) check numbers with :func:`is_finite` too, and names the
 CLI writes files under with :func:`is_file_name`.
 
 Session files may also be decoded by orjson, when installed (the
-``fast`` extra). :func:`fast_decoder` imports it on first use only, as it
-loads ``uuid``, ``datetime`` and ``zoneinfo``. Its value is json's except
-where :func:`same_as_json` fails; there the caller decodes with json.
+``fast`` extra), and their frame streams written by it: ints, whose
+digits orjson writes as json does, so the bytes are unchanged.
+:func:`fast_json` imports it on first use only, as it loads ``uuid``,
+``datetime`` and ``zoneinfo``. Its decoded value is json's except where
+:func:`same_as_json` fails; there the caller decodes with json. A string
+must encode to UTF-8: json decodes a lone surrogate escape, which no
+UTF-8 file can hold.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import MISSING, fields
 from functools import cache, partial
 from itertools import chain, compress, repeat
 from operator import is_, is_not
+from types import ModuleType
 from typing import Any, Callable, TypeVar
 
 from .errors import EngineError, SchemaError
@@ -57,13 +62,13 @@ def decode(data: bytes, error_cls: type[EngineError], what: str) -> Any:
 
 
 @cache
-def fast_decoder() -> Callable[[bytes], Any] | None:
-    """``orjson.loads`` when orjson imports, else None; imported on the first call only."""
+def fast_json() -> ModuleType | None:
+    """The orjson module when it imports, else None; imported on the first call only."""
     try:
-        from orjson import loads
+        import orjson
     except ImportError:
         return None
-    return loads
+    return orjson
 
 
 def same_as_json(value: Any, skip: Any = None) -> bool:
@@ -154,9 +159,20 @@ def as_real(value: Any, where: str) -> int | float:
     raise SchemaError(f"{where}: expected number, got {type(value).__name__}")
 
 
+def is_utf8(value: str) -> bool:
+    """Whether ``value`` encodes to UTF-8, i.e. holds no lone surrogate."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def as_str(value: Any, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{where}: expected string, got {type(value).__name__}")
+    if not is_utf8(value):
+        raise SchemaError(f"{where}: string holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 

@@ -78,7 +78,8 @@ from .jsondoc import (
     as_str,
     check_record,
     decode,
-    fast_decoder,
+    fast_json,
+    is_utf8,
     read_record,
     reader,
     require,
@@ -364,7 +365,7 @@ def _real_column(xs: list) -> list | None:
 
 
 def _str_column(xs: list) -> list | None:
-    return xs if set(map(type, xs)) <= {str} else None
+    return xs if set(map(type, xs)) <= {str} and is_utf8("".join(xs)) else None
 
 
 _COLUMN_CHECKS = {as_int: _int_column, as_real: _real_column, as_str: _str_column}
@@ -488,11 +489,11 @@ def _read_fields(root: Any, unknown: list[str]) -> dict[str, Any]:
 def _fast_fields(data: bytes, unknown: list[str]) -> dict[str, Any] | None:
     """:func:`_read_fields` of orjson's value of ``data``, or its error, where :func:`same_as_json`
     holds; else None. Once read, the frames are proven ints, and the walk skips them."""
-    loads = fast_decoder()
-    if loads is None:
+    fast = fast_json()
+    if fast is None:
         return None
     try:
-        root = loads(data)
+        root = fast.loads(data)
     except ValueError:  # orjson.JSONDecodeError: json may still decode it (NaN, a lone surrogate)
         return None
     try:

@@ -4,7 +4,7 @@ import pytest
 
 import gpindex.cli
 from gpindex.config import default_config
-from gpindex.jsondoc import fast_decoder
+from gpindex.jsondoc import fast_json
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, generate_session
 
@@ -22,11 +22,11 @@ def two_workers(monkeypatch):
 
 @pytest.fixture
 def json_only(monkeypatch):
-    """Session documents are decoded by json alone: ``import orjson`` fails, as without it."""
+    """Sessions are decoded and written by json alone: ``import orjson`` fails, as without it."""
     monkeypatch.setitem(sys.modules, "orjson", None)
-    fast_decoder.cache_clear()
+    fast_json.cache_clear()
     yield
-    fast_decoder.cache_clear()
+    fast_json.cache_clear()
 
 
 @pytest.fixture(scope="session")

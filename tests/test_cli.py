@@ -83,6 +83,18 @@ def write_sessions(directory, sessions):
     return directory
 
 
+LONE_SURROGATE = "string holds a lone surrogate, which UTF-8 cannot encode"
+
+
+def lone_surrogate_file(directory, session):
+    """``session``'s file under ``directory`` with its device_id the escape ``\\ud800``."""
+    doc = json.loads(serialize_session(session))
+    doc["device"]["device_id"] = "\ud800"
+    path = write_sessions(directory, []) / "session_00.json"
+    path.write_text(json.dumps(doc))  # ascii, with the escape
+    return path
+
+
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
     src = Path(gpindex.cli.__file__).parents[1]
     code = (
@@ -138,12 +150,13 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
             env=env, capture_output=True, text=True, check=True,
         )
         outcomes[name] = json.loads(result.stdout.splitlines()[-1])
-    reads = importlib.util.find_spec("orjson") is not None  # commands that read sessions load it
+    # Each command loads orjson where installed: to read sessions, or in demo to write them.
+    fast = importlib.util.find_spec("orjson") is not None
     assert outcomes == {
-        "validate": [False, 0, False, False, reads],
-        "score": [False, 0, False, False, reads],
-        "compare": [False, 0, False, False, reads],
-        "demo": [False, 0, True, False, False],
+        "validate": [False, 0, False, False, fast],
+        "score": [False, 0, False, False, fast],
+        "compare": [False, 0, False, False, fast],
+        "demo": [False, 0, True, False, fast],
     }
     for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
         assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
@@ -191,6 +204,11 @@ class TestValidate:
             f"{bad}: events.frames[1]: expected integer, got float",
             f"warning: {bad}: ignoring unknown key 'events.replay_markers'",
         ]
+
+    def test_lone_surrogate_diagnosed(self, tmp_path, reference_session, capsys):
+        path = lone_surrogate_file(tmp_path, reference_session)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == ("0 valid\n", f"{path}: device.device_id: {LONE_SURROGATE}\n")
 
     def test_missing_file_diagnosed(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
@@ -316,6 +334,12 @@ class TestDemo:
             for p in demo_dir.glob("sessions/*/*.json")
         }
         assert len(golden) == 27 and written == golden
+
+    # Without orjson the frames are written by a printf: the same bytes.
+    def test_session_files_match_golden_digests_written_by_json(self, tmp_path, json_only):
+        out = tmp_path / "demo"
+        assert main(["demo", "--out", str(out)]) == 0
+        self.test_session_files_match_golden_digests(out)
 
     def test_plot_rows(self, demo_dir):
         lines = (demo_dir / "plot_data.csv").read_text().splitlines()
@@ -496,6 +520,12 @@ class TestPerFileDiagnostics:
         assert capsys.readouterr().err == (
             f"error: {path}: drain_pct_per_hour: battery samples must span > 60 s, got 30.0 s\n"
         )
+
+    # json decodes a lone surrogate escape, which once escaped as a UnicodeEncodeError traceback.
+    def test_lone_surrogate_session(self, command, tmp_path, reference_session, capsys):
+        path = lone_surrogate_file(tmp_path / "device", reference_session)
+        assert self.run(command, tmp_path, path.parent) == 1
+        assert capsys.readouterr().err == f"error: {path}: device.device_id: {LONE_SURROGATE}\n"
 
     def test_unreadable_session(self, command, tmp_path, reference_session, capsys):
         device_dir = write_sessions(tmp_path / "device", [reference_session])

@@ -18,7 +18,7 @@ from gpindex.errors import (
     ValidationError,
 )
 from gpindex import telemetry
-from gpindex.jsondoc import as_int, as_pair, as_real, decode, reader, require
+from gpindex.jsondoc import as_int, as_pair, as_real, as_str, decode, reader, require
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, load_manifest
 from gpindex.telemetry import DeviceMeta, GameSettings, parse_session
@@ -55,6 +55,13 @@ class TestReaders:
     def test_as_real_rejects(self, value, reason):
         with pytest.raises(SchemaError, match=f"^f: {reason}$"):
             as_real(value, "f")
+
+    # json decodes a lone surrogate escape; no UTF-8 file can hold the string.
+    @pytest.mark.parametrize("value", ["\ud800", "ok\udfff", "\udc00\ud800"])
+    def test_as_str_rejects_a_lone_surrogate(self, value):
+        with pytest.raises(SchemaError, match="^f: string holds a lone surrogate"):
+            as_str(value, "f")
+        assert as_str("\U0001f3ae é", "f") == "\U0001f3ae é"
 
     def test_as_real_keeps_the_value_as_given(self):
         assert type(as_real(500, "f")) is int

@@ -9,7 +9,7 @@ prefixed with the module it comes from, since both modules have a
 
 import pytest
 
-from gpindex.jsondoc import fast_decoder
+from gpindex.jsondoc import fast_json
 from tests import test_jsondoc, test_telemetry
 
 pytestmark = pytest.mark.usefixtures("json_only")
@@ -24,4 +24,4 @@ for _module in (test_jsondoc, test_telemetry):
 
 
 def test_sessions_are_decoded_by_json():
-    assert fast_decoder() is None
+    assert fast_json() is None

@@ -520,6 +520,11 @@ class TestSerializeSessionOracle:
             ("launch", (0.5, 1.5), "launch[0]: expected integer, got float"),
             ("battery", ((0.5, 100.0),), "battery[0][0]: expected integer, got float"),
             ("temperature", ((0, 30.0, 5),), "temperature[0][2]: expected string, got int"),
+            (
+                "temperature",
+                ((0, 30.0, "soc\ud800"),),
+                "temperature[0][2]: string holds a lone surrogate, which UTF-8 cannot encode",
+            ),
             ("touch", ((True, 10.0),), "touch[0][0]: expected integer, got bool"),
             ("scene_loads", ((0, 2.5),), "scene_loads[0][1]: expected integer, got float"),
             ("battery", 5, "battery: expected array, got int"),

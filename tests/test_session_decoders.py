@@ -1,16 +1,20 @@
-"""orjson and json give every session document the same outcome.
+"""orjson and json give every session document the same outcome, and every session the same bytes.
 
 ``parse_session`` decodes with orjson where it is installed and keeps
 its outcome only where orjson's value is json's; each input here is
 parsed both ways, the second with ``import orjson`` failing, and must
 give the same session bytes, or the same error class and message, and
-the same warnings.
+the same warnings. ``serialize_session`` writes the frames with orjson
+where it is installed; each session here is written both ways too.
 """
 
 import json
 import re
 import sys
 import warnings
+from contextlib import contextmanager
+from dataclasses import replace
+from enum import IntEnum
 from unittest.mock import patch
 
 import pytest
@@ -18,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from gpindex import telemetry
 from gpindex.errors import EngineError
-from gpindex.jsondoc import fast_decoder
+from gpindex.jsondoc import fast_json
 from gpindex.report import serialize_session
 from gpindex.telemetry import UnknownKeyWarning, parse_session
 from tests.strategies import one_field_mutations, sessions
@@ -37,23 +41,27 @@ def _outcome(data):
         except EngineError as exc:
             result = type(exc), str(exc)
         else:
-            try:
-                result = serialize_session(session)
-            except UnicodeEncodeError:  # a lone surrogate, which json decodes
-                result = repr(session)
+            result = serialize_session(session)
     return result, [(w.category, str(w.message), w.filename) for w in caught]
 
 
-def assert_decoders_agree(data):
-    assert fast_decoder() is orjson.loads
-    fast = _outcome(data)
+@contextmanager
+def orjson_hidden():
+    """Inside, ``import orjson`` fails, as where it is not installed."""
+    assert fast_json() is orjson
     with patch.dict(sys.modules, {"orjson": None}):
-        fast_decoder.cache_clear()
+        fast_json.cache_clear()
         try:
-            assert fast_decoder() is None
-            assert _outcome(data) == fast
+            assert fast_json() is None
+            yield
         finally:
-            fast_decoder.cache_clear()
+            fast_json.cache_clear()
+
+
+def assert_decoders_agree(data):
+    fast = _outcome(data)
+    with orjson_hidden():
+        assert _outcome(data) == fast
 
 
 def _doc_bytes(events=None, **top):
@@ -170,3 +178,33 @@ class TestFastPath:
             "ignoring unknown key 'events.replay'",
         ]
         assert [w.filename for w in record] == [__file__] * 2
+
+
+class _Ms(int):
+    """An int subclass whose repr is not its digits."""
+
+    def __repr__(self):
+        return f"_Ms({int(self)})"
+
+
+class _Tick(IntEnum):
+    START = 0
+    NEXT = 16
+
+
+_BASE = parse_session(_VALID)
+
+
+class TestWritersAgree:
+    @settings(max_examples=200, deadline=None)
+    @given(session=sessions())
+    @example(replace(_BASE, frames=tuple(map(_Ms, (0, 16, 33, 2**40)))))
+    @example(replace(_BASE, frames=(_Tick.START, _Tick.NEXT, 2**20)))
+    @example(replace(_BASE, frames=(-(2**53 - 1), 0, 2**53 - 1)))
+    @example(replace(_BASE, settings=replace(_BASE.settings, game_id='50%d "frames":[] %s')))
+    @example(replace(_BASE, frames=(0, 16)))
+    def test_frames_written_alike(self, session):
+        fast = serialize_session(session)
+        with orjson_hidden():
+            assert serialize_session(session) == fast
+        assert parse_session(fast) == session

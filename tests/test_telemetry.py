@@ -232,6 +232,11 @@ class TestParseSession:
             ("display_resolution", (1.5, 2), "display_resolution[0]: expected integer, got float"),
             ("device_id", 5, "device_id: expected string, got int"),
             ("device_id", 0, "device_id: expected string, got int"),
+            (
+                "device_id",
+                "\ud800",
+                "device_id: string holds a lone surrogate, which UTF-8 cannot encode",
+            ),
         ],
     )
     def test_built_device_fields_checked(self, field, value, message):
@@ -407,6 +412,7 @@ _BAD_VALUES = {
         (1.5, "expected string, got float"),
         (True, "expected string, got bool"),
         (None, "expected string, got NoneType"),
+        ("\udc00", "string holds a lone surrogate, which UTF-8 cannot encode"),
     ],
 }
 # Frame timestamps are int column values that must also lie within +/-2**53 ms.
