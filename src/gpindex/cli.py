@@ -113,7 +113,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     valid = [settings for settings in results if settings is not None]
     print(f"{len(valid)} valid")
     if args.comparability and valid:
-        for flag in validate_comparability(valid).flags:
+        for flag in validate_comparability(valid):
             print(
                 f"comparability: session {flag.session_index} {flag.field}="
                 f"{flag.value} differs from modal {flag.modal}",
@@ -358,7 +358,3 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:  # a bad --config, loaded before any handler catches EngineError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

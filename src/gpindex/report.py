@@ -205,14 +205,13 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     records' field order. Floats use shortest round-trip repr (not the
     4-decimal report style) so values survive the round trip exactly.
 
-    The frame stream, almost all of a file's bytes, is written apart:
-    by ``orjson.dumps`` where orjson is installed (the ``fast`` extra),
-    else by one bytes printf, ``b"%d,...,%d" % frames``. Every session's
-    frames are ints or int subclasses strictly within +/-2**53
-    (``SessionTelemetry`` checks them), and for those orjson, ``%d`` and
-    json all write the int's own digits, so the bytes are the same either
-    way. The rest stays on json, which writes some floats unlike orjson
-    (``1e-05``, ``1e+16``).
+    The frame stream, almost all of a file's bytes, is written apart, by
+    ``orjson.dumps`` where orjson is installed (the ``fast`` extra), else
+    by ``json.dumps``. Every session's frames are ints or int subclasses
+    strictly within +/-2**53 (``SessionTelemetry`` checks them), and for
+    those orjson and json both write the int's own digits, so the bytes
+    are the same either way. The rest stays on json, which writes some
+    floats unlike orjson (``1e-05``, ``1e+16``).
     """
     # The records' fields in declaration order; an unrecorded device property is left out.
     device = {name: value for name, value in asdict(session.device).items() if value is not None}
@@ -236,11 +235,8 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     text = json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
     # json escapes every quote inside a string, so '"frames":[]' can only be the frames key.
     head, _, tail = text.encode("utf-8").partition(b'"frames":[]')
-    frames = session.frames
     if (orjson := fast_json()) is not None:
-        return b"".join((head, b'"frames":', orjson.dumps(frames), tail))
-    # A '%' can only sit inside a string (in UTF-8, only as itself) and is
-    # escaped for the printf. The whole file is then one format string, formatted once.
-    head, tail = head.replace(b"%", b"%%"), tail.replace(b"%", b"%%")
-    template = b"".join((head, b'"frames":[', b"%d," * (len(frames) - 1), b"%d]", tail))
-    return template % frames
+        frames = orjson.dumps(session.frames)
+    else:
+        frames = json.dumps(session.frames, separators=(",", ":")).encode()
+    return b"".join((head, b'"frames":', frames, tail))

@@ -30,14 +30,13 @@ all of a session's bytes, are checked and counted into the histogram of
 their intervals in one pass (:func:`_parse_frames`), which the session
 keeps for the FPS metrics. That pass goes block by block,
 ``_FRAME_BLOCK`` intervals at a time, and each block proves itself by
-the rule its intervals allow. A block whose intervals are ints >= 0
-(``bytes`` takes those in 0..255 ms, ``& -256`` finds the longer ones,
-and neither takes a float) holds ints or bools in order: a bool (0 or
-1) can only sit among its leading frames ``<= 1``, which alone are
-type-checked, and its endpoints bound the rest. Its intervals in 0..255
-are counted in C as one byte string with the others', and only the long
-ones one by one. Any other block (a fault) takes a type pass and
-``min``/``max`` and is counted one by one.
+the rule its byte pass allows. A block whose intervals ``bytes`` takes
+(integers in 0..255 ms; a float has no ``__index__``) holds ints or
+bools in order: a bool (0 or 1) can only sit among its leading frames
+``<= 1``, which alone are type-checked, and its endpoints bound the
+rest. Its byte string is counted in C with the others. Any other block
+(a long frame, a fault) takes a type pass and ``min``/``max`` and is
+counted one by one, so a long frame or a fault costs one block.
 Only when a bulk check fails is a stream walked element by element, and
 that walk alone decides the outcome and names the first offending entry,
 e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
@@ -56,8 +55,8 @@ import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
-from itertools import compress, repeat, takewhile
-from operator import and_, ge, itemgetter, le, mul, sub
+from itertools import repeat, takewhile
+from operator import ge, itemgetter, le, mul, sub
 from typing import Any, NamedTuple, Sequence
 
 from .errors import (
@@ -326,10 +325,8 @@ def _first_decrease(ts: Sequence) -> int | None:
     size = _FRAME_BLOCK
     for s in range(0, len(ts) - 1, size):
         starts, ends = ts[s : s + size], ts[s + 1 : s + size + 1]
-        if not all(map(le, starts, ends)):
-            i = next((i for i, (a, b) in enumerate(zip(starts, ends)) if b < a), None)
-            if i is not None:  # else a NaN, which no order check can place
-                return s + i + 1
+        if not all(map(le, starts, ends)):  # ints, so some step falls
+            return s + 1 + next(i for i, (a, b) in enumerate(zip(starts, ends)) if b < a)
     return None
 
 
@@ -392,30 +389,14 @@ def _as_frame(value: Any, where: str) -> int:
     return t
 
 
-def _split_steps(block: Sequence) -> tuple[bytes | None, list | None]:
-    """A block's intervals, some outside 0..255 ms, as the bytes of the others and a list of these
-    when all are ints >= 0; the bytes are None where one is below 0, and both where one is no int."""
-    try:
-        steps = list(map(sub, block[1:], block))
-        long_at = list(compress(range(len(steps)), map(and_, steps, repeat(-256))))  # a float raises
-    except (TypeError, OverflowError):
-        return None, None
-    long = [steps[i] for i in long_at]
-    if min(long) < 0:
-        return None, steps
-    ends = zip([-1, *long_at], [*long_at, len(steps)])
-    return b"".join(bytes(steps[a + 1 : b]) for a, b in ends), long
-
-
 def _parse_frames(frames: Sequence, where: str) -> Counter:
     """Check every frame an int within +/-2**53 ms; return the histogram of the intervals.
 
     One pass over blocks of ``_FRAME_BLOCK`` intervals, each checked by
-    the rule its intervals allow. A block whose intervals are ints >= 0
-    (``bytes`` takes them, or :func:`_split_steps` splits off the long
-    ones) holds ints or bools in order, so only its leading frames
-    ``<= 1``, the only ones a bool can be, are type-checked, and its
-    endpoints bound the rest. Any other block takes
+    the rule its byte pass allows. A block whose intervals ``bytes``
+    takes (integers in 0..255 ms) holds ints or bools in order, so only
+    its leading frames ``<= 1``, the only ones a bool can be, are
+    type-checked, and its endpoints bound the rest. Any other block takes
     a type pass and ``min``/``max``. A block that fails its rule is walked
     up to the first frame the walk rejects: ``<where>[N]: ...``. Out of
     order or fewer than 2 frames, once every frame is in range, the
@@ -425,15 +406,11 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
     counts, accepted = Counter(), []
     for s in range(0, max(len(frames) - 1, 1), _FRAME_BLOCK):
         block = frames[s : s + _FRAME_BLOCK + 1]
-        short = long = None
         try:
-            if len(block) > 1:
-                short, long = bytes(map(sub, block[1:], block)), ()
-        except ValueError:  # an int interval outside 0..255: a long frame, or frames out of order
-            short, long = _split_steps(block)
-        except (TypeError, OverflowError):  # a frame or an interval that is not an int
-            pass
-        if short is None:
+            steps = bytes(map(sub, block[1:], block)) if len(block) > 1 else None
+        except (TypeError, ValueError, OverflowError):  # not all ints 0..255 ms apart
+            steps = None
+        if steps is None:
             ok = set(map(type, block)) <= {int} and (
                 not block or (lo <= min(block) and max(block) <= hi)
             )
@@ -443,12 +420,10 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
             for i, v in enumerate(block, s):
                 if type(v) is not int or not lo <= v <= hi:
                     _as_frame(v, f"{where}[{i}]")  # of these, only an int subclass passes
-        if short is not None:
-            accepted.append(short)
-        if long is None:
+        if steps is None:
             counts.update(map(sub, block[1:], block))  # its frames are ints now
-        elif long:
-            counts.update(long)
+        else:
+            accepted.append(steps)
     # The byte strings are counted by deleting one distinct interval at a time.
     steps = b"".join(accepted)
     while steps:
@@ -542,21 +517,12 @@ class ComparabilityFlag(NamedTuple):
     modal: Any
 
 
-@dataclass(frozen=True)
-class ComparabilityReport:
-    flags: tuple[ComparabilityFlag, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-
-def validate_comparability(settings: Sequence[GameSettings]) -> ComparabilityReport:
+def validate_comparability(settings: Sequence[GameSettings]) -> tuple[ComparabilityFlag, ...]:
     """Flag sessions whose game or settings tiers differ from the modal values.
 
     ``settings`` holds each session's :class:`GameSettings`, in session
     order. Purely advisory: nothing is mutated or rejected. Modal ties
-    break toward the smallest value so the report is deterministic.
+    break toward the smallest value so the flags are deterministic.
     """
     if not settings:
         raise EmptyInputError("validate_comparability requires at least one session")
@@ -569,4 +535,4 @@ def validate_comparability(settings: Sequence[GameSettings]) -> ComparabilityRep
             if value != modal:
                 flags.append(ComparabilityFlag(i, field_name, value, modal))
     flags.sort(key=lambda f: (f.session_index, f.field))
-    return ComparabilityReport(tuple(flags))
+    return tuple(flags)

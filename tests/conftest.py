@@ -1,4 +1,6 @@
 import sys
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 
@@ -20,13 +22,23 @@ def two_workers(monkeypatch):
     monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 2)
 
 
+@contextmanager
+def orjson_hidden():
+    """Inside, ``import orjson`` fails, as where it is not installed."""
+    with patch.dict(sys.modules, {"orjson": None}):
+        fast_json.cache_clear()
+        try:
+            assert fast_json() is None
+            yield
+        finally:
+            fast_json.cache_clear()
+
+
 @pytest.fixture
-def json_only(monkeypatch):
+def json_only():
     """Sessions are decoded and written by json alone: ``import orjson`` fails, as without it."""
-    monkeypatch.setitem(sys.modules, "orjson", None)
-    fast_json.cache_clear()
-    yield
-    fast_json.cache_clear()
+    with orjson_hidden():
+        yield
 
 
 @pytest.fixture(scope="session")

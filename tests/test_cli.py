@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -150,8 +149,12 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
             env=env, capture_output=True, text=True, check=True,
         )
         outcomes[name] = json.loads(result.stdout.splitlines()[-1])
-    # Each command loads orjson where installed: to read sessions, or in demo to write them.
-    fast = importlib.util.find_spec("orjson") is not None
+    # Each command loads orjson where it imports with the commands' environment:
+    # to read sessions, or in demo to write them.
+    probe = "try: import orjson\nexcept ImportError: print(False)\nelse: print(True)"
+    fast = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout == "True\n"
     assert outcomes == {
         "validate": [False, 0, False, False, fast],
         "score": [False, 0, False, False, fast],
@@ -335,7 +338,7 @@ class TestDemo:
         }
         assert len(golden) == 27 and written == golden
 
-    # Without orjson the frames are written by a printf: the same bytes.
+    # Without orjson the frames are written by json: the same bytes.
     def test_session_files_match_golden_digests_written_by_json(self, tmp_path, json_only):
         out = tmp_path / "demo"
         assert main(["demo", "--out", str(out)]) == 0

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,24 @@ class TestIndexProfile:
     def test_weight_map_not_a_mapping_rejected(self, main, sub, message):
         with pytest.raises(WeightError, match=f"^profile 'p': {message}$"):
             IndexProfile("p", main, sub)
+
+    @pytest.mark.parametrize(
+        "name,main,sub,message",
+        [
+            ("", {MainIndex.BATTERY: 1.0}, {}, "profile name must be non-empty"),
+            ("p", {"battery": 1.0}, {}, "unknown main index 'battery'"),
+            (
+                "p",
+                {MainIndex.BATTERY: 1.0},
+                {"battery": {"drain_pct_per_hour": 1.0}},
+                "profile 'p': unknown sub-weight group 'battery'",
+            ),
+        ],
+        ids=["empty_name", "main_key_not_index", "sub_key_not_index"],
+    )
+    def test_malformed_profile_rejected(self, name, main, sub, message):
+        with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+            IndexProfile(name, main, sub)
 
     def test_weights_summing_past_float_range_rejected(self):
         with pytest.raises(WeightError, match="beyond the float range"):

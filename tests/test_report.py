@@ -309,8 +309,8 @@ def oracle_bytes(session):
     return (json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n").encode()
 
 
-# Strings json escapes or the frame printf must not read as a format: quotes,
-# '%', a literal '"frames":[]', control and non-ASCII characters.
+# Strings json escapes, or that the frame splice must not take for the frames
+# key: quotes, '%', a literal '"frames":[]', control and non-ASCII characters.
 _tricky_text = st.text(min_size=1, max_size=8) | st.sampled_from(
     ['"frames":[]', "%d%s%%", "%", 'a"b\\c', "\r\n\t\x00", "ü東😀"]
 )

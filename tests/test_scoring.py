@@ -57,6 +57,10 @@ class TestValidateCurve:
         with pytest.raises(CurveError, match="scores not monotone at index 2"):
             MappingCurve("avg_fps", [(0, 0), (60, 90), (120, 80)])
 
+    def test_scores_falling_then_rising_not_monotone(self):
+        with pytest.raises(CurveError, match="scores not monotone at index 2"):
+            MappingCurve("avg_fps", [(0, 100), (60, 50), (120, 80)])
+
     def test_score_out_of_range(self):
         with pytest.raises(CurveError, match="out of \\[0, 100\\] at index 1"):
             MappingCurve("avg_fps", [(0, 0), (60, 101)])

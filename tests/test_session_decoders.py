@@ -10,26 +10,23 @@ where it is installed; each session here is written both ways too.
 
 import json
 import re
-import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from enum import IntEnum
-from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from gpindex import telemetry
 from gpindex.errors import EngineError
-from gpindex.jsondoc import fast_json
 from gpindex.report import serialize_session
 from gpindex.telemetry import UnknownKeyWarning, parse_session
+from tests.conftest import orjson_hidden
 from tests.strategies import one_field_mutations, sessions
 from tests.test_jsondoc import _arbitrary
 from tests.test_telemetry import make_doc, to_bytes
 
-orjson = pytest.importorskip("orjson")
+pytest.importorskip("orjson", exc_type=ImportError)
 
 
 def _outcome(data):
@@ -43,19 +40,6 @@ def _outcome(data):
         else:
             result = serialize_session(session)
     return result, [(w.category, str(w.message), w.filename) for w in caught]
-
-
-@contextmanager
-def orjson_hidden():
-    """Inside, ``import orjson`` fails, as where it is not installed."""
-    assert fast_json() is orjson
-    with patch.dict(sys.modules, {"orjson": None}):
-        fast_json.cache_clear()
-        try:
-            assert fast_json() is None
-            yield
-        finally:
-            fast_json.cache_clear()
 
 
 def assert_decoders_agree(data):

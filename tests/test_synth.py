@@ -341,6 +341,7 @@ class TestGenerateSession:
             ("drain_rate_pct_per_hour", -1.0),
             ("temp_peak_c", 10.0),
             ("touch_latency_ms", -5.0),
+            ("launch_s", -1.0),
         ],
     )
     def test_model_invariants(self, reference_model, field, value):
