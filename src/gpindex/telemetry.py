@@ -416,14 +416,13 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
             )
         else:  # ints or bools, in order
             ok = _int_head(block) and lo <= block[0] and block[-1] <= hi
+            accepted.append(steps)
         if not ok:
             for i, v in enumerate(block, s):
                 if type(v) is not int or not lo <= v <= hi:
                     _as_frame(v, f"{where}[{i}]")  # of these, only an int subclass passes
         if steps is None:
             counts.update(map(sub, block[1:], block))  # its frames are ints now
-        else:
-            accepted.append(steps)
     # The byte strings are counted by deleting one distinct interval at a time.
     steps = b"".join(accepted)
     while steps:

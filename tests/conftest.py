@@ -1,6 +1,5 @@
 import sys
 from contextlib import contextmanager
-from unittest.mock import patch
 
 import pytest
 
@@ -24,8 +23,13 @@ def two_workers(monkeypatch):
 
 @contextmanager
 def orjson_hidden():
-    """Inside, ``import orjson`` fails, as where it is not installed."""
-    with patch.dict(sys.modules, {"orjson": None}):
+    """Inside, ``import orjson`` fails, as where it is not installed.
+
+    Only the ``orjson`` entry of ``sys.modules`` is set and put back:
+    modules first imported inside stay imported.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "orjson", None)
         fast_json.cache_clear()
         try:
             assert fast_json() is None

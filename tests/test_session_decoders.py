@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from gpindex import telemetry
 from gpindex.errors import EngineError
+from gpindex.jsondoc import fast_json
 from gpindex.report import serialize_session
 from gpindex.telemetry import UnknownKeyWarning, parse_session
 from tests.conftest import orjson_hidden
@@ -26,7 +27,7 @@ from tests.strategies import one_field_mutations, sessions
 from tests.test_jsondoc import _arbitrary
 from tests.test_telemetry import make_doc, to_bytes
 
-pytest.importorskip("orjson", exc_type=ImportError)
+orjson = pytest.importorskip("orjson", exc_type=ImportError)
 
 
 def _outcome(data):
@@ -43,6 +44,7 @@ def _outcome(data):
 
 
 def assert_decoders_agree(data):
+    assert fast_json() is orjson
     fast = _outcome(data)
     with orjson_hidden():
         assert _outcome(data) == fast
@@ -188,6 +190,7 @@ class TestWritersAgree:
     @example(replace(_BASE, settings=replace(_BASE.settings, game_id='50%d "frames":[] %s')))
     @example(replace(_BASE, frames=(0, 16)))
     def test_frames_written_alike(self, session):
+        assert fast_json() is orjson
         fast = serialize_session(session)
         with orjson_hidden():
             assert serialize_session(session) == fast
