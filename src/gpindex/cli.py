@@ -104,22 +104,24 @@ def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> t
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # Each file's settings, or None; the session itself is dropped once parsed.
-    results = []
+    # Each valid file and its settings; the session itself is dropped once parsed.
+    valid = []
     for name in args.files:
         settings, lines = _read_file(name, lambda data: parse_session(data).settings, "")
         sys.stderr.writelines(lines)
-        results.append(settings)
-    valid = [settings for settings in results if settings is not None]
+        if settings is not None:
+            valid.append((name, settings))
     print(f"{len(valid)} valid")
     if args.comparability and valid:
-        for flag in validate_comparability(valid):
+        names, settings = zip(*valid)
+        for flag in validate_comparability(settings):
+            # Not "<file>: ...": that prefix marks the file's diagnostic.
             print(
-                f"comparability: session {flag.session_index} {flag.field}="
+                f"comparability: {names[flag.session_index]}: {flag.field}="
                 f"{flag.value} differs from modal {flag.modal}",
                 file=sys.stderr,
             )
-    return EXIT_DATA if len(valid) < len(results) else EXIT_OK
+    return EXIT_DATA if len(valid) < len(args.files) else EXIT_OK
 
 
 def _measure_dirs(

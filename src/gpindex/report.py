@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from .indices import MainIndex, ScoreCard
 from .jsondoc import fast_json
-from .telemetry import SessionTelemetry
+from .telemetry import _ROW_STREAMS, SessionTelemetry
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -222,7 +222,7 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     if session.launch is not None:
         events["launch"] = session.launch
     events["frames"] = ()
-    for name in ("battery", "temperature", "touch", "scene_loads"):
+    for name in _ROW_STREAMS:
         if getattr(session, name):
             events[name] = getattr(session, name)
 

@@ -22,30 +22,29 @@ outcome (session or error) is kept only where ``jsondoc.same_as_json``
 holds; any other is decoded again by json. So every input gives json's
 outcome, and its unknown keys are warned once, for the outcome kept.
 
-Fast path and fallback: each event stream is checked in bulk first,
-with one C-level pass per column for element types and ranges
-(``set(map(type, xs))``, ``min``/``max``) and one per stream for
-timestamp order (``all(map(operator.le, xs, xs[1:]))``). Frames, almost
-all of a session's bytes, are checked and counted into the histogram of
-their intervals in one pass (:func:`_parse_frames`), which the session
-keeps for the FPS metrics. That pass goes block by block,
-``_FRAME_BLOCK`` intervals at a time, and each block proves itself by
-the rule its byte pass allows. A block whose intervals ``bytes`` takes
-(integers in 0..255 ms; a float has no ``__index__``) holds ints or
-bools in order: a bool (0 or 1) can only sit among its leading frames
-``<= 1``, which alone are type-checked, and its endpoints bound the
-rest. Its byte string is counted in C with the others. Any other block
-(a long frame, a fault) takes a type pass and ``min``/``max`` and is
-counted one by one, so a long frame or a fault costs one block.
-Only when a bulk check fails is a stream walked element by element, and
-that walk alone decides the outcome and names the first offending entry,
-e.g. ``events.frames[N]: expected integer, got float`` or ``frames not
-non-decreasing at t=...ms``. The bulk checks never accept what the walk
-would reject, so a valid stream is never walked and every diagnostic is
-the walk's; a frame walk reads only the first block that fails, and
-from it only the first frame the bulk check rejects. The per-sample
-battery, touch-latency and scene-load invariants are few-sample streams
-and are walked directly.
+Fast path and fallback: each row stream's columns are checked in bulk
+first, with one C-level pass per column for element types and ranges
+(``set(map(type, xs))``, ``min``/``max``), and each stream's time order
+by :func:`_first_decrease` (``all(map(operator.le, xs, xs[1:]))``, a
+block at a time). Frames, almost all of a session's bytes, are checked
+and counted into the histogram of their intervals in one pass
+(:func:`_parse_frames`), which the session keeps for the FPS metrics.
+That pass goes block by block, ``_FRAME_BLOCK`` intervals at a time, and
+has one bulk rule, its byte pass. A block whose intervals ``bytes``
+takes (integers in 0..255 ms; a float has no ``__index__``) holds ints
+or bools in order: a bool (0 or 1) can only sit among its leading
+frames ``<= 1``, which alone are type-checked, and its endpoints bound
+the rest. Its byte string is counted in C with the others. Any other
+block (a long or negative interval, a fault) is walked by the frame
+rule and counted one by one, so a long frame or a fault costs one
+block. A walk alone decides the outcome and names the first offending
+entry, e.g. ``events.frames[N]: expected integer, got float`` or
+``frames not non-decreasing at t=...ms``. The bulk checks never accept
+what the walk would reject, so every diagnostic is the walk's, and a
+frame walk reads from a block only the frames its filter rejects. Every
+row stream's time order is checked before any row value: the battery,
+touch-latency and scene-load rules, on few-sample streams, are walked
+directly.
 """
 
 from __future__ import annotations
@@ -266,42 +265,29 @@ class SessionTelemetry:
         if self.duration_ms <= 0:
             raise ValidationError("session duration (last frame - first frame) must be > 0")
 
-        prev_sample: BatterySample | None = None
-        for sample in self.battery:
-            if not 0 <= sample.level_pct <= 100:
-                raise ValidationError(
-                    f"battery level out of [0, 100] at t={sample.t_ms}ms"
-                )
-            if prev_sample is not None:
-                if sample.t_ms < prev_sample.t_ms:
-                    raise ValidationError(f"battery not non-decreasing in t at t={sample.t_ms}ms")
-                if sample.level_pct > prev_sample.level_pct + BATTERY_RISE_TOLERANCE_PP:
-                    raise ValidationError(
-                        f"battery increased by >{BATTERY_RISE_TOLERANCE_PP}pp "
-                        f"at t={sample.t_ms}ms (charging sessions are rejected)"
-                    )
-            prev_sample = sample
-
-        for name, stream in (("temperature", self.temperature), ("touch", self.touch)):
+        # Time order first: a stream out of order is named before any row value.
+        for name in _ROW_STREAMS:
+            stream = getattr(self, name)
             i = _first_decrease(list(map(itemgetter(0), stream)))
             if i is not None:
                 raise ValidationError(f"{name} not non-decreasing in t at t={stream[i][0]}ms")
+
+        for prev, sample in zip((None, *self.battery), self.battery):
+            if not 0 <= sample.level_pct <= 100:
+                raise ValidationError(f"battery level out of [0, 100] at t={sample.t_ms}ms")
+            if prev is not None and sample.level_pct > prev.level_pct + BATTERY_RISE_TOLERANCE_PP:
+                raise ValidationError(
+                    f"battery increased by >{BATTERY_RISE_TOLERANCE_PP}pp "
+                    f"at t={sample.t_ms}ms (charging sessions are rejected)"
+                )
 
         for event in self.touch:
             if event.latency_ms < 0:
                 raise ValidationError(f"negative touch latency at t={event.t_ms}ms")
 
-        prev_start: int | None = None
         for load in self.scene_loads:
             if load.t_end_ms < load.t_start_ms:
-                raise ValidationError(
-                    f"scene_load ends before it starts at t={load.t_start_ms}ms"
-                )
-            if prev_start is not None and load.t_start_ms < prev_start:
-                raise ValidationError(
-                    f"scene_loads not non-decreasing in t at t={load.t_start_ms}ms"
-                )
-            prev_start = load.t_start_ms
+                raise ValidationError(f"scene_load ends before it starts at t={load.t_start_ms}ms")
 
         if self.launch is not None and self.launch.t_first_frame_ms < self.launch.t_start_ms:
             raise ValidationError("launch t_first_frame must be >= t_start")
@@ -333,7 +319,7 @@ def _first_decrease(ts: Sequence) -> int | None:
 # --- parsing -----------------------------------------------------------
 
 _TOP_KEYS = {"schema_version", "device", "game", "events"}
-_EVENT_KEYS = {"launch", "frames", "battery", "temperature", "touch", "scene_loads"}
+_EVENT_KEYS = {"launch", "frames", *_ROW_STREAMS}
 
 
 def _unknown(obj: dict, known: set[str], path: str) -> list[str]:
@@ -392,15 +378,15 @@ def _as_frame(value: Any, where: str) -> int:
 def _parse_frames(frames: Sequence, where: str) -> Counter:
     """Check every frame an int within +/-2**53 ms; return the histogram of the intervals.
 
-    One pass over blocks of ``_FRAME_BLOCK`` intervals, each checked by
-    the rule its byte pass allows. A block whose intervals ``bytes``
-    takes (integers in 0..255 ms) holds ints or bools in order, so only
-    its leading frames ``<= 1``, the only ones a bool can be, are
-    type-checked, and its endpoints bound the rest. Any other block takes
-    a type pass and ``min``/``max``. A block that fails its rule is walked
-    up to the first frame the walk rejects: ``<where>[N]: ...``. Out of
-    order or fewer than 2 frames, once every frame is in range, the
-    constructor names the fault.
+    One pass over blocks of ``_FRAME_BLOCK`` intervals. A block whose
+    intervals ``bytes`` takes (integers in 0..255 ms) holds ints or bools
+    in order, so only its leading frames ``<= 1``, the only ones a bool
+    can be, are type-checked, and its endpoints bound the rest. Any other
+    block, or one that fails that check, is walked: each frame that is not
+    an int in range goes to the frame rule, which names the first bad one,
+    ``<where>[N]: ...``, and the block is counted one by one. Out of order
+    or fewer than 2 frames, once every frame is in range, the constructor
+    names the fault.
     """
     lo, hi = 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1
     counts, accepted = Counter(), []
@@ -410,19 +396,13 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
             steps = bytes(map(sub, block[1:], block)) if len(block) > 1 else None
         except (TypeError, ValueError, OverflowError):  # not all ints 0..255 ms apart
             steps = None
-        if steps is None:
-            ok = set(map(type, block)) <= {int} and (
-                not block or (lo <= min(block) and max(block) <= hi)
-            )
-        else:  # ints or bools, in order
-            ok = _int_head(block) and lo <= block[0] and block[-1] <= hi
+        if steps is not None and _int_head(block) and lo <= block[0] and block[-1] <= hi:
             accepted.append(steps)
-        if not ok:
-            for i, v in enumerate(block, s):
-                if type(v) is not int or not lo <= v <= hi:
-                    _as_frame(v, f"{where}[{i}]")  # of these, only an int subclass passes
-        if steps is None:
-            counts.update(map(sub, block[1:], block))  # its frames are ints now
+            continue
+        for i, v in enumerate(block, s):
+            if type(v) is not int or not lo <= v <= hi:
+                _as_frame(v, f"{where}[{i}]")  # of these, only an int subclass passes
+        counts.update(map(sub, block[1:], block))  # its frames are ints now
     # The byte strings are counted by deleting one distinct interval at a time.
     steps = b"".join(accepted)
     while steps:

@@ -232,7 +232,16 @@ class TestValidate:
         d = write_sessions(tmp_path, [reference_session, reference_session, other])
         files = sorted(str(p) for p in d.glob("*.json"))
         assert main(["validate", "--comparability", *files]) == 0
-        assert "texture_tier" in capsys.readouterr().err
+        modal = reference_session.settings.texture_tier
+        flag = f"comparability: {files[2]}: texture_tier=0 differs from modal {modal}"
+        assert capsys.readouterr().err == flag + "\n"
+        # An invalid file listed first shifts no flag off its file, and no
+        # flag starts with "<file>: ", the mark of a file's diagnostic.
+        bad = tmp_path / "a_bad.json"
+        bad.write_bytes(b"{")
+        assert main(["validate", "--comparability", str(bad), *files]) == 1
+        diagnostic, *flags = capsys.readouterr().err.splitlines()
+        assert diagnostic.startswith(f"{bad}: ") and flags == [flag]
 
     def test_drops_each_session_once_parsed(self, demo_dir, monkeypatch, capsys):
         parse = gpindex.cli.parse_session
@@ -887,6 +896,14 @@ def mutate_session(data, original):
         battery = doc["events"]["battery"]
         doc["events"]["battery"] = battery[: data.draw(st.integers(0, len(battery) - 1))]
     return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("count,usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity(monkeypatch, count, usable):
+    # macOS and Windows have no affinity set: the CPU count, or one if unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert gpindex.cli._usable_cpus() == usable
 
 
 def run_quietly(argv):

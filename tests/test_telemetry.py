@@ -218,6 +218,32 @@ class TestParseSession:
             parse_session(to_bytes(doc))
         assert type(info.value) is ValidationError and str(info.value) == message
 
+    # Two faults: a row stream out of time order is named before any value
+    # fault, in its own stream (battery, scene loads) or in another.
+    @pytest.mark.parametrize(
+        "events,message",
+        [
+            (
+                {"battery": [[0, 101.0], [30000, 50.0], [20000, 49.0]]},
+                "battery not non-decreasing in t at t=20000ms",
+            ),
+            ({"scene_loads": [[10, 5], [3, 8]]}, "scene_loads not non-decreasing in t at t=3ms"),
+            (
+                {
+                    "battery": [[0, 50.0], [41200, 60.0]],
+                    "temperature": [[10, 30.0, "soc"], [5, 31.0, "soc"]],
+                },
+                "temperature not non-decreasing in t at t=5ms",
+            ),
+        ],
+    )
+    def test_time_order_named_before_values(self, events, message):
+        doc = make_doc()
+        doc["events"].update(events)
+        with pytest.raises(ValidationError) as info:
+            parse_session(to_bytes(doc))
+        assert type(info.value) is ValidationError and str(info.value) == message
+
     # Built directly: the first three once escaped as a bare ValueError or
     # TypeError, the rest were accepted and written to files the parser
     # rejects.
