@@ -11,9 +11,7 @@ reports. The pipeline, with the module that defines each step:
 
 Names are imported from the module that defines them, e.g.
 ``from gpindex.indices import measure, weigh``; importing the package
-itself loads nothing else. ``gpindex.cli`` is the command-line front end,
-``gpindex.config`` reads the scoring policy, and ``gpindex.synth``
-generates the synthetic demo corpus.
+itself loads nothing else.
 
 Everything is pure and seeded: identical inputs produce bit-identical
 scores and reports on every platform.

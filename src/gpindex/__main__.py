@@ -1,6 +1,7 @@
 """The ``gpindex`` program: ``python -m gpindex`` and the installed ``gpindex`` script."""
 
 import gc
+import os
 import sys
 
 from .cli import main
@@ -12,11 +13,9 @@ def run() -> int:
     The cyclic garbage collector is off for the command, and the heap is
     frozen when it ends, so the collections the interpreter makes on its
     way out skip every object still alive. That is sound because a run's
-    reference cycles do not grow with its input: they are the argument
-    parser's and the first ``demo`` device's lazy caches, the same count
-    for one session or many (``tests/test_cli.py::TestReferenceCycles``
-    checks it). The CLI's forked workers inherit the collector off, so
-    none walks, and copies, the pages it shares with this process.
+    reference cycles do not grow with its input
+    (``tests/test_cli.py::TestReferenceCycles``). Forked workers inherit
+    the collector off, so none copies the pages it shares with this process.
     In-process callers of ``cli.main`` keep the collector as it was.
     """
     gc.disable()
@@ -24,6 +23,10 @@ def run() -> int:
         return main()
     finally:
         gc.freeze()
+        try:
+            sys.stdout.flush()
+        except OSError:  # closed by its reader, as main reported: drop what it holds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

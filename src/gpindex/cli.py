@@ -1,10 +1,5 @@
-"""Command-line front end.
-
-Commands:
-  validate  parse session files and report diagnostics
-  score     score device directories under one profile
-  compare   score under every configured profile, write per-profile reports
-  demo      generate the 9-device synthetic corpus and its reports
+"""Command-line front end: the ``validate``, ``score``, ``compare`` and ``demo``
+commands of :func:`build_parser`.
 
 Exit status contract: 0 success, 1 data error, 2 usage or config error.
 """
@@ -87,11 +82,10 @@ def _load_config(path: str | None) -> EngineConfig:
 def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> tuple[Any, list[str]]:
     """What ``read`` makes of file ``name``'s bytes, or None, and the lines to write on stderr.
 
-    A failure is the line ``<prefix><name>: <error>``. Each warning
-    raised meanwhile, such as an unknown key, follows it as
-    ``warning: <name>: ...``, once per key. Only the diagnostic may start
-    with ``<prefix><name>: ``: perfbench's ``validate_mixed`` check counts
-    such a line as that file's diagnostic.
+    A failure is the line ``<prefix><name>: <error>``, and each warning raised
+    meanwhile (once per unknown key) follows as ``warning: <name>: ...``. Only
+    the diagnostic may start with ``<prefix><name>: ``: perfbench's
+    ``validate_mixed`` check counts such a line as that file's diagnostic.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UnknownKeyWarning)
@@ -174,11 +168,7 @@ def _write_reports(
 
 
 def _demo_device(device: CorpusDevice, out_dir: Path, config: EngineConfig) -> list[MeasuredSession]:
-    """Generate, write and measure one device's sessions; they are dropped on return.
-
-    Run in a worker process when ``demo`` has more than one: only the
-    measured scores come back.
-    """
+    """Generate, write and measure one device's sessions; only the measured scores are kept."""
     ((device_id, sessions),) = generate_corpus((device,)).items()
     device_dir = out_dir / "sessions" / device_id
     device_dir.mkdir(parents=True, exist_ok=True)
@@ -205,7 +195,9 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     Results come in input order, and an item's error is raised in its turn,
     from its worker's traceback, so the first failing item wins, as in a
     loop. A worker that dies makes the map raise ``EngineError``. Closing or
-    exhausting the map kills and reaps every worker. With one worker, or
+    exhausting the map kills and reaps every worker. Standard output and
+    error are flushed before the fork, and a worker leaves by ``os._exit``,
+    so none writes the parent's pending output again. With one worker, or
     without ``os.fork``, it is ``map``.
     """
     workers = min(_usable_cpus(), len(items))
@@ -284,21 +276,16 @@ def cmd_score(args: argparse.Namespace) -> int:
         if out_path in inputs:
             print(f"refusing to overwrite input file {args.out}", file=sys.stderr)
             return EXIT_USAGE
-    try:
-        groups = _measure_dirs(args.device_dirs, config)
-        if groups is None:
-            return EXIT_DATA
-        (table,) = _score_tables(groups, config, [args.profile])
-        payload = emit_report(table, args.format)
-    except (OSError, EngineError) as exc:  # OSError: a fork or pipe that failed
-        print(f"error: {exc}", file=sys.stderr)
+    groups = _measure_dirs(args.device_dirs, config)
+    if groups is None:
         return EXIT_DATA
+    (table,) = _score_tables(groups, config, [args.profile])
+    payload = emit_report(table, args.format)
+    if not args.out:
+        sys.stdout.buffer.write(payload)
+        return EXIT_OK
     try:
-        if args.out:
-            Path(args.out).write_bytes(payload)
-        else:
-            sys.stdout.buffer.write(payload)
-            sys.stdout.buffer.flush()
+        Path(args.out).write_bytes(payload)
     except OSError as exc:
         print(f"i/o error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -313,14 +300,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         groups = _measure_dirs(args.device_dirs, config)
         if groups is None:
             return EXIT_DATA
-        for path in _write_reports(groups, config, out_dir, args.format):
-            print(f"wrote {path}")
+        written = _write_reports(groups, config, out_dir, args.format)
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    for path in written:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -346,9 +331,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     print(f"demo corpus and reports written to {out_dir}")
     return EXIT_OK
 
@@ -356,7 +338,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ConfigError as exc:  # a bad --config, loaded before any handler catches EngineError
+        status = args.handler(args)
+        sys.stdout.flush()  # a stdout closed by its reader fails here, not as the process exits
+        return status
+    except ConfigError as exc:  # a bad --config
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OSError, EngineError) as exc:  # OSError: a failed fork or pipe, or a closed stdout
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA

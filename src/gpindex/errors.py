@@ -2,15 +2,8 @@
 
 Every failure mode in the library maps to exactly one of these classes,
 so callers (and the CLI) can rely on a closed error surface: anything
-else escaping is a bug.
-
-Every document read from outside (session, config, manifest) goes
-through :mod:`gpindex.jsondoc`: bytes that are not a JSON document raise
-the class the reader names (``SessionSyntaxError`` for sessions,
-``SchemaError`` for manifests) and a missing or mistyped field raises
-``SchemaError`` with its path. ``load_config`` reports every problem,
-invariants included, as ``ConfigError``. The test suite checks this
-with Hypothesis over arbitrary bytes and one-field mutations.
+else escaping is a bug. The test suite checks this with Hypothesis over
+arbitrary bytes and one-field mutations.
 """
 
 

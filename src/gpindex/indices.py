@@ -3,14 +3,10 @@
 Both levels use a weighted arithmetic mean. Metrics a session did not
 measure are never scored as zero: their weight is renormalized over the
 measured ones and the renormalization is recorded as a flag, so a device
-is not punished for unmeasured behavior.
-
-A session is measured once, with no profile involved (``measure``), into
-the sub-index scores that are all scoring needs of it; only the weighting
-into indices and overall runs per profile (``weigh``).
-
-Repeated sessions aggregate by median (even count: mean of the two
-middle values) to absorb the natural deviation between gameplay sessions.
+is not punished for unmeasured behavior. A session is measured once
+(``measure``); only the weighting runs per profile (``weigh``). Repeated
+sessions aggregate by median, to absorb the natural deviation between
+gameplay sessions.
 """
 
 from __future__ import annotations

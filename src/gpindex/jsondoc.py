@@ -6,23 +6,13 @@ its fields come out through the readers below, so one set of rules
 decides what a bad input becomes: ``decode`` raises the caller's error
 class for bytes that are not a JSON document, and each reader raises
 ``SchemaError`` naming the field path, e.g. ``events.touch[3][1]:
-expected finite number``. Integers must fit in int64 and reals must be
-finite; readers check a value and return it as given, so a record's
-real written ``500`` stays the int 500. A record field or event-row
-column is read by its declared type (:func:`reader`), the same whether
-parsed (:func:`read_record`) or built (:func:`check_record`), where an
-array may be a tuple. The engine's own constructors (curves, profiles,
-device models) check numbers with :func:`is_finite` too, and names the
-CLI writes files under with :func:`is_file_name`.
-
-Session files may also be decoded by orjson, when installed (the
-``fast`` extra), and their frame streams written by it: ints, whose
-digits orjson writes as json does, so the bytes are unchanged.
-:func:`fast_json` imports it on first use only, as it loads ``uuid``,
-``datetime`` and ``zoneinfo``. Its decoded value is json's except where
-:func:`same_as_json` fails; there the caller decodes with json. A string
-must encode to UTF-8: json decodes a lone surrogate escape, which no
-UTF-8 file can hold.
+expected finite number``. Integers must fit in int64, reals must be
+finite and strings must encode to UTF-8. Readers check a value and
+return it as given, so a record's real written ``500`` stays the int
+500. A record field or event-row column is read by its declared type
+(:func:`reader`), the same whether parsed (:func:`read_record`) or built
+(:func:`check_record`), where an array may be a tuple. Session files may
+also be decoded by orjson (:func:`fast_json`, :func:`same_as_json`).
 """
 
 from __future__ import annotations
@@ -63,7 +53,10 @@ def decode(data: bytes, error_cls: type[EngineError], what: str) -> Any:
 
 @cache
 def fast_json() -> ModuleType | None:
-    """The orjson module when it imports, else None; imported on the first call only."""
+    """The orjson module (the ``fast`` extra) when it imports, else None.
+
+    Imported on the first call only, since it loads ``uuid``, ``datetime`` and ``zoneinfo``.
+    """
     try:
         import orjson
     except ImportError:
@@ -76,6 +69,7 @@ def same_as_json(value: Any, skip: Any = None) -> bool:
 
     orjson reads an integer past int64/uint64 as a float and nests far deeper
     than json, so no float may reach 2**63 and no container nest past ``FAST_DEPTH``.
+    The walk goes a nesting level at a time; ``skip``, a list proven to hold ints, is not entered.
     """
     level = [value]
     for _ in range(FAST_DEPTH):
@@ -160,7 +154,7 @@ def as_real(value: Any, where: str) -> int | float:
 
 
 def is_utf8(value: str) -> bool:
-    """Whether ``value`` encodes to UTF-8, i.e. holds no lone surrogate."""
+    """Whether ``value`` encodes to UTF-8: no lone surrogate, which json decodes from an escape."""
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:

@@ -16,16 +16,8 @@ check against a brute-force oracle:
   - touch_latency_ms   median latency (even count: mean of the two middle)
   - gfx_points         0.5*mean(tier/3) + 0.3*render_scale + 0.2*ppi_factor
 
-The three FPS rules are computed from the histogram of the frame
-intervals (a Counter; sessions have few distinct intervals) that the
-session took once when it was built (``SessionTelemetry.frame_intervals``),
-so extraction reads no frame but the first and the last: walking its
-sorted keys with cumulative counts gives the percentile interval, the
-median and the band count. Intervals become floats exactly where
-float64 arrays would hold them, so the results equal those of the same
-rules in numpy bit for bit, since every session's frames are ints
-within +/-2**53 ms (``SessionTelemetry`` checks them, parsed or built);
-the test suite keeps the numpy version as its oracle.
+The three FPS rules equal, bit for bit, the same rules in float64 numpy,
+which the test suite keeps as their oracle (:func:`compute_fps_metrics`).
 """
 
 from __future__ import annotations
@@ -65,11 +57,7 @@ MS_PER_HOUR = 3_600_000.0
 
 @dataclass(frozen=True)
 class MetricSet:
-    """Raw metric values extracted from one session, one field per metric id.
-
-    Optional fields are None exactly when their source event stream is
-    absent from the session.
-    """
+    """Raw metric values extracted from one session, one field per metric id."""
 
     avg_fps: float
     low1_fps: float
@@ -113,7 +101,10 @@ def compute_fps_metrics(
     frames, ``Counter(map(sub, frames[1:], frames))``, when the caller has
     it already (``SessionTelemetry.frame_intervals``). Zero-length
     intervals (simultaneous presents) merge into the next interval, so
-    instantaneous FPS is always defined.
+    instantaneous FPS is always defined. Sessions have few distinct
+    intervals: the percentile, the median and the band count come from
+    walking the sorted keys with cumulative counts, each taken as a float
+    where a float64 array would hold it.
     """
     if len(frames) < 2:
         raise DegenerateInputError("need at least 2 frame timestamps")

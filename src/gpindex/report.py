@@ -1,9 +1,7 @@
 """Device comparison tables and canonical report emission.
 
-Ranking always reads exact (unrounded) scores; integer display rounding is
-presentation-only so a half-point display artifact can never reorder
-devices. Tied exact scores share a rank and the next rank skips
-(competition ranking: 1, 1, 3).
+Ranking always reads exact (unrounded) scores, so a half-point display
+artifact can never reorder devices (:func:`rank_devices`).
 
 All emitters are canonical: fixed key order, reals with exactly 4
 decimal places, "\\n" newlines, UTF-8 — equal tables serialize to
@@ -62,7 +60,8 @@ def rank_devices(cards: Sequence[ScoreCard]) -> ComparisonTable:
     """Rank score cards (all for the same profile, one per device) into a comparison table.
 
     Rows sort by exact overall descending, ties broken by device_id
-    ascending; equal exact scores receive equal (competition) ranks.
+    ascending; equal exact scores share a rank and the next rank skips
+    (competition ranking: 1, 1, 3).
     """
     if not cards:
         raise EmptyInputError("rank_devices requires at least one score card")
@@ -205,13 +204,10 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     records' field order. Floats use shortest round-trip repr (not the
     4-decimal report style) so values survive the round trip exactly.
 
-    The frame stream, almost all of a file's bytes, is written apart, by
-    ``orjson.dumps`` where orjson is installed (the ``fast`` extra), else
-    by ``json.dumps``. Every session's frames are ints or int subclasses
-    strictly within +/-2**53 (``SessionTelemetry`` checks them), and for
-    those orjson and json both write the int's own digits, so the bytes
-    are the same either way. The rest stays on json, which writes some
-    floats unlike orjson (``1e-05``, ``1e+16``).
+    The frame stream, almost all of a file's bytes, is written by orjson
+    where it is installed: a session's frames are ints within +/-2**53,
+    whose digits orjson writes as json does. The rest stays on json, which
+    writes some floats unlike orjson (``1e-05``, ``1e+16``).
     """
     # The records' fields in declaration order; an unrecorded device property is left out.
     device = {name: value for name, value in asdict(session.device).items() if value is not None}

@@ -3,37 +3,15 @@
 Generates telemetry from a parametric device model whose true values are
 known in closed form, so the extraction pipeline can be checked against
 ground truth, and ships the demo corpus manifest used for the example
-device comparison.
-
-A DeviceModel builds, once, the ``DeviceMeta`` and ``GameSettings``
-records that every session it generates carries, from the parameters
-named as their fields, so the records' own rules check the model and a
-broken one is a ModelError. A manifest reads each model parameter by
-its declared type, and each session duration by the rule
-generate_session applies, so a bad manifest is refused when it loads,
-before any session is generated.
+device comparison. A broken model is a ``ModelError``, and a bad
+manifest is refused when it loads, before any session is generated.
 
 Randomness comes from SplitMix64, a fixed 64-bit generator simple enough
 to reimplement bit-exactly anywhere, which keeps generated fixtures and
 golden files portable. Draw order per session is fixed: one frame-jitter
 draw per interval (none when frame_jitter_sd_ms is 0), then one latency
-draw per touch event.
-
-SplitMix64's state after k steps is seed + k*gamma (mod 2**64), so draw k
-is addressable as mix(seed + k*gamma). generate_session computes a block
-of draws at once with numpy uint64 arithmetic, which wraps exactly like
-the scalar mask, and gets frame times from a cumulative sum, which adds
-left to right exactly like the scalar ``t += step`` loop. Block generation
-therefore equals the scalar definition bit for bit; the test suite keeps
-the scalar generator and loop as its oracle. Each block of int64 frames
-also gives its share of the session's frame-interval histogram
-(``SessionTelemetry.frame_intervals``: ``np.unique`` of its differences,
-plus the one interval across the block boundary), which
-generate_session hands to SessionTelemetry, so no
-Python loop runs over the frames and memory stays bounded by the block
-size, not the session length. numpy is imported inside the
-two functions that generate frames and draws, so importing this module,
-as the CLI does for every command, does not load it.
+draw per touch event. Importing this module, as the CLI does for every
+command, does not load numpy: the functions that use it import it.
 """
 
 from __future__ import annotations
@@ -84,7 +62,10 @@ _MAX_DURATION_MS = 2.0**63
 
 
 def _block_floats(seed: int, skip: int, n: int) -> np.ndarray:
-    """Draws skip+1 .. skip+n of SplitMix64(seed), each as its top 53 bits times 2**-53."""
+    """Draws skip+1 .. skip+n of SplitMix64(seed), each as its top 53 bits times 2**-53.
+
+    Draw k is mix((seed + k*gamma) mod 2**64), and uint64 arithmetic wraps as the scalar mask does.
+    """
     import numpy as np
 
     z = np.arange(skip + 1, skip + n + 1, dtype=np.uint64)
@@ -189,12 +170,10 @@ def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Cou
     t < duration_ms - eps, then advance t by max(dt + jitter, 0.001), where
     dt is base_frame_time_ms, times throttle_factor once t >= onset, and
     jitter is one uniform draw (none when frame_jitter_sd_ms is 0). Each
-    block below computes the next steps at once and keeps the frames up to
-    the first time at or past its limit: the end, or the throttle onset,
-    after which the next block uses the throttled dt. The histogram is the
-    ``Counter`` of the intervals ``b - a`` between consecutive frames (the
-    session's ``frame_intervals``), counted per block from the block's
-    int64 frames plus the one interval across the block boundary.
+    block below takes the next steps at once, and its cumulative sum adds
+    left to right as ``t += step`` does, so the frames equal the scalar
+    definition bit for bit (the test suite keeps it as the oracle). The
+    histogram (``SessionTelemetry.frame_intervals``) is counted per block.
     """
     import numpy as np
 
@@ -262,23 +241,20 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
     duration_ms = duration_s * 1000.0
     frames, intervals, used = _frame_times(model, duration_ms)
 
-    battery = []
-    t_ms = 0
-    while t_ms <= duration_ms:
-        level = 100.0 - model.drain_rate_pct_per_hour * (t_ms / 3_600_000.0)
-        battery.append(BatterySample(t_ms, max(0.0, level)))
-        t_ms += BATTERY_SAMPLE_PERIOD_MS
+    drain = model.drain_rate_pct_per_hour
+    battery = [
+        BatterySample(t_ms, max(0.0, 100.0 - drain * (t_ms / 3_600_000.0)))
+        for t_ms in range(0, int(duration_ms) + 1, BATTERY_SAMPLE_PERIOD_MS)
+    ]
 
     saturation_s = duration_s
     if model.throttle_onset_s is not None:
         saturation_s = min(3.0 * model.throttle_onset_s, duration_s)
-    temperature = []
-    t_ms = 0
-    while t_ms <= duration_ms:
-        frac = min(1.0, (t_ms / 1000.0) / saturation_s)
-        value = model.temp_start_c + (model.temp_peak_c - model.temp_start_c) * frac
-        temperature.append(TempSample(t_ms, value, "soc"))
-        t_ms += TEMP_SAMPLE_PERIOD_MS
+    start, rise = model.temp_start_c, model.temp_peak_c - model.temp_start_c
+    temperature = [
+        TempSample(t_ms, start + rise * min(1.0, (t_ms / 1000.0) / saturation_s), "soc")
+        for t_ms in range(0, int(duration_ms) + 1, TEMP_SAMPLE_PERIOD_MS)
+    ]
 
     # One latency draw per touch, right after the frame-jitter draws.
     touch_times = range(TOUCH_PERIOD_MS, int(duration_ms) + 1, TOUCH_PERIOD_MS)

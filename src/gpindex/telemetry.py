@@ -1,50 +1,14 @@
 """Session telemetry data model and parser.
 
-One gameplay session is one structured-text (JSON) document holding
-device/game metadata plus time-stamped event streams: frame-present
-timestamps, battery level, temperature, touch latency and scene loads.
-Timestamps are session-relative integer milliseconds.
-
-Parsing is total over the error taxonomy: any byte string yields either
-a fully validated :class:`SessionTelemetry` or exactly one of
-``SessionSyntaxError`` / ``SchemaError`` / ``ValidationError``. The
-document is decoded and its fields read by :mod:`gpindex.jsondoc`, so
-reals must be finite and integers must fit in int64. Frame timestamps
-must also be ints strictly within +/-2**53 ms, where every integer is
-exact as a float64, so frame intervals are the same whether taken in
-integers or in floats. These rules hold for every session, parsed or
-built directly, with each record field and row column read by its
-declared type: one check decides each for both and names a bad entry
-``events.battery[0][1]`` or ``battery[0][1]``.
-
-With orjson installed, a document is decoded by orjson first, and its
-outcome (session or error) is kept only where ``jsondoc.same_as_json``
-holds; any other is decoded again by json. So every input gives json's
-outcome, and its unknown keys are warned once, for the outcome kept.
-
-Fast path and fallback: each row stream's columns are checked in bulk
-first, with one C-level pass per column for element types and ranges
-(``set(map(type, xs))``, ``min``/``max``), and each stream's time order
-by :func:`_first_decrease` (``all(map(operator.le, xs, xs[1:]))``, a
-block at a time). Frames, almost all of a session's bytes, are checked
-and counted into the histogram of their intervals in one pass
-(:func:`_parse_frames`), which the session keeps for the FPS metrics.
-That pass goes block by block, ``_FRAME_BLOCK`` intervals at a time, and
-has one bulk rule, its byte pass. A block whose intervals ``bytes``
-takes (integers in 0..255 ms; a float has no ``__index__``) holds ints
-or bools in order: a bool (0 or 1) can only sit among its leading
-frames ``<= 1``, which alone are type-checked, and its endpoints bound
-the rest. Its byte string is counted in C with the others. Any other
-block (a long or negative interval, a fault) is walked by the frame
-rule and counted one by one, so a long frame or a fault costs one
-block. A walk alone decides the outcome and names the first offending
-entry, e.g. ``events.frames[N]: expected integer, got float`` or
-``frames not non-decreasing at t=...ms``. The bulk checks never accept
-what the walk would reject, so every diagnostic is the walk's, and a
-frame walk reads from a block only the frames its filter rejects. Every
-row stream's time order is checked before any row value: the battery,
-touch-latency and scene-load rules, on few-sample streams, are walked
-directly.
+One gameplay session is one JSON document holding device/game metadata
+plus time-stamped event streams: frame-present timestamps, battery
+level, temperature, touch latency and scene loads. Timestamps are
+session-relative integer milliseconds. Fields are read by
+:mod:`gpindex.jsondoc`'s rules (reals finite, integers within int64), by
+one check whether the session is parsed (:func:`parse_session`) or built
+directly (:class:`SessionTelemetry`). Frame timestamps must also be ints
+strictly within +/-2**53 ms, where every integer is exact as a float64,
+so frame intervals are the same whether taken in integers or in floats.
 """
 
 from __future__ import annotations
@@ -194,27 +158,19 @@ class GameSettings:
 class SessionTelemetry:
     """One recorded gameplay session, fully validated.
 
-    All event streams are immutable and sorted (non-decreasing in t);
-    the constructor enforces every invariant, so any instance that
-    exists is valid. It is the one row check, for every build (parsed,
-    generated or direct): ``launch`` and each row stream are read by the
-    parser's rule into their row NamedTuples, and a bad entry raises the
-    parser's ``SchemaError``, e.g. ``battery[0][1]: expected number, got
-    str`` or ``touch[3][1]: expected finite number`` (the parser adds
-    ``events.``). ``frame_intervals``, the histogram of the intervals
-    ``b - a`` between consecutive frames, is derived from ``frames`` and
-    takes no part in eq or repr. Its two producers hand it over through
-    ``_intervals``: the parser, which counts it while checking the frames
-    (:func:`_parse_frames`), and ``synth.generate_session``, which counts
-    it from its numpy frame blocks. A handed-over histogram vouches for
-    the frames only: it is checked against ``frames`` in time proportional
-    to its distinct intervals (the counts sum to ``len(frames) - 1`` and
-    the intervals to ``frames[-1] - frames[0]``), and the frames are
-    trusted. Every other build checks its frames as
-    the parser does, e.g. ``frames[1]: expected integer, got float``.
-    Its frames first take one C-level ``isinstance`` pass, since the
-    parser's check proves ints through ``bytes``, which takes numpy
-    integers too; a JSON value is never one, so the parser skips it.
+    The constructor enforces every invariant, for every build (parsed,
+    generated or direct), so any instance that exists is valid. Event
+    streams are tuples of their row NamedTuples, sorted in t; a bad entry
+    raises the parser's ``SchemaError``, e.g. ``frames[1]: expected
+    integer, got float`` (the parser adds ``events.``).
+
+    ``frame_intervals`` is the histogram of the intervals ``b - a`` between
+    consecutive frames, out of eq and repr. A producer that counts it while
+    making the frames (the parser, ``synth.generate_session``) hands it over
+    through ``_intervals``, and it vouches for the frames: it is checked in
+    time proportional to its distinct intervals (the counts sum to
+    ``len(frames) - 1``, the intervals to the span). Any other build counts
+    it with the parser's frame check, :func:`_parse_frames`.
     """
 
     schema_version: int
@@ -234,6 +190,8 @@ class SessionTelemetry:
         object.__setattr__(self, "frames", tuple(as_list(self.frames, "frames")))
         handed_over = _intervals is not None
         if not handed_over:
+            # _parse_frames proves ints through bytes(), which takes numpy integers too;
+            # a JSON value is never one, so the parser skips this pass.
             if not all(map(isinstance, self.frames, repeat(int))):  # e.g. a numpy scalar
                 for i, t in enumerate(self.frames):
                     _as_frame(t, f"frames[{i}]")  # raises at the first frame not an int
@@ -266,6 +224,7 @@ class SessionTelemetry:
             raise ValidationError("session duration (last frame - first frame) must be > 0")
 
         # Time order first: a stream out of order is named before any row value.
+        # The value rules below walk their rows: these streams hold few samples.
         for name in _ROW_STREAMS:
             stream = getattr(self, name)
             i = _first_decrease(list(map(itemgetter(0), stream)))
@@ -378,15 +337,17 @@ def _as_frame(value: Any, where: str) -> int:
 def _parse_frames(frames: Sequence, where: str) -> Counter:
     """Check every frame an int within +/-2**53 ms; return the histogram of the intervals.
 
-    One pass over blocks of ``_FRAME_BLOCK`` intervals. A block whose
-    intervals ``bytes`` takes (integers in 0..255 ms) holds ints or bools
-    in order, so only its leading frames ``<= 1``, the only ones a bool
-    can be, are type-checked, and its endpoints bound the rest. Any other
-    block, or one that fails that check, is walked: each frame that is not
-    an int in range goes to the frame rule, which names the first bad one,
-    ``<where>[N]: ...``, and the block is counted one by one. Out of order
-    or fewer than 2 frames, once every frame is in range, the constructor
-    names the fault.
+    One pass over blocks of ``_FRAME_BLOCK`` intervals, so a long frame or
+    a fault costs one block. A block whose intervals ``bytes`` takes
+    (integers in 0..255 ms; a float has no ``__index__``) holds ints or
+    bools in order: only its leading frames that :func:`_int_head` checks
+    can be bools, its endpoints bound the rest, and its byte string is
+    counted in C. Any other block, or one that fails that check, is walked:
+    each frame that is not an int in range goes to the frame rule, which
+    names the first bad one, ``<where>[N]: ...``, and the block is counted
+    one by one. The byte pass accepts nothing the walk would reject, so
+    every diagnostic is the walk's. Out of order or fewer than 2 frames,
+    once every frame is in range, the constructor names the fault.
     """
     lo, hi = 1 - FRAME_LIMIT_MS, FRAME_LIMIT_MS - 1
     counts, accepted = Counter(), []
@@ -462,10 +423,12 @@ def _fast_fields(data: bytes, unknown: list[str]) -> dict[str, Any] | None:
 def parse_session(data: bytes) -> SessionTelemetry:
     """Parse and validate one session document.
 
-    Raises ``SessionSyntaxError`` for malformed text, ``SchemaError`` for
+    Total over the error taxonomy: any bytes give a session or raise exactly
+    one of ``SessionSyntaxError`` for malformed text, ``SchemaError`` for
     missing/mistyped fields (naming the field path) and ``ValidationError``
-    for invariant violations (naming the invariant). Each unknown key is
-    one ``UnknownKeyWarning`` naming the caller, once the outcome is known.
+    for invariant violations (naming the invariant). The outcome is json's
+    whether or not orjson is installed (:func:`_fast_fields`). Each unknown
+    key is one ``UnknownKeyWarning`` naming the caller, once the outcome is known.
     """
     unknown: list[str] = []
     try:

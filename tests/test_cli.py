@@ -1134,6 +1134,35 @@ class TestProgram:
         assert exc.value.code == 2
         assert not gc.isenabled() and gc.get_freeze_count() > 0
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["validate", "demo", "score", "compare"])
+    def test_closed_stdout_is_one_error_line(self, command, unbuffered, short_corpus, tmp_path):
+        dirs = [str(write_sessions(tmp_path / name, s)) for name, s in sorted(short_corpus.items())]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(manifest_bytes({}))
+        argv = {
+            "validate": ["validate", str(Path(dirs[0]) / "session_00.json")],
+            "demo": ["demo", "--out", str(tmp_path / "demo"), "--manifest", str(manifest)],
+            "score": ["score", "--profile", "casual", *dirs],
+            "compare": ["compare", "--out", str(tmp_path / "cmp"), *dirs],
+        }[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(gpindex.cli.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the command writes anything
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "gpindex", *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
 
 class TestReferenceCycles:
     """A run's reference cycles do not grow with its input.

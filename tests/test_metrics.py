@@ -70,7 +70,8 @@ def numpy_fps_metrics(frames):
     avg_fps = (ts.size - 1) / (span_ms / 1000.0)
     deltas = np.diff(ts)
     deltas = deltas[deltas > 0]
-    inst_fps = 1000.0 / deltas
+    with np.errstate(over="ignore"):  # a tiny interval's FPS is inf; low1 reads the longest
+        inst_fps = 1000.0 / deltas
     rank = max(1, math.ceil(1.0 / 100.0 * inst_fps.size))
     low1_fps = float(np.sort(inst_fps)[rank - 1])
     median_delta = float(np.median(deltas))
@@ -154,6 +155,7 @@ class TestFpsMetrics:
     @example((0, 4, 9, 15, 20))  # even count
     @example((0.0, 16.5, 33.25, 50.0))  # float frames
     @example((2**53 - 41, 2**53 - 25, 2**53 - 1))  # the largest timestamps a session may hold
+    @example((0.0, 2.2250738585072014e-308, 1.0))  # an interval whose FPS overflows to inf
     def test_equals_numpy_oracle(self, frames):
         assert compute_fps_metrics(frames) == numpy_fps_metrics(frames)
 
