@@ -244,6 +244,7 @@ class TestValidate:
         assert diagnostic.startswith(f"{bad}: ") and flags == [flag]
 
     def test_drops_each_session_once_parsed(self, demo_dir, monkeypatch, capsys):
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)  # the spy sees this process
         parse = gpindex.cli.parse_session
         parsed, alive_before = [], []
 
@@ -464,7 +465,7 @@ class TestDemoWorkers:
         names = ("report_casual.json", "report_competitive.json", "plot_data.csv")
         runs = [
             (["demo", "--out", str(demo)], f"demo corpus and reports written to {demo}\n"),
-            (compare_or_score("compare", cmp, sorted((demo_dir / "sessions").iterdir())),
+            (argv_on_dirs("compare", cmp, sorted((demo_dir / "sessions").iterdir())),
              "".join(f"wrote {cmp / name}\n" for name in names)),
         ]
         for argv, written in runs:
@@ -671,8 +672,11 @@ class TestCompare:
         assert not (out / "plot_data.csv").exists()
 
 
-def compare_or_score(command, out, dirs):
-    """``compare`` writing under ``out``, or ``score --profile casual`` writing stdout, on dirs."""
+def argv_on_dirs(command, out, dirs):
+    """``compare`` writing under ``out``, or ``score --profile casual`` writing stdout, on dirs;
+    or ``validate`` on their session files."""
+    if command == "validate":
+        return ["validate", *(str(f) for d in dirs for f in sorted(Path(d).glob("*.json")))]
     options = {"compare": ["compare", "--out", str(out)], "score": ["score", "--profile", "casual"]}
     return options[command] + [str(d) for d in dirs]
 
@@ -680,7 +684,7 @@ def compare_or_score(command, out, dirs):
 @needs_fork
 @pytest.mark.usefixtures("two_workers")
 class TestCompareWorkers:
-    """compare and score over two forked workers print and write what one process does."""
+    """compare, score and validate over two forked workers print and write what one process does."""
 
     @pytest.fixture
     def dirs(self, short_corpus, tmp_path):
@@ -688,8 +692,8 @@ class TestCompareWorkers:
 
     def test_write_the_golden_bytes(self, demo_dir, tmp_path, capsysbinary):
         dirs = sorted((demo_dir / "sessions").iterdir())
-        assert main(compare_or_score("compare", tmp_path / "cmp", dirs)) == 0
-        assert main(compare_or_score("score", None, dirs)) == 0
+        assert main(argv_on_dirs("compare", tmp_path / "cmp", dirs)) == 0
+        assert main(argv_on_dirs("score", None, dirs)) == 0
         assert_no_child_left()
         for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
             golden = (GOLDEN_DIR / f"demo_{name}").read_bytes()
@@ -711,7 +715,7 @@ class TestCompareWorkers:
             return parse(data)
 
         monkeypatch.setattr(gpindex.cli, "parse_session", slow_parse)
-        assert main(compare_or_score(command, tmp_path / "out", dirs)) == 1
+        assert main(argv_on_dirs(command, tmp_path / "out", dirs)) == 1
         assert_no_child_left()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {first}: ") and err.count("\n") == 1
@@ -737,7 +741,7 @@ class TestCompareWorkers:
         outcomes = []
         for workers in (1, 2):
             monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: workers)
-            code = main(compare_or_score(command, tmp_path / "out", dirs))
+            code = main(argv_on_dirs(command, tmp_path / "out", dirs))
             outcomes.append((code, *capsysbinary.readouterr()))
         assert outcomes[0] == outcomes[1]
         code, _, err = outcomes[0]
@@ -750,24 +754,62 @@ class TestCompareWorkers:
         assert (code == 0) == (case == "good") and err.startswith(expected_err)
         assert err.count(b"warning: ") == 4 * (case == "warnings")
 
-    def test_no_child_left(self, dirs, tmp_path, monkeypatch, capsys):
-        argv = compare_or_score("compare", tmp_path / "out", dirs)
+    @pytest.mark.parametrize("command", ["compare", "validate"])
+    def test_no_child_left(self, dirs, tmp_path, monkeypatch, capsys, command):
+        argv = argv_on_dirs(command, tmp_path / "out", dirs)
         assert main(argv) == 0
         assert_no_child_left()
         first = dirs[0] / "session_00.json"
         good = first.read_bytes()
-        first.write_bytes(b"{")  # fails while the workers still hold later files
+        first.write_bytes(b"{")  # compare fails while the workers still hold later files
         assert main(argv) == 1
         assert_no_child_left()
         first.write_bytes(good)
 
-        def failing_measure(session, curves):
+        def failing_parse(data):
             raise RuntimeError("not an engine error")
 
-        monkeypatch.setattr(gpindex.cli, "measure", failing_measure)
+        monkeypatch.setattr(gpindex.cli, "parse_session", failing_parse)
         with pytest.raises(RuntimeError, match="not an engine error"):
             main(argv)
         assert_no_child_left()
+
+    @pytest.mark.parametrize("comparability", [False, True], ids=["plain", "comparability"])
+    def test_validate_one_worker_prints_what_two_print(
+        self, dirs, tmp_path, reference_session, monkeypatch, capsysbinary, comparability
+    ):
+        # Valid files, one with other settings, each failing kind, a truncated and a missing file.
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        settings = dataclasses.replace(reference_session.settings, texture_tier=0)
+        other = dataclasses.replace(reference_session, settings=settings)
+        (mixed / "other.json").write_bytes(serialize_session(other))
+        for kind in range(3):
+            failing = failing_session_bytes(reference_session, kind)
+            (mixed / f"failing_{kind}.json").write_bytes(failing)
+        (mixed / "truncated.json").write_bytes(serialize_session(reference_session)[:1000])
+        missing = mixed / "missing.json"
+        files = argv_on_dirs("validate", None, dirs)[1:]
+        files[1:1] = [*(str(f) for f in sorted(mixed.iterdir())), str(missing)]
+        argv = ["validate", *(["--comparability"] if comparability else []), *files]
+        outcomes = []
+        for workers in (1, 2):
+            monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: workers)
+            outcomes.append((main(argv), *capsysbinary.readouterr()))
+            assert_no_child_left()
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert (code, out) == (1, b"6 valid\n")
+        lines = err.decode().splitlines()
+        warned = [line for line in lines if line.startswith("warning: ")]
+        flagged = [line for line in lines if line.startswith("comparability: ")]
+        diagnosed = [line.split(": ")[0] for line in lines if line not in warned + flagged]
+        failed = ("failing_0.json", "failing_1.json", "truncated.json", "missing.json")
+        assert diagnosed == [str(mixed / name) for name in failed]
+        assert warned == [f"warning: {mixed / 'failing_2.json'}: ignoring unknown key 'replay'"]
+        assert lines[len(lines) - len(flagged) :] == flagged  # after every file's lines
+        other_flag = f"comparability: {mixed / 'other.json'}: texture_tier=0 differs from modal "
+        assert any(line.startswith(other_flag) for line in flagged) == comparability
 
     @pytest.mark.parametrize("pickles", [True, False])
     def test_unexpected_error_keeps_its_worker_traceback(self, dirs, tmp_path, monkeypatch, pickles):
@@ -779,13 +821,13 @@ class TestCompareWorkers:
 
         monkeypatch.setattr(gpindex.cli, "measure", failing_measure)
         with pytest.raises(KeyError if pickles else RuntimeError, match="not an engine error") as caught:
-            main(compare_or_score("compare", tmp_path / "out", dirs))
+            main(argv_on_dirs("compare", tmp_path / "out", dirs))
         assert_no_child_left()
         worker_traceback = str(caught.value.__cause__)
         assert worker_traceback.startswith("Traceback (most recent call last):\n")
         assert "in failing_measure\n" in worker_traceback
 
-    @pytest.mark.parametrize("command", ["compare", "score"])
+    @pytest.mark.parametrize("command", ["compare", "score", "validate"])
     def test_killed_worker_fails_the_command(self, dirs, tmp_path, command):
         # The first worker to parse a file kills itself; the other goes on with its files.
         code = (
@@ -804,13 +846,13 @@ class TestCompareWorkers:
         )
         env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
         out = tmp_path / "out"
-        argv = json.dumps(compare_or_score(command, out, dirs))
+        argv = json.dumps(argv_on_dirs(command, out, dirs))
         result = subprocess.run(
             [sys.executable, "-c", code, argv, str(tmp_path / "killed")],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert (result.returncode, result.stdout) == (1, "")
-        assert result.stderr.startswith("error: worker ") and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: worker ") and result.stderr.count("\n") == 1
 
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
@@ -831,7 +873,7 @@ class TestCompareWorkers:
         env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
         pids = tmp_path / "pids"
         pids.mkdir()
-        argv = json.dumps(compare_or_score("compare", tmp_path / "out", dirs))
+        argv = json.dumps(argv_on_dirs("compare", tmp_path / "out", dirs))
         parent = subprocess.Popen([sys.executable, "-c", code, argv, str(pids)], env=env)
         deadline = time.monotonic() + 60
         while len(list(pids.iterdir())) < 2 and time.monotonic() < deadline:
@@ -904,6 +946,34 @@ def test_usable_cpus_without_affinity(monkeypatch, count, usable):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
     assert gpindex.cli._usable_cpus() == usable
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity to set")
+def test_each_worker_runs_on_one_cpu_of_the_parents(monkeypatch, two_workers):
+    parent = os.sched_getaffinity(0)
+
+    def where(i):
+        return i * i, os.getpid(), os.sched_getaffinity(0)
+
+    pinned = list(gpindex.cli._ordered_map(where, range(8)))
+    assert os.sched_getaffinity(0) == parent
+    assert [square for square, _, _ in pinned] == [i * i for i in range(8)]
+    for _, pid, cpu in pinned:
+        assert pid != os.getpid() and len(cpu) == 1 and cpu <= parent
+
+    def refusing(pid, cpus):
+        raise PermissionError("not allowed here")
+
+    # Where the platform refuses to pin, or cannot, the workers run on the parent's set.
+    monkeypatch.setattr(os, "sched_setaffinity", refusing)
+    refused = list(gpindex.cli._ordered_map(where, range(8)))
+    monkeypatch.delattr(os, "sched_setaffinity")
+    unpinned = list(gpindex.cli._ordered_map(where, range(8)))
+    expected = [(i * i, parent) for i in range(8)]
+    for outcomes in refused, unpinned:
+        assert [(square, cpu) for square, _, cpu in outcomes] == expected
+    assert_no_child_left()
 
 
 def run_quietly(argv):
@@ -1191,7 +1261,8 @@ class TestReferenceCycles:
         three = self.cycles_after(["compare", "--out", str(tmp_path / "three"), *dirs[:3]])
         assert one == three
 
-    def test_validate(self, demo_dir, tmp_path):
+    def test_validate(self, demo_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)  # the cycles stay in this process
         files = sorted(str(p) for p in (demo_dir / "sessions").glob("*/*.json"))
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"{")
@@ -1200,7 +1271,8 @@ class TestReferenceCycles:
         several = self.cycles_after(["validate", *files[:9]])
         assert one == several == self.cycles_after(["validate", *files[:9], str(bad)], 1)
 
-    def test_validate_failing_files(self, tmp_path, reference_session):
+    def test_validate_failing_files(self, tmp_path, reference_session, monkeypatch):
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)  # the cycles stay in this process
         files = []
         for i in range(9):
             files.append(tmp_path / f"failing_{i}.json")
