@@ -14,16 +14,19 @@ from contextlib import closing, suppress
 from functools import partial
 from itertools import islice, takewhile
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from .config import EngineConfig, default_config, load_config_file
 from .errors import ConfigError, EngineError
-# Not called here: perfbench/tracing.py wraps gpindex.cli.score_device by name.
-from .indices import MeasuredSession, measure, score_device, weigh  # noqa: F401
 from .jsondoc import fast_json
-from .report import ComparisonTable, emit_plot_data, emit_report, rank_devices, serialize_session
-from .synth import CorpusDevice, default_demo_manifest, generate_corpus, load_manifest
 from .telemetry import UnknownKeyWarning, parse_session, validate_comparability
+
+# Each command imports the layers it runs, where it runs them: a cold ``validate`` loads none
+# of these.
+if TYPE_CHECKING:
+    from .config import EngineConfig
+    from .indices import MeasuredSession
+    from .report import ComparisonTable
+    from .synth import CorpusDevice
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -76,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str | None) -> EngineConfig:
+    from .config import default_config, load_config_file
+
     return default_config() if path is None else load_config_file(path)
 
 
@@ -127,6 +132,7 @@ def _measure_dirs(
     the directories up to the first empty one, each session dropped once measured; None once
     the first file that fails is printed as ``error: <file>: ...``.
     """
+    from .indices import measure
 
     def read(path: Path) -> tuple[MeasuredSession | None, list[str]]:
         return _read_file(path, lambda data: measure(parse_session(data), config.curves), "error: ")
@@ -150,6 +156,9 @@ def _score_tables(
     groups: list[list[MeasuredSession]], config: EngineConfig, profile_names: list[str]
 ) -> list[ComparisonTable]:
     """One ranked table per named profile, from each device's measured sessions."""
+    from .indices import weigh
+    from .report import rank_devices
+
     profiles = [config.profiles[name] for name in profile_names]
     return [rank_devices(cards) for cards in zip(*(weigh(m, profiles) for m in groups))]
 
@@ -158,6 +167,8 @@ def _write_reports(
     groups: list[list[MeasuredSession]], config: EngineConfig, out_dir: Path, fmt: str
 ) -> list[Path]:
     """Score every profile, write the reports and the plot data; return the paths written."""
+    from .report import emit_plot_data, emit_report
+
     tables = _score_tables(groups, config, sorted(config.profiles))
     written = []
     for table in tables:
@@ -171,6 +182,10 @@ def _write_reports(
 
 def _demo_device(device: CorpusDevice, out_dir: Path, config: EngineConfig) -> list[MeasuredSession]:
     """Generate, write and measure one device's sessions; only the measured scores are kept."""
+    from .indices import measure
+    from .report import serialize_session
+    from .synth import generate_corpus
+
     ((device_id, sessions),) = generate_corpus((device,)).items()
     device_dir = out_dir / "sessions" / device_id
     device_dir.mkdir(parents=True, exist_ok=True)
@@ -201,7 +216,9 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     exhausting the map kills and reaps every worker. Standard output and
     error are flushed before the fork, and a worker leaves by ``os._exit``,
     so none writes the parent's pending output again. With one worker, or
-    without ``os.fork``, it is ``map``.
+    without ``os.fork``, it is ``map``. Every module ``fn`` runs must be
+    imported before the call, or each worker compiles it again on the
+    critical path.
 
     Worker ``k`` pins itself to CPU ``k`` of the parent's affinity set, in
     turn, where the platform lets it: unpinned, the scheduler ran workers
@@ -217,7 +234,6 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     import pickle
     import select
     import signal
-    import traceback
 
     pin = getattr(os, "sched_setaffinity", None)
     cpus = sorted(os.sched_getaffinity(0)) if pin else []
@@ -240,6 +256,8 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                         try:
                             data = pickle.dumps({i: (True, fn(items[i]), "")}, -1)
                         except Exception as exc:
+                            import traceback
+
                             text = traceback.format_exc()
                             try:
                                 data = pickle.dumps({i: (False, exc, text)}, -1)
@@ -279,6 +297,8 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .report import emit_report
+
     config = _load_config(args.config)
     if args.profile not in config.profiles:
         print(f"unknown profile '{args.profile}'", file=sys.stderr)
@@ -325,6 +345,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .config import default_config
+    from .synth import default_demo_manifest, load_manifest
+
     try:
         if args.manifest is None:
             corpus = default_demo_manifest()
@@ -337,9 +360,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     try:
-        import numpy  # noqa: F401  # imported once here, inherited by every forked worker
+        # What _demo_device runs, imported before the map: config and synth above, numpy,
+        # report, and orjson if installed (it writes the frames).
+        import numpy  # noqa: F401
 
-        fast_json()  # orjson too, if installed: it writes the frames
+        from . import report  # noqa: F401
+
+        fast_json()
         config = default_config()
         groups = list(_ordered_map(partial(_demo_device, out_dir=out_dir, config=config), corpus))
         _write_reports(groups, config, out_dir, "json")

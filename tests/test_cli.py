@@ -21,7 +21,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import gpindex.cli
+import gpindex.config
 import gpindex.indices
+import gpindex.synth
 from gpindex.__main__ import run
 from gpindex.cli import main
 from gpindex.errors import EngineError, ModelError
@@ -120,7 +122,7 @@ def test_importing_the_cli_loads_no_statistics():
     assert result.stdout == "[]\n"
 
 
-def test_only_demo_loads_numpy(short_corpus, tmp_path):
+def test_each_command_loads_only_the_modules_it_runs(short_corpus, tmp_path):
     dirs = [str(write_sessions(tmp_path / name, s)) for name, s in sorted(short_corpus.items())]
     files = sorted(str(p) for d in dirs for p in Path(d).glob("*.json"))
     runs = {
@@ -129,17 +131,19 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
         "compare": ["compare", "--out", str(tmp_path / "cmp"), *dirs],
         "demo": ["demo", "--out", str(tmp_path / "demo")],
     }
-    # Each command in a fresh process, with two workers so the fork path runs:
-    # whether the import loaded orjson, then the exit code and whether numpy,
-    # multiprocessing and orjson were loaded after the command.
+    # Each command in a fresh process, with two workers so the fork path runs: the
+    # gpindex modules, numpy, multiprocessing and orjson that the import loaded, the
+    # exit code, and those loaded after the command.
     code = (
         "import json, sys\n"
         "import gpindex.cli\n"
         "gpindex.cli._usable_cpus = lambda: 2\n"
-        "imported = 'orjson' in sys.modules\n"
+        "def loaded():\n"
+        "    watched = ('numpy', 'multiprocessing', 'orjson')\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'gpindex' or m in watched)\n"
+        "imported = loaded()\n"
         "status = gpindex.cli.main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([imported, status, *(m in sys.modules for m in\n"
-        "                  ('numpy', 'multiprocessing', 'orjson'))]))\n"
+        "print(json.dumps([imported, status, loaded()]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
     outcomes = {}
@@ -148,21 +152,70 @@ def test_only_demo_loads_numpy(short_corpus, tmp_path):
             [sys.executable, "-c", code, json.dumps(argv)],
             env=env, capture_output=True, text=True, check=True,
         )
-        outcomes[name] = json.loads(result.stdout.splitlines()[-1])
+        imported, status, loaded = json.loads(result.stdout.splitlines()[-1])
+        outcomes[name] = set(imported), status, set(loaded)
+    cli = {"gpindex", "gpindex.cli", "gpindex.errors", "gpindex.jsondoc", "gpindex.telemetry"}
+    layers = {"config", "data", "indices", "metrics", "report", "scoring"}
+    scoring = cli | {f"gpindex.{m}" for m in layers}
     # Each command loads orjson where it imports with the commands' environment:
     # to read sessions, or in demo to write them.
     probe = "try: import orjson\nexcept ImportError: print(False)\nelse: print(True)"
-    fast = subprocess.run(
+    fast = {"orjson"} if subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout == "True\n"
+    ).stdout == "True\n" else set()
     assert outcomes == {
-        "validate": [False, 0, False, False, fast],
-        "score": [False, 0, False, False, fast],
-        "compare": [False, 0, False, False, fast],
-        "demo": [False, 0, True, False, fast],
+        "validate": (cli, 0, cli | fast),
+        "score": (cli, 0, scoring | fast),
+        "compare": (cli, 0, scoring | fast),
+        "demo": (cli, 0, scoring | {"gpindex.synth", "numpy"} | fast),
     }
     for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
         assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["validate", "compare", "demo"])
+def test_every_module_the_items_run_is_loaded_before_the_map(short_corpus, tmp_path, command):
+    # A forked worker that imports a module compiles it again, so the map's items import
+    # none. One worker: the items run in this process, where sys.modules shows an import.
+    dirs = [write_sessions(tmp_path / name, s) for name, s in sorted(short_corpus.items())]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(manifest_bytes({"device_id": "d0", "session_duration_s": 120}))
+    argv = {
+        "validate": argv_on_dirs("validate", None, dirs),
+        "compare": argv_on_dirs("compare", tmp_path / "cmp", dirs),
+        "demo": ["demo", "--out", str(tmp_path / "demo"), "--manifest", str(manifest)],
+    }[command]
+    code = (
+        "import json, sys\n"
+        "import gpindex.cli\n"
+        "gpindex.cli._usable_cpus = lambda: 1\n"
+        "ordered_map, seen = gpindex.cli._ordered_map, []\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.split('.')[0] == 'gpindex' or m == 'numpy'}\n"
+        "def spy(fn, items):\n"
+        "    seen.append(loaded())\n"
+        "    try:\n"
+        "        yield from ordered_map(fn, items)\n"
+        "    finally:  # validate closes the map once it has every file's outcome\n"
+        "        seen.append(loaded() - seen[-1])\n"
+        "gpindex.cli._ordered_map = spy\n"
+        "status = gpindex.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([status, *map(sorted, seen)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    status, before, during = json.loads(result.stdout.splitlines()[-1])
+    assert (status, during) == (0, [])
+    runs = {
+        "validate": {"telemetry"},
+        "compare": {"telemetry", "indices", "metrics", "scoring"},
+        "demo": {"synth", "report", "indices", "metrics", "scoring"},
+    }[command]
+    assert {f"gpindex.{m}" for m in runs} <= set(before)
+    assert ("numpy" in before) == (command == "demo")
 
 
 class TestValidate:
@@ -368,7 +421,7 @@ class TestDemo:
     def test_generates_and_drops_one_device_at_a_time(self, tmp_path, monkeypatch):
         # One worker: demo runs in-process, where the spies see every call.
         monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)
-        generate, parse = gpindex.cli.generate_corpus, gpindex.cli.parse_session
+        generate, parse = gpindex.synth.generate_corpus, gpindex.cli.parse_session
         calls, alive_before, generated, parsed = [], [], [], []
 
         def tracking_generate(corpus):
@@ -382,7 +435,7 @@ class TestDemo:
             parsed.append(data)
             return parse(data)
 
-        monkeypatch.setattr(gpindex.cli, "generate_corpus", tracking_generate)
+        monkeypatch.setattr(gpindex.synth, "generate_corpus", tracking_generate)
         monkeypatch.setattr(gpindex.cli, "parse_session", tracking_parse)
         assert main(["demo", "--out", str(tmp_path / "demo")]) == 0
         assert calls == [[device.model.device_id] for device in default_demo_manifest()]
@@ -437,13 +490,13 @@ class TestDemoWorkers:
     """demo with two worker processes writes what one writes, and leaves none behind."""
 
     def test_two_workers_write_the_golden_tree(self, tmp_path, monkeypatch, capsys, two_workers):
-        generate, parent_calls = gpindex.cli.generate_corpus, []
+        generate, parent_calls = gpindex.synth.generate_corpus, []
 
         def tracking_generate(corpus):
             parent_calls.append(os.getpid())
             return generate(corpus)
 
-        monkeypatch.setattr(gpindex.cli, "generate_corpus", tracking_generate)
+        monkeypatch.setattr(gpindex.synth, "generate_corpus", tracking_generate)
         out = tmp_path / "demo"
         assert main(["demo", "--out", str(out)]) == 0
         assert_no_child_left()
@@ -483,7 +536,7 @@ class TestDemoWorkers:
             manifest_bytes(*({"device_id": d, "session_duration_s": 120} for d in ids))
         )
         out = tmp_path / "out"
-        generate = gpindex.cli.generate_corpus
+        generate = gpindex.synth.generate_corpus
 
         def failing_generate(corpus):
             device_id = corpus[0].model.device_id
@@ -494,7 +547,7 @@ class TestDemoWorkers:
             return generate(corpus)
 
         if failure == "engine":
-            monkeypatch.setattr(gpindex.cli, "generate_corpus", failing_generate)
+            monkeypatch.setattr(gpindex.synth, "generate_corpus", failing_generate)
         outcomes = []
         for workers in (1, 2):
             monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: workers)
@@ -819,7 +872,7 @@ class TestCompareWorkers:
         def failing_measure(session, curves):
             raise (KeyError if pickles else LocalError)("not an engine error")
 
-        monkeypatch.setattr(gpindex.cli, "measure", failing_measure)
+        monkeypatch.setattr(gpindex.indices, "measure", failing_measure)
         with pytest.raises(KeyError if pickles else RuntimeError, match="not an engine error") as caught:
             main(argv_on_dirs("compare", tmp_path / "out", dirs))
         assert_no_child_left()
@@ -1282,7 +1335,7 @@ class TestReferenceCycles:
         assert three == self.cycles_after(["validate", *map(str, files)], 1)
 
     def test_demo_device(self, tmp_path):
-        config = gpindex.cli.default_config()
+        config = gpindex.config.default_config()
         first, *rest = default_demo_manifest()
         gpindex.cli._demo_device(first, tmp_path, config)  # may fill numpy's lazy caches
         gc.collect()
