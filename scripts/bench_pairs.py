@@ -10,8 +10,10 @@ Then prints, per end-to-end metric of the change tree's BENCHMARK.json,
 each side's median and quartiles and the pairs in which the change is
 strictly better. A gain counts where the change wins at least 9 of 10
 pairs and its median is better by more than the parent's interquartile
-range (``claim`` in the output). Standard library only; it writes nothing
-itself (each run.py writes its results under its own tree).
+range (``claim`` in the output). ``worse`` is the no-regression verdict
+against the metric's relative ``bound`` in BENCHMARK.json (:func:`worse`).
+Standard library only; it writes nothing itself (each run.py writes its
+results under its own tree).
 """
 
 from __future__ import annotations
@@ -55,6 +57,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def worse(parent: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """Whether the change regresses one metric: ``yes``, ``unresolved`` or ``no``.
+
+    ``yes`` when the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median; ``unresolved`` when the parent's
+    interquartile range is wider than that margin and not every change run
+    beats every parent run, as the spread then hides a regression within it;
+    ``no`` otherwise.
+    """
+    (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
+    margin = bound * abs(pm)
+    if ((cm - pm) if lower else (pm - cm)) > margin:
+        return "yes"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    return "unresolved" if p3 - p1 > margin and not beats_all else "no"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, metavar="PARENT_TREE")
@@ -78,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"# {args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {len(pairs)} pairs")
     print(f"{'metric':12s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
-          f" {'wins':>6s} claim")
+          f" {'wins':>6s} claim worse")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [p[name] for p, _ in pairs]
@@ -89,7 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         claim = wins >= 0.9 * len(pairs) and gain > p3 - p1
         print(f"{name:12s} {f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>30s}"
               f" {f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>30s}"
-              f" {f'{wins}/{len(pairs)}':>6s} {'yes' if claim else 'no'}")
+              f" {f'{wins}/{len(pairs)}':>6s} {'yes' if claim else 'no':5s}"
+              f" {worse(parent, change, metric['bound'], lower)}")
     return 0
 
 

@@ -244,7 +244,13 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     try:
         for k in range(workers):
             result_r, result_w = os.pipe()
-            if (pid := os.fork()) == 0:
+            try:
+                pid = os.fork()
+            except OSError:  # e.g. out of processes; the finally closes only forked workers' pipes
+                os.close(result_r)
+                os.close(result_w)
+                raise
+            if pid == 0:
                 try:
                     if pin:
                         with suppress(OSError):  # e.g. the CPU left the set since it was read

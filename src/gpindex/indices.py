@@ -1,12 +1,12 @@
 """Upper aggregation levels: sub-index scores -> six main indices -> overall score.
 
-Both levels use a weighted arithmetic mean. Metrics a session did not
-measure are never scored as zero: their weight is renormalized over the
-measured ones and the renormalization is recorded as a flag, so a device
-is not punished for unmeasured behavior. A session is measured once
-(``measure``); only the weighting runs per profile (``weigh``). Repeated
-sessions aggregate by median, to absorb the natural deviation between
-gameplay sessions.
+Both levels are one weighted arithmetic mean, :func:`_renormalized_mean`.
+Metrics a session did not measure are never scored as zero: their weight
+is renormalized over the measured ones and the renormalization is recorded
+as a flag, so a device is not punished for unmeasured behavior. A session
+is measured once (``measure``); only the weighting runs per profile
+(``weigh``), and it takes the median over repeated sessions, to absorb the
+natural deviation between gameplay sessions.
 """
 
 from __future__ import annotations
@@ -161,34 +161,6 @@ def _renormalized_mean(
     return min(100.0, max(0.0, value)), tuple(flags)
 
 
-def score_main_index(
-    index: MainIndex, scores: Mapping[str, float], profile: IndexProfile
-) -> tuple[float | None, tuple[str, ...]]:
-    """Weighted mean of one main index's sub-scores (metric id -> score) under a profile.
-
-    Returns (None, ()) when none of the index's weighted metrics is
-    present; score_overall records that, nothing renormalizes here.
-    """
-    return _renormalized_mean(profile.sub_weights[index], scores, index.value, "metrics")
-
-
-def score_overall(
-    main_scores: Mapping[MainIndex, float | None], profile: IndexProfile
-) -> tuple[float, tuple[str, ...]]:
-    """Weighted mean of the present main-index scores under a profile."""
-    present = {i: s for i, s in main_scores.items() if s is not None}
-    if not present:
-        raise AllIndicesAbsentError("no main index could be scored")
-    return _renormalized_mean(profile.main_weights, present, "overall", "indices")
-
-
-def aggregate_sessions(per_session_overalls: Sequence[float]) -> float:
-    """Median across sessions; even count takes the mean of the two middle values."""
-    if not per_session_overalls:
-        raise EmptyInputError("aggregate_sessions requires at least one value")
-    return median(per_session_overalls)
-
-
 @dataclass(frozen=True)
 class SessionScores:
     sub_scores: tuple[SubIndexScore, ...]
@@ -237,9 +209,14 @@ def _weigh_session(subs: tuple[SubIndexScore, ...], profile: IndexProfile) -> Se
     mains: dict[MainIndex, float | None] = {}
     flags: list[str] = []
     for index in MainIndex:
-        mains[index], index_flags = score_main_index(index, scores, profile)
+        mains[index], index_flags = _renormalized_mean(
+            profile.sub_weights[index], scores, index.value, "metrics"
+        )
         flags.extend(index_flags)
-    overall, overall_flags = score_overall(mains, profile)
+    present = {index: s for index, s in mains.items() if s is not None}
+    if not present:
+        raise AllIndicesAbsentError("no main index could be scored")
+    overall, overall_flags = _renormalized_mean(profile.main_weights, present, "overall", "indices")
     flags.extend(overall_flags)
     return SessionScores(subs, mains, overall, tuple(flags))
 
@@ -260,7 +237,7 @@ def weigh(
     cards = []
     for profile in profiles:
         scored = tuple(_weigh_session(m.sub_scores, profile) for m in measured)
-        median_overall = aggregate_sessions([s.overall for s in scored])
+        median_overall = median(s.overall for s in scored)
         median_main: dict[MainIndex, float | None] = {}
         for index in MainIndex:
             values = [s.main_scores[index] for s in scored if s.main_scores[index] is not None]

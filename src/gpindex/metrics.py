@@ -16,7 +16,8 @@ check against a brute-force oracle:
   - touch_latency_ms   median latency (even count: mean of the two middle)
   - gfx_points         0.5*mean(tier/3) + 0.3*render_scale + 0.2*ppi_factor
 
-The three FPS rules equal, bit for bit, the same rules in float64 numpy,
+The three FPS rules read only the session's histogram of frame intervals,
+and equal, bit for bit, the same rules in float64 numpy over the frames,
 which the test suite keeps as their oracle (:func:`compute_fps_metrics`).
 """
 
@@ -27,7 +28,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, EngineError, InsufficientSamplesError, ValidationError
@@ -92,31 +92,29 @@ def median(values: Iterable[float]) -> float:
     return float(xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2)
 
 
-def compute_fps_metrics(
-    frames: Sequence[float], intervals: Counter | None = None
-) -> tuple[float, float, float]:
-    """(avg_fps, low1_fps, fps_stability) from frame-present timestamps (ms).
+def compute_fps_metrics(intervals: Counter) -> tuple[float, float, float]:
+    """(avg_fps, low1_fps, fps_stability) from a session's frame intervals (ms).
 
     ``intervals`` is the histogram of the intervals between consecutive
-    frames, ``Counter(map(sub, frames[1:], frames))``, when the caller has
-    it already (``SessionTelemetry.frame_intervals``). Zero-length
-    intervals (simultaneous presents) merge into the next interval, so
-    instantaneous FPS is always defined. Sessions have few distinct
-    intervals: the percentile, the median and the band count come from
-    walking the sorted keys with cumulative counts, each taken as a float
-    where a float64 array would hold it.
+    frames, ``SessionTelemetry.frame_intervals``. Its counts sum to the
+    frame count less one and its intervals to the span, both exactly, as
+    a session's frames are ints within +/-2**53 ms. Zero-length intervals
+    (simultaneous presents) merge into the next interval, so instantaneous
+    FPS is always defined. Sessions have few distinct intervals: the
+    percentile, the median and the band count come from walking the
+    sorted keys with cumulative counts, each taken as a float where a
+    float64 array would hold it.
     """
-    if len(frames) < 2:
+    if not intervals:
         raise DegenerateInputError("need at least 2 frame timestamps")
-    span_ms = float(frames[-1] - frames[0])
+    span_ms = float(sum(d * c for d, c in intervals.items()))
     if span_ms <= 0:
         raise DegenerateInputError("all frame timestamps are equal")
 
-    avg_fps = (len(frames) - 1) / (span_ms / 1000.0)
+    avg_fps = sum(intervals.values()) / (span_ms / 1000.0)
 
-    counts = Counter(map(sub, frames[1:], frames)) if intervals is None else intervals
-    deltas = sorted(d for d in counts if d > 0)  # merge zero intervals into the next one
-    ends = list(accumulate(counts[d] for d in deltas))
+    deltas = sorted(d for d in intervals if d > 0)  # merge zero intervals into the next one
+    ends = list(accumulate(intervals[d] for d in deltas))
     n = ends[-1]
 
     def nth(i: int) -> float:
@@ -128,7 +126,7 @@ def compute_fps_metrics(
 
     median_delta = nth(n // 2) if n % 2 else (nth(n // 2 - 1) + nth(n // 2)) / 2.0
     band = STABILITY_BAND * median_delta
-    within = sum(counts[d] for d in deltas if abs(float(d) - median_delta) <= band)
+    within = sum(intervals[d] for d in deltas if abs(float(d) - median_delta) <= band)
     stability = within / n
 
     return avg_fps, low1_fps, stability
@@ -214,12 +212,7 @@ def extract_metrics(session: SessionTelemetry) -> MetricSet:
     None iff the session lacks the corresponding stream.
     """
     return MetricSet(
-        *_named(
-            "avg_fps/low1_fps/fps_stability",
-            compute_fps_metrics,
-            session.frames,
-            session.frame_intervals,
-        ),
+        *_named("avg_fps/low1_fps/fps_stability", compute_fps_metrics, session.frame_intervals),
         _named("drain_pct_per_hour", compute_battery_metrics, session.battery),
         *_named("peak_temp_c/temp_rise_c", compute_thermal_metrics, session.temperature),
         *compute_swiftness_metrics(session.launch, session.scene_loads),

@@ -12,6 +12,7 @@ import math
 import random
 import statistics
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,13 +23,12 @@ from gpindex.indices import (
     INDEX_METRICS,
     IndexProfile,
     MainIndex,
-    aggregate_sessions,
+    MeasuredSession,
     score_device,
-    score_main_index,
-    score_overall,
+    weigh,
 )
 from gpindex.metrics import METRIC_IDS, compute_fps_metrics, extract_metrics
-from gpindex.scoring import MappingCurve, map_metric
+from gpindex.scoring import MappingCurve, SubIndexScore, map_metric
 from gpindex.synth import DeviceModel, generate_session
 from gpindex.telemetry import (
     BatterySample,
@@ -128,6 +128,11 @@ def random_profile(rng: random.Random) -> IndexProfile:
     return IndexProfile("rand", main, subs)
 
 
+def measured_session(scores: dict[str, float]) -> MeasuredSession:
+    """A measured session with these sub-scores (metric id -> score)."""
+    return MeasuredSession("d", tuple(SubIndexScore(m, 0.0, s) for m, s in scores.items()))
+
+
 # --- criteria -------------------------------------------------------------
 
 
@@ -172,12 +177,10 @@ def test_monotonicity_suite():
 
 def test_oracle_equivalence():
     rng = random.Random(0x07AC)
+    battery_only = IndexProfile("only_battery", {MainIndex.BATTERY: 1.0}, {})
     for n in range(1, 201):
         deltas = [rng.randrange(1, 400) for _ in range(n)]
-        frames = [0]
-        for d in deltas:
-            frames.append(frames[-1] + d)
-        _, low1, _ = compute_fps_metrics(frames)
+        _, low1, _ = compute_fps_metrics(Counter(deltas))
         inst = sorted(1000.0 / d for d in deltas)
         rank = max(1, math.ceil(0.01 * len(inst)))
         assert low1 == inst[rank - 1]
@@ -189,7 +192,9 @@ def test_oracle_equivalence():
             if n % 2 == 1
             else (ordered[n // 2 - 1] + ordered[n // 2]) / 2
         )
-        assert aggregate_sessions(values) == expected
+        # under battery_only each session's overall is its one sub-score
+        sessions = [measured_session({"drain_pct_per_hour": v}) for v in values]
+        assert weigh(sessions, [battery_only])[0].median_overall == expected
 
     for _ in range(300):
         index = MainIndex.VISUAL_SMOOTHNESS
@@ -199,13 +204,17 @@ def test_oracle_equivalence():
         )
         weights = sub_profile.sub_weights[index]
         scores = {m: rng.uniform(0.0, 100.0) for m in metrics}
-        got, _ = score_main_index(index, scores, sub_profile)
+        (card,) = weigh([measured_session(scores)], [sub_profile])
+        got = card.sessions[0].main_scores[index]
         expected = sum(weights[m] * scores[m] for m in metrics) / sum(weights.values())
         assert got == pytest.approx(expected, abs=1e-9)
 
+        # every metric of an index scores that index's score, so each main index has it
         profile = random_profile(rng)
         mains = {index: rng.uniform(0.0, 100.0) for index in MainIndex}
-        got_overall, _ = score_overall(mains, profile)
+        scores = {m: mains[i] for i in MainIndex for m in INDEX_METRICS[i]}
+        (card,) = weigh([measured_session(scores)], [profile])
+        got_overall = card.sessions[0].overall
         w = profile.main_weights
         expected_overall = sum(w[i] * mains[i] for i in MainIndex) / sum(w.values())
         assert got_overall == pytest.approx(expected_overall, abs=1e-9)

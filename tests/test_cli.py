@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import gc
 import hashlib
 import io
@@ -879,6 +880,33 @@ class TestCompareWorkers:
         worker_traceback = str(caught.value.__cause__)
         assert worker_traceback.startswith("Traceback (most recent call last):\n")
         assert "in failing_measure\n" in worker_traceback
+
+    def test_failed_fork_closes_its_pipe(self, dirs, monkeypatch, capsys):
+        pipe, fork, made, forks = os.pipe, os.fork, [], []
+
+        def recording_pipe():
+            fds = pipe()
+            made.extend(fds)
+            return fds
+
+        def second_fork_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        assert main(argv_on_dirs("validate", None, dirs)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [Errno {errno.EAGAIN}] ") and err.count("\n") == 1
+        assert len(made) == 6  # the task pipe and both workers' result pipes
+        for fd in made:
+            with pytest.raises(OSError) as closed:
+                os.fstat(fd)
+            assert closed.value.errno == errno.EBADF
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", ["compare", "score", "validate"])
     def test_killed_worker_fails_the_command(self, dirs, tmp_path, command):

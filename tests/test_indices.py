@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -21,15 +22,13 @@ from gpindex.indices import (
     METRIC_INDEX,
     IndexProfile,
     MainIndex,
-    aggregate_sessions,
+    MeasuredSession,
     measure,
     score_device,
-    score_main_index,
-    score_overall,
     weigh,
 )
 from gpindex.metrics import METRIC_IDS
-from gpindex.scoring import MappingCurve
+from gpindex.scoring import MappingCurve, SubIndexScore
 from tests.strategies import config_docs, curve_set, profiles, sessions
 
 
@@ -38,65 +37,76 @@ def sub_profile(index, weights):
     return IndexProfile("p", {index: 1.0}, {index: weights})
 
 
-class TestScoreMainIndex:
+BATTERY_ONLY = IndexProfile("only_battery", {MainIndex.BATTERY: 1.0}, {})
+
+
+def weighed(profile, *sessions):
+    """weigh's card of one device's sessions, each given as its sub-scores (metric id -> score)."""
+    measured = [
+        MeasuredSession("d", tuple(SubIndexScore(m, 0.0, s) for m, s in scores.items()))
+        for scores in sessions
+    ]
+    return weigh(measured, [profile])[0]
+
+
+def scoring_mains(mains):
+    """Sub-scores that give each main index in ``mains`` its score: each of its metrics has it."""
+    return {m: s for index, s in mains.items() if s is not None for m in INDEX_METRICS[index]}
+
+
+class TestMainIndexLevel:
     # Weight-map checks (unknown metric, metric of another index, empty map)
     # happen once, in IndexProfile: see TestIndexProfile.
 
     def test_even_split(self):
         profile = sub_profile(MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 0.5, "low1_fps": 0.5})
-        score, flags = score_main_index(
-            MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 80.0, "low1_fps": 90.0}, profile
-        )
-        assert score == 85.0
-        assert flags == ()
+        (session,) = weighed(profile, {"avg_fps": 80.0, "low1_fps": 90.0}).sessions
+        assert session.main_scores[MainIndex.VISUAL_SMOOTHNESS] == 85.0
+        assert session.flags == ()
 
     def test_absent_metric_renormalizes_with_flag(self):
         profile = sub_profile(MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 0.6, "low1_fps": 0.4})
-        score, flags = score_main_index(MainIndex.VISUAL_SMOOTHNESS, {"avg_fps": 70.0}, profile)
-        assert score == 70.0
-        assert flags == ("visual_smoothness: missing low1_fps (weights renormalized)",)
+        (session,) = weighed(profile, {"avg_fps": 70.0}).sessions
+        assert session.main_scores[MainIndex.VISUAL_SMOOTHNESS] == 70.0
+        assert session.flags == ("visual_smoothness: missing low1_fps (weights renormalized)",)
 
     def test_three_way_dot_product(self):
         weights = {"avg_fps": 0.2, "low1_fps": 0.3, "fps_stability": 0.5}
         scores = {"avg_fps": 60.0, "low1_fps": 80.0, "fps_stability": 100.0}
         profile = sub_profile(MainIndex.VISUAL_SMOOTHNESS, weights)
-        result, _ = score_main_index(MainIndex.VISUAL_SMOOTHNESS, scores, profile)
+        result = weighed(profile, scores).sessions[0].main_scores[MainIndex.VISUAL_SMOOTHNESS]
         # oracle: explicit dot product
         expected = sum(weights[m] * scores[m] for m in weights) / sum(weights.values())
         assert result == pytest.approx(expected, abs=1e-9)
         assert result == pytest.approx(86.0, abs=1e-9)
 
-    def test_all_absent_returns_none_without_flags(self):
+    def test_all_absent_scores_none_without_flags(self):
         profile = sub_profile(MainIndex.SWIFTNESS, {"launch_s": 0.7, "scene_load_s": 0.3})
-        score, flags = score_main_index(MainIndex.SWIFTNESS, {"avg_fps": 50.0}, profile)
-        assert score is None
-        assert flags == ()
+        card = weighed(profile, {"avg_fps": 50.0})
+        assert card.sessions[0].main_scores[MainIndex.SWIFTNESS] is None
+        assert card.median_main[MainIndex.SWIFTNESS] is None
+        assert not any(flag.startswith("swiftness: ") for flag in card.flags)
 
     def test_measured_metrics_all_zero_weighted_fall_back_to_uniform(self):
         profile = sub_profile(MainIndex.SWIFTNESS, {"launch_s": 0.0, "scene_load_s": 1.0})
-        score, flags = score_main_index(MainIndex.SWIFTNESS, {"launch_s": 40.0}, profile)
-        assert score == 40.0
-        assert flags == (
+        (session,) = weighed(profile, {"launch_s": 40.0}).sessions
+        assert session.main_scores[MainIndex.SWIFTNESS] == 40.0
+        assert session.flags == (
             "swiftness: missing scene_load_s (weights renormalized)",
             "swiftness: measured metrics all zero-weighted (uniform fallback)",
         )
 
 
-class TestScoreOverall:
+class TestOverallLevel:
     def test_constant_vector(self, default_cfg):
-        mains = {index: 70.0 for index in MainIndex}
-        score, flags = score_overall(mains, default_cfg.profiles["competitive"])
-        assert score == pytest.approx(70.0, abs=1e-9)
-        assert flags == ()
+        card = weighed(default_cfg.profiles["competitive"], dict.fromkeys(METRIC_IDS, 70.0))
+        assert card.sessions[0].overall == pytest.approx(70.0, abs=1e-9)
+        assert card.flags == ()
 
     def test_single_weight_projection(self):
-        profile = IndexProfile(
-            "only_battery", {MainIndex.BATTERY: 1.0}, {}
-        )
-        mains = {index: 10.0 for index in MainIndex}
-        mains[MainIndex.BATTERY] = 93.0
-        score, _ = score_overall(mains, profile)
-        assert score == 93.0
+        scores = dict.fromkeys(METRIC_IDS, 10.0)
+        scores["drain_pct_per_hour"] = 93.0
+        assert weighed(BATTERY_ONLY, scores).sessions[0].overall == 93.0
 
     def test_competitive_defaults_match_dot_product(self, default_cfg):
         profile = default_cfg.profiles["competitive"]
@@ -108,7 +118,7 @@ class TestScoreOverall:
             MainIndex.SWIFTNESS: 77.0,
             MainIndex.RESPONSIVENESS: 91.0,
         }
-        score, _ = score_overall(mains, profile)
+        score = weighed(profile, scoring_mains(mains)).sessions[0].overall
         # oracle: spreadsheet-style recomputation from the raw default weights
         raw = {
             MainIndex.VISUAL_SMOOTHNESS: 0.35,
@@ -122,41 +132,43 @@ class TestScoreOverall:
         assert score == pytest.approx(expected, abs=1e-9)
 
     def test_absent_index_renormalizes_with_flag(self, default_cfg):
-        profile = default_cfg.profiles["casual"]
         mains = {index: 80.0 for index in MainIndex}
         mains[MainIndex.SWIFTNESS] = None
-        score, flags = score_overall(mains, profile)
-        assert score == pytest.approx(80.0, abs=1e-9)
-        assert any("swiftness" in f for f in flags)
+        (session,) = weighed(default_cfg.profiles["casual"], scoring_mains(mains)).sessions
+        assert session.overall == pytest.approx(80.0, abs=1e-9)
+        assert any("swiftness" in f for f in session.flags)
 
     def test_measured_indices_all_zero_weighted_fall_back_to_uniform(self):
-        profile = IndexProfile("only_battery", {MainIndex.BATTERY: 1.0}, {})
-        mains = {index: None for index in MainIndex}
-        mains[MainIndex.SWIFTNESS], mains[MainIndex.TEMPERATURE] = 30.0, 50.0
-        score, flags = score_overall(mains, profile)
-        assert score == 40.0
-        assert flags == (
+        mains = {MainIndex.SWIFTNESS: 30.0, MainIndex.TEMPERATURE: 50.0}
+        (session,) = weighed(BATTERY_ONLY, scoring_mains(mains)).sessions
+        assert session.overall == 40.0
+        assert session.flags == (
             "overall: missing battery (weights renormalized)",
             "overall: measured indices all zero-weighted (uniform fallback)",
         )
 
     def test_all_absent(self, default_cfg):
         with pytest.raises(AllIndicesAbsentError):
-            score_overall({index: None for index in MainIndex}, default_cfg.profiles["casual"])
+            weighed(default_cfg.profiles["casual"], {})
 
 
-class TestAggregateSessions:
+def median_overall(overalls):
+    """weigh's median overall of sessions that score these overalls."""
+    return weighed(BATTERY_ONLY, *({"drain_pct_per_hour": v} for v in overalls)).median_overall
+
+
+class TestSessionMedian:
     def test_odd(self):
-        assert aggregate_sessions([80.0, 86.0, 90.0]) == 86.0
+        assert median_overall([80.0, 86.0, 90.0]) == 86.0
 
     def test_even(self):
-        assert aggregate_sessions([80.0, 90.0]) == 85.0
+        assert median_overall([80.0, 90.0]) == 85.0
 
     def test_randomized_against_sort_oracle(self):
         rng = random.Random(31)
         values = [rng.uniform(0, 100) for _ in range(101)]
         ordered = sorted(values)
-        assert aggregate_sessions(values) == ordered[50]
+        assert median_overall(values) == ordered[50]
 
     def test_all_lengths_against_oracle(self):
         rng = random.Random(7)
@@ -167,11 +179,11 @@ class TestAggregateSessions:
                 expected = ordered[n // 2]
             else:
                 expected = (ordered[n // 2 - 1] + ordered[n // 2]) / 2
-            assert aggregate_sessions(values) == expected
+            assert median_overall(values) == expected
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
-            aggregate_sessions([])
+            weigh([], [BATTERY_ONLY])
 
 
 class TestIndexProfile:
@@ -394,8 +406,76 @@ class TestPipelineProperties:
     )
     def test_pointwise_dominance(self, profile, base_scores, delta):
         def overall(values):
-            mains = {index: score_main_index(index, values, profile)[0] for index in MainIndex}
-            return score_overall(mains, profile)[0]
+            return weighed(profile, values).sessions[0].overall
 
         better = {m: min(100.0, s + delta) for m, s in base_scores.items()}
         assert overall(better) >= overall(base_scores)
+
+
+@st.composite
+def sparse_profiles(draw):
+    """Profiles with zero weights, and with metrics left out of their index's weight map."""
+    main = {index: draw(st.integers(0, 3)) for index in MainIndex}
+    if not any(main.values()):
+        main[draw(st.sampled_from(list(MainIndex)))] = 1
+    subs = {}
+    for index in MainIndex:
+        metrics = draw(st.lists(st.sampled_from(INDEX_METRICS[index]), min_size=1, unique=True))
+        subs[index] = {m: draw(st.integers(0, 3)) for m in metrics}
+        if not any(subs[index].values()):
+            subs[index][metrics[0]] = 1
+    return IndexProfile(
+        "p",
+        {i: float(w) for i, w in main.items()},
+        {i: {m: float(w) for m, w in ws.items()} for i, ws in subs.items()},
+    )
+
+
+def two_level_oracle(profile, scores):
+    """One session's (main scores, overall, flags), from the definition: each level is
+    the weighted mean over the keys present, renormalized, with a flag naming the absent
+    positively-weighted keys, and a uniform mean, flagged, when every present key weighs 0."""
+
+    def level(weights, values, label, parts):
+        here = {key: w for key, w in weights.items() if key in values}
+        if not here:
+            return None, []
+        absent = sorted(
+            k if isinstance(k, str) else k.value for k, w in weights.items() if w > 0 and k not in here
+        )
+        flags = [f"{label}: missing {'+'.join(absent)} (weights renormalized)"] if absent else []
+        if not any(here.values()):
+            flags.append(f"{label}: measured {parts} all zero-weighted (uniform fallback)")
+            here = dict.fromkeys(here, 1.0)
+        mean = sum(w * values[key] for key, w in here.items()) / sum(here.values())
+        return min(100.0, max(0.0, mean)), flags
+
+    mains, flags = {}, []
+    for index in MainIndex:
+        mains[index], found = level(profile.sub_weights[index], scores, index.value, "metrics")
+        flags += found
+    scored = {index: s for index, s in mains.items() if s is not None}
+    if not scored:
+        return mains, None, tuple(flags)
+    overall, found = level(profile.main_weights, scored, "overall", "indices")
+    return mains, overall, tuple(flags + found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sparse_profiles(),
+    st.lists(
+        st.dictionaries(st.sampled_from(METRIC_IDS), st.floats(0.0, 100.0), max_size=10),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_weigh_is_a_two_level_renormalized_mean(profile, sessions):
+    expected = [two_level_oracle(profile, scores) for scores in sessions]
+    if any(overall is None for _, overall, _ in expected):
+        with pytest.raises(AllIndicesAbsentError):
+            weighed(profile, *sessions)
+        return
+    card = weighed(profile, *sessions)
+    assert [(s.main_scores, s.overall, s.flags) for s in card.sessions] == expected
+    assert card.median_overall == statistics.median(overall for _, overall, _ in expected)

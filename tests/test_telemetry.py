@@ -645,9 +645,9 @@ class TestFrameIntervals:
             calls += 1
             return check(frames, where)
 
-        def recording(frames, intervals=None):
+        def recording(intervals):
             handed.append(intervals)
-            return fps(frames, intervals)
+            return fps(intervals)
 
         monkeypatch.setattr(telemetry, "_parse_frames", counting)
         monkeypatch.setattr(metrics, "compute_fps_metrics", recording)
