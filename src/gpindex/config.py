@@ -8,14 +8,13 @@ overriding the file overrides the policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib.resources import files
 from typing import Any
 
 from .errors import ConfigError, EngineError, SchemaError
 from .indices import IndexProfile, MainIndex
 from .jsondoc import (
-    as_list, as_obj, as_pair, as_real, decode, is_file_name, require, require_version
+    Record, as_list, as_obj, as_pair, as_real, decode, is_file_name, require, require_version
 )
 from .metrics import METRIC_IDS
 from .scoring import MappingCurve
@@ -25,8 +24,7 @@ CONFIG_SCHEMA_VERSION = 1
 _INDEX_BY_VALUE = {index.value: index for index in MainIndex}
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     curves: dict[str, MappingCurve]
     profiles: dict[str, IndexProfile]
 

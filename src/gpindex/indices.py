@@ -12,7 +12,6 @@ natural deviation between gameplay sessions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -23,7 +22,7 @@ from .errors import (
     MixedDevicesError,
     WeightError,
 )
-from .jsondoc import is_finite, is_number
+from .jsondoc import Record, is_finite, is_number
 from .metrics import METRIC_IDS, extract_metrics, median
 from .scoring import MappingCurve, SubIndexScore, map_metric
 from .telemetry import SessionTelemetry
@@ -82,8 +81,7 @@ def _normalized(weights: Mapping, what: str) -> dict:
     return {key: round(w / total, WEIGHT_DECIMALS) for key, w in weights.items()}
 
 
-@dataclass(frozen=True)
-class IndexProfile:
+class IndexProfile(Record):
     """Named gamer persona: weights over sub-metrics and over main indices.
 
     Weight maps are normalized (and quantized) at construction; missing
@@ -161,16 +159,14 @@ def _renormalized_mean(
     return min(100.0, max(0.0, value)), tuple(flags)
 
 
-@dataclass(frozen=True)
-class SessionScores:
+class SessionScores(Record):
     sub_scores: tuple[SubIndexScore, ...]
     main_scores: dict[MainIndex, float | None]
     overall: float
     flags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ScoreCard:
+class ScoreCard(Record):
     """Full score tree for one device under one profile."""
 
     device_id: str
@@ -181,8 +177,7 @@ class ScoreCard:
     flags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MeasuredSession:
+class MeasuredSession(Record):
     """What scoring needs of one session once it has been measured."""
 
     device_id: str

@@ -11,15 +11,15 @@ finite and strings must encode to UTF-8. Readers check a value and
 return it as given, so a record's real written ``500`` stays the int
 500. A record field or event-row column is read by its declared type
 (:func:`reader`), the same whether parsed (:func:`read_record`) or built
-(:func:`check_record`), where an array may be a tuple. Session files may
-also be decoded by orjson (:func:`fast_json`, :func:`same_as_json`).
+(:func:`check_record`), where an array may be a tuple; records are
+:class:`Record` subclasses. Session files may also be decoded by orjson
+(:func:`fast_json`, :func:`same_as_json`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, fields
 from functools import cache, partial
 from itertools import chain, compress, repeat
 from operator import is_, is_not
@@ -198,26 +198,96 @@ def reader(annotation: Any) -> Callable[[Any, str], Any]:
     return _BY_TYPE[annotation.removesuffix(" | None")]
 
 
-def read_record(cls: type, obj: dict, path: str) -> dict[str, Any]:
-    """``cls``'s init fields read from ``obj``: one with no default is required; null is absent."""
-    kwargs = {}
-    for f in fields(cls):
-        required = f.default is MISSING and f.default_factory is MISSING
-        if f.init and (required or obj.get(f.name) is not None):
-            kwargs[f.name] = reader(f.type)(require(obj, f.name, path), f"{path}.{f.name}")
-    return kwargs
+class Record:
+    """An immutable record: its fields are its class's annotated names, in order.
+
+    They are read once, when the class is created. The constructor binds
+    arguments by position or keyword, fills each default and raises
+    ``TypeError`` for a missing or unknown one; then ``__post_init__`` may
+    check fields, set them (``object.__setattr__``) or set attributes derived
+    from them, which stay out of equality, hashing, repr and :func:`replace`.
+    A record refuses assignment and compares and hashes by its fields.
+    """
+
+    _fields = ()  # each subclass's own, set as it is created
+    _defaults = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            bound = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            unknown = [key for key in kwargs if key not in names or key in names[: len(args)]]
+            missing = [key for key in names if key not in bound]
+            if len(args) > len(names) or unknown or missing:
+                raise TypeError(
+                    f"{type(self).__name__}() takes {', '.join(names)}, each once, by position or"
+                    f" keyword; got {len(args)} positional, unknown or repeated {unknown}, "
+                    f"missing {missing}"
+                )
+            args = tuple(map(bound.__getitem__, names))
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _refuse(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}: it is immutable")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: Any) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
-def check_record(record: Any, error_cls: type[EngineError]) -> None:
-    """Check a built record's init fields with :func:`read_record`'s readers.
+def fields(record: Record | type[Record]) -> tuple[str, ...]:
+    """The names of a record's (or record class's) fields, in declaration order."""
+    return record._fields
+
+
+def asdict(record: Record) -> dict[str, Any]:
+    """The record's fields by name, in declaration order; the values are not copied."""
+    return {name: getattr(record, name) for name in record._fields}
+
+
+def replace(record: Record, **changes: Any) -> Any:
+    """A record of the same class built from ``record``'s fields and ``changes``, checked again."""
+    return type(record)(**{**asdict(record), **changes})
+
+
+def read_record(cls: type[Record], obj: dict, path: str) -> dict[str, Any]:
+    """``cls``'s fields read from ``obj``: one with no default is required; null is absent."""
+    return {
+        name: reader(annotation)(require(obj, name, path), f"{path}.{name}")
+        for name, annotation in cls.__annotations__.items()
+        if name not in cls._defaults or obj.get(name) is not None
+    }
+
+
+def check_record(record: Record, error_cls: type[EngineError]) -> None:
+    """Check a built record's fields with :func:`read_record`'s readers.
 
     A field declared ``T | None`` may hold None, a bad field raises
     ``error_cls`` naming it, and a pair is kept as the tuple its reader returns.
     """
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if f.init and not (value is None and f.type.endswith(" | None")):
+    for name, annotation in type(record).__annotations__.items():
+        value = getattr(record, name)
+        if not (value is None and annotation.endswith(" | None")):
             try:
-                object.__setattr__(record, f.name, reader(f.type)(value, f.name))
+                object.__setattr__(record, name, reader(annotation)(value, name))
             except SchemaError as exc:
                 raise error_cls(str(exc)) from exc

@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, EngineError, InsufficientSamplesError, ValidationError
+from .jsondoc import Record, fields
 from .telemetry import (
     BatterySample,
     DeviceMeta,
@@ -55,8 +55,7 @@ GFX_PPI_DEFAULT_FACTOR = 0.5
 MS_PER_HOUR = 3_600_000.0
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(Record):
     """Raw metric values extracted from one session, one field per metric id."""
 
     avg_fps: float
@@ -82,7 +81,7 @@ class MetricSet:
 
 
 # Fixed metric identifiers used by curves, weights and reports.
-METRIC_IDS = tuple(field.name for field in fields(MetricSet))
+METRIC_IDS = fields(MetricSet)
 
 
 def median(values: Iterable[float]) -> float:

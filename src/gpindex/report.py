@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from .indices import MainIndex, ScoreCard
-from .jsondoc import fast_json
+from .jsondoc import Record, asdict, fast_json
 from .telemetry import _ROW_STREAMS, SessionTelemetry
 
 REPORT_SCHEMA_VERSION = 1
@@ -40,8 +39,7 @@ def round_display(score: float) -> int:
     return int(math.copysign(math.floor(abs(score) + 0.5), score))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     rank: int
     device_id: str
     overall_exact: float
@@ -50,8 +48,7 @@ class ComparisonRow:
     flags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(Record):
     profile_name: str
     rows: tuple[ComparisonRow, ...]
 

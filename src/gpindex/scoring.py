@@ -13,21 +13,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import CurveError, ValidationError
-from .jsondoc import is_finite, is_number
+from .jsondoc import Record, is_finite, is_number
 
 
-@dataclass(frozen=True)
-class SubIndexScore:
+class SubIndexScore(Record):
     metric_id: str
     raw_value: float
     score: float
 
 
-@dataclass(frozen=True)
-class MappingCurve:
+class MappingCurve(Record):
     """Value -> score function over ordered breakpoints.
 
     Invariants (enforced at construction):

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
 from importlib.resources import files
 from typing import TYPE_CHECKING, Any
 
 from .errors import ModelError, SchemaError, ValidationError
 from .jsondoc import (
-    as_int, as_list, as_obj, as_real, as_str, decode, is_file_name, is_finite, read_record,
-    reader, require, require_version,
+    Record, as_int, as_list, as_obj, as_real, as_str, decode, fields, is_file_name, is_finite,
+    read_record, reader, replace, require, require_version,
 )
 from .telemetry import (
     BatterySample,
@@ -82,13 +81,14 @@ def _block_floats(seed: int, skip: int, n: int) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class DeviceModel:
+class DeviceModel(Record):
     """Parametric ground truth for one synthetic device.
 
     Frame intervals are base_frame_time_ms plus zero-mean uniform noise
     with standard deviation frame_jitter_sd_ms, inflated by
-    throttle_factor once the session passes throttle_onset_s.
+    throttle_factor once the session passes throttle_onset_s. The records
+    every generated session carries, ``settings`` (:class:`GameSettings`)
+    and ``device`` (:class:`DeviceMeta`), are built once, by their own rules.
     """
 
     device_id: str
@@ -110,9 +110,6 @@ class DeviceModel:
     dynamic_range_tier: int = 3
     display_ppi: float | None = None
     battery_capacity_mah: int | None = None
-    # The records every generated session carries: built once, by their own rules.
-    settings: GameSettings = field(init=False, repr=False, compare=False)
-    device: DeviceMeta = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # `demo` writes a device's sessions to a directory named by its id.
@@ -120,9 +117,9 @@ class DeviceModel:
             raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
         # Each parameter by its declared type, as a manifest reads it, except
         # that a seed may be any int: SplitMix64 takes it mod 2**64.
-        for name, (param, read) in _MODEL_PARAMS.items():
+        for name, (read, optional) in _MODEL_PARAMS.items():
             value = getattr(self, name)
-            if value is None and param.default is None:
+            if value is None and optional:
                 continue
             if read is as_real and not is_finite(value):
                 raise ModelError(f"{name} must be finite, got {value!r}")
@@ -152,15 +149,19 @@ class DeviceModel:
 
     def _record(self, record: type) -> Any:
         """``record`` built from the parameters named as its fields; its rules raise ModelError."""
-        shared = [f.name for f in fields(record) if f.name in _MODEL_PARAMS]
+        shared = [name for name in fields(record) if name in _MODEL_PARAMS]
         try:
             return record(**{name: getattr(self, name) for name in shared})
         except ValidationError as exc:
             raise ModelError(str(exc)) from exc
 
 
-# Each parameter with its reader; an annotation no reader takes fails at import.
-_MODEL_PARAMS = {f.name: (f, reader(f.type)) for f in fields(DeviceModel) if f.init}
+# Each parameter with its reader and whether it may be None; an annotation no reader takes
+# fails at import.
+_MODEL_PARAMS = {
+    name: (reader(annotation), annotation.endswith(" | None"))
+    for name, annotation in DeviceModel.__annotations__.items()
+}
 
 
 def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Counter, int]:
@@ -263,12 +264,12 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
     latencies = model.touch_latency_ms * (1.0 + jitter)
     touch = list(zip(touch_times, latencies.tolist()))
 
-    return SessionTelemetry(
+    return SessionTelemetry._with_intervals(
+        intervals,
         schema_version=1,
         device=model.device,
         settings=model.settings,
         frames=frames,
-        _intervals=intervals,
         battery=battery,
         temperature=temperature,
         touch=touch,
@@ -279,8 +280,7 @@ def generate_session(model: DeviceModel, duration_s: float) -> SessionTelemetry:
 # --- corpus manifests --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusDevice:
+class CorpusDevice(Record):
     model: DeviceModel
     sessions: int
     session_duration_s: float

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
 from itertools import repeat, takewhile
 from operator import ge, itemgetter, le, mul, sub
@@ -32,6 +31,7 @@ from .errors import (
 from .jsondoc import (
     INT64_MAX,
     INT64_MIN,
+    Record,
     as_int,
     as_list,
     as_obj,
@@ -41,6 +41,7 @@ from .jsondoc import (
     check_record,
     decode,
     fast_json,
+    fields,
     is_utf8,
     read_record,
     reader,
@@ -104,8 +105,7 @@ _COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class DeviceMeta:
+class DeviceMeta(Record):
     """Identity and display/battery properties of the recorded device."""
 
     device_id: str
@@ -125,8 +125,7 @@ class DeviceMeta:
             raise ValidationError("display_resolution must be positive")
 
 
-@dataclass(frozen=True)
-class GameSettings:
+class GameSettings(Record):
     """In-game rendering settings active during the session."""
 
     game_id: str
@@ -154,8 +153,7 @@ class GameSettings:
         return (self.texture_tier, self.effects_tier, self.aa_tier, self.dynamic_range_tier)
 
 
-@dataclass(frozen=True)
-class SessionTelemetry:
+class SessionTelemetry(Record):
     """One recorded gameplay session, fully validated.
 
     The constructor enforces every invariant, for every build (parsed,
@@ -165,12 +163,13 @@ class SessionTelemetry:
     integer, got float`` (the parser adds ``events.``).
 
     ``frame_intervals`` is the histogram of the intervals ``b - a`` between
-    consecutive frames, out of eq and repr. A producer that counts it while
-    making the frames (the parser, ``synth.generate_session``) hands it over
-    through ``_intervals``, and it vouches for the frames: it is checked in
-    time proportional to its distinct intervals (the counts sum to
-    ``len(frames) - 1``, the intervals to the span). Any other build counts
-    it with the parser's frame check, :func:`_parse_frames`.
+    consecutive frames, derived and so not a field. The constructor and
+    ``replace`` count it with the parser's frame check, :func:`_parse_frames`.
+    A producer that counts it while making the frames (the parser,
+    ``synth.generate_session``) hands it over through the private entry
+    :meth:`_with_intervals` instead, and vouches for the frames: it is checked
+    in time proportional to its distinct intervals (the counts sum to
+    ``len(frames) - 1``, the intervals to the span).
     """
 
     schema_version: int
@@ -182,21 +181,26 @@ class SessionTelemetry:
     touch: tuple[TouchEvent, ...] = ()
     scene_loads: tuple[SceneLoad, ...] = ()
     launch: LaunchEvent | None = None
-    _intervals: InitVar[Counter | None] = None  # a producer's histogram of these frames
-    frame_intervals: Counter = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _intervals: Counter | None) -> None:
+    @classmethod
+    def _with_intervals(cls, frame_intervals: Counter, **kwargs: Any) -> SessionTelemetry:
+        """The session of ``kwargs`` with its producer's histogram of its frames."""
+        session = cls.__new__(cls)
+        object.__setattr__(session, "frame_intervals", frame_intervals)
+        session.__init__(**kwargs)
+        return session
+
+    def __post_init__(self) -> None:
         # The one place events are read: parse_session hands its rows over unread.
         object.__setattr__(self, "frames", tuple(as_list(self.frames, "frames")))
-        handed_over = _intervals is not None
+        handed_over = "frame_intervals" in self.__dict__
         if not handed_over:
             # _parse_frames proves ints through bytes(), which takes numpy integers too;
             # a JSON value is never one, so the parser skips this pass.
             if not all(map(isinstance, self.frames, repeat(int))):  # e.g. a numpy scalar
                 for i, t in enumerate(self.frames):
                     _as_frame(t, f"frames[{i}]")  # raises at the first frame not an int
-            _intervals = _parse_frames(self.frames, "frames")
-        object.__setattr__(self, "frame_intervals", _intervals)
+            object.__setattr__(self, "frame_intervals", _parse_frames(self.frames, "frames"))
         if self.launch is not None:
             launch = as_row(self.launch, "launch", _COLUMNS[LaunchEvent])
             object.__setattr__(self, "launch", LaunchEvent(*launch))
@@ -377,7 +381,7 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
 def _parse_record(root: dict, key: str, record: type, unknown: list[str]) -> Any:
     """The section ``key`` read into ``record`` by its fields' declared types."""
     obj = as_obj(require(root, key, ""), key)
-    unknown += _unknown(obj, {f.name for f in fields(record)}, key)
+    unknown += _unknown(obj, set(fields(record)), key)
     return record(**read_record(record, obj, key))
 
 
@@ -387,7 +391,7 @@ def _parse_events(obj: dict, unknown: list[str]) -> dict[str, Any]:
     intervals = _parse_frames(frames, "events.frames")
     # The constructor reads launch and the rows; absent and null both mean "not recorded".
     rows = {name: obj[name] for name in _ROW_STREAMS if obj.get(name) is not None}
-    return {"frames": frames, "_intervals": intervals, "launch": obj.get("launch"), **rows}
+    return {"frames": frames, "frame_intervals": intervals, "launch": obj.get("launch"), **rows}
 
 
 def _read_fields(root: Any, unknown: list[str]) -> dict[str, Any]:
@@ -437,7 +441,7 @@ def parse_session(data: bytes) -> SessionTelemetry:
             unknown.clear()
             kwargs = _read_fields(decode(data, SessionSyntaxError, "session document"), unknown)
         try:
-            return SessionTelemetry(**kwargs)
+            return SessionTelemetry._with_intervals(**kwargs)
         except SchemaError as exc:  # the constructor's SchemaError names an event stream
             raise SchemaError(f"events.{exc}") from exc
     finally:

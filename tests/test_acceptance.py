@@ -5,7 +5,6 @@ criterion; any assertion failure marks the criterion red.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -27,6 +26,7 @@ from gpindex.indices import (
     score_device,
     weigh,
 )
+from gpindex.jsondoc import replace
 from gpindex.metrics import METRIC_IDS, compute_fps_metrics, extract_metrics
 from gpindex.scoring import MappingCurve, SubIndexScore, map_metric
 from gpindex.synth import DeviceModel, generate_session
@@ -334,7 +334,7 @@ def test_throughput():
     # ten distinct 10-minute sessions tiled to 100: the timed path still
     # processes 100 x 36 000 = 3.6 M frame timestamps
     distinct = [
-        generate_session(dataclasses.replace(base, seed=i), 600) for i in range(10)
+        generate_session(replace(base, seed=i), 600) for i in range(10)
     ]
     sessions = distinct * 10
     total_frames = sum(len(s.frames) for s in sessions)

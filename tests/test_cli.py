@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import errno
 import gc
 import hashlib
@@ -28,6 +27,7 @@ import gpindex.synth
 from gpindex.__main__ import run
 from gpindex.cli import main
 from gpindex.errors import EngineError, ModelError
+from gpindex.jsondoc import replace
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, default_demo_manifest, generate_session, load_manifest
 from gpindex.telemetry import parse_session
@@ -133,14 +133,15 @@ def test_each_command_loads_only_the_modules_it_runs(short_corpus, tmp_path):
         "demo": ["demo", "--out", str(tmp_path / "demo")],
     }
     # Each command in a fresh process, with two workers so the fork path runs: the
-    # gpindex modules, numpy, multiprocessing and orjson that the import loaded, the
-    # exit code, and those loaded after the command.
+    # gpindex modules, numpy, multiprocessing, orjson, dataclasses and inspect that the
+    # import loaded, the exit code, and those loaded after the command. No command loads
+    # dataclasses; only demo loads inspect, which numpy imports.
     code = (
         "import json, sys\n"
         "import gpindex.cli\n"
         "gpindex.cli._usable_cpus = lambda: 2\n"
         "def loaded():\n"
-        "    watched = ('numpy', 'multiprocessing', 'orjson')\n"
+        "    watched = ('numpy', 'multiprocessing', 'orjson', 'dataclasses', 'inspect')\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'gpindex' or m in watched)\n"
         "imported = loaded()\n"
         "status = gpindex.cli.main(json.loads(sys.argv[1]))\n"
@@ -168,7 +169,7 @@ def test_each_command_loads_only_the_modules_it_runs(short_corpus, tmp_path):
         "validate": (cli, 0, cli | fast),
         "score": (cli, 0, scoring | fast),
         "compare": (cli, 0, scoring | fast),
-        "demo": (cli, 0, scoring | {"gpindex.synth", "numpy"} | fast),
+        "demo": (cli, 0, scoring | {"gpindex.synth", "numpy", "inspect"} | fast),
     }
     for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
         assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
@@ -277,11 +278,9 @@ class TestValidate:
         assert exc.value.code == 2
 
     def test_comparability_flagging(self, tmp_path, reference_session, capsys):
-        import dataclasses
-
-        other = dataclasses.replace(
+        other = replace(
             reference_session,
-            settings=dataclasses.replace(reference_session.settings, texture_tier=0),
+            settings=replace(reference_session.settings, texture_tier=0),
         )
         d = write_sessions(tmp_path, [reference_session, reference_session, other])
         files = sorted(str(p) for p in d.glob("*.json"))
@@ -835,8 +834,8 @@ class TestCompareWorkers:
         # Valid files, one with other settings, each failing kind, a truncated and a missing file.
         mixed = tmp_path / "mixed"
         mixed.mkdir()
-        settings = dataclasses.replace(reference_session.settings, texture_tier=0)
-        other = dataclasses.replace(reference_session, settings=settings)
+        settings = replace(reference_session.settings, texture_tier=0)
+        other = replace(reference_session, settings=settings)
         (mixed / "other.json").write_bytes(serialize_session(other))
         for kind in range(3):
             failing = failing_session_bytes(reference_session, kind)
@@ -1164,7 +1163,7 @@ class TestBoundedMemory:
     def corpus(self, tmp_path_factory, reference_model):
         root = tmp_path_factory.mktemp("bounded")
         for i in range(4 * self.N):
-            model = dataclasses.replace(reference_model, device_id=f"device_{i}", seed=i)
+            model = replace(reference_model, device_id=f"device_{i}", seed=i)
             session = generate_session(model, 120)
             write_sessions(root / "sessions" / model.device_id, [session])
             (root / f"failing_{i}.json").write_bytes(failing_session_bytes(session, i))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -27,6 +26,7 @@ from gpindex.indices import (
     score_device,
     weigh,
 )
+from gpindex.jsondoc import replace
 from gpindex.metrics import METRIC_IDS
 from gpindex.scoring import MappingCurve, SubIndexScore
 from tests.strategies import config_docs, curve_set, profiles, sessions
@@ -319,9 +319,9 @@ class TestScoreDevice:
         assert triple.median_main == single.median_main
 
     def test_mixed_devices_rejected(self, reference_session, default_cfg):
-        other = dataclasses.replace(
+        other = replace(
             reference_session,
-            device=dataclasses.replace(reference_session.device, device_id="other"),
+            device=replace(reference_session.device, device_id="other"),
         )
         with pytest.raises(MixedDevicesError):
             score_device(
@@ -392,7 +392,7 @@ class TestPipelineProperties:
         # Dropped streams leave whole indices unmeasured, so the profiles'
         # flags differ and a flag leaking from one profile to the next shows.
         absent = {name: None if name == "launch" else () for name in dropped}
-        group = [dataclasses.replace(s, device=drawn[0].device, **absent) for s in drawn]
+        group = [replace(s, device=drawn[0].device, **absent) for s in drawn]
         cards = weigh([measure(s, curves) for s in group], together)
         assert cards == [score_device(group, profile, curves) for profile in together]
 

@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import math
+import pickle
 from importlib.resources import files
 from pathlib import Path
 
@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gpindex
-from gpindex.config import load_config
+from gpindex.config import EngineConfig, load_config
 from gpindex.errors import (
     ConfigError,
     ModelError,
@@ -18,10 +18,25 @@ from gpindex.errors import (
     ValidationError,
 )
 from gpindex import telemetry
-from gpindex.jsondoc import as_int, as_pair, as_real, as_str, decode, reader, require
-from gpindex.report import serialize_session
-from gpindex.synth import DeviceModel, load_manifest
-from gpindex.telemetry import DeviceMeta, GameSettings, parse_session
+from gpindex.indices import IndexProfile, MeasuredSession, ScoreCard, SessionScores, measure
+from gpindex.jsondoc import (
+    Record,
+    as_int,
+    as_pair,
+    as_real,
+    as_str,
+    asdict,
+    decode,
+    fields,
+    reader,
+    replace,
+    require,
+)
+from gpindex.metrics import MetricSet
+from gpindex.report import ComparisonRow, ComparisonTable, serialize_session
+from gpindex.scoring import MappingCurve, SubIndexScore
+from gpindex.synth import CorpusDevice, DeviceModel, load_manifest
+from gpindex.telemetry import DeviceMeta, GameSettings, SessionTelemetry, parse_session
 from tests.strategies import hostile_values, one_field_mutations, sessions
 
 
@@ -79,7 +94,110 @@ class TestReaders:
 # fails here (or, for an event row, at import), never as a KeyError mid-read.
 @pytest.mark.parametrize("record", [DeviceMeta, GameSettings, DeviceModel])
 def test_every_record_field_has_a_reader(record):
-    assert all(callable(reader(f.type)) for f in dataclasses.fields(record) if f.init)
+    assert all(callable(reader(annotation)) for annotation in record.__annotations__.values())
+
+
+# --- records ---------------------------------------------------------------
+
+# Each record's fields, in order: the constructor's parameters and asdict's keys.
+_RECORD_FIELDS = [
+    (DeviceMeta, ("device_id", "battery_capacity_mah", "display_ppi", "display_resolution")),
+    (GameSettings, (
+        "game_id", "render_scale", "texture_tier", "effects_tier", "aa_tier", "dynamic_range_tier"
+    )),
+    (SessionTelemetry, (
+        "schema_version", "device", "settings", "frames", "battery", "temperature", "touch",
+        "scene_loads", "launch",
+    )),
+    (MetricSet, (
+        "avg_fps", "low1_fps", "fps_stability", "drain_pct_per_hour", "peak_temp_c",
+        "temp_rise_c", "launch_s", "scene_load_s", "touch_latency_ms", "gfx_points",
+    )),
+    (SubIndexScore, ("metric_id", "raw_value", "score")),
+    (MappingCurve, ("metric_id", "breakpoints")),
+    (IndexProfile, ("name", "main_weights", "sub_weights")),
+    (SessionScores, ("sub_scores", "main_scores", "overall", "flags")),
+    (ScoreCard, (
+        "device_id", "profile_name", "sessions", "median_overall", "median_main", "flags"
+    )),
+    (MeasuredSession, ("device_id", "sub_scores")),
+    (EngineConfig, ("curves", "profiles")),
+    (ComparisonRow, (
+        "rank", "device_id", "overall_exact", "overall_display", "index_display", "flags"
+    )),
+    (ComparisonTable, ("profile_name", "rows")),
+    (DeviceModel, (
+        "device_id", "base_frame_time_ms", "drain_rate_pct_per_hour", "temp_start_c",
+        "temp_peak_c", "touch_latency_ms", "launch_s", "seed", "frame_jitter_sd_ms",
+        "throttle_onset_s", "throttle_factor", "game_id", "render_scale", "texture_tier",
+        "effects_tier", "aa_tier", "dynamic_range_tier", "display_ppi", "battery_capacity_mah",
+    )),
+    (CorpusDevice, ("model", "sessions", "session_duration_s")),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record,names", _RECORD_FIELDS, ids=lambda r: getattr(r, "__name__", ""))
+    def test_fields_in_declaration_order(self, record, names):
+        assert issubclass(record, Record)
+        assert fields(record) == names
+
+    def test_arguments_bind_by_position_or_keyword_with_defaults(self):
+        meta = DeviceMeta("p", display_ppi=400.0)
+        assert meta == DeviceMeta(device_id="p", display_ppi=400.0, battery_capacity_mah=None)
+        assert asdict(meta) == {
+            "device_id": "p", "battery_capacity_mah": None, "display_ppi": 400.0,
+            "display_resolution": None,
+        }
+        assert repr(meta) == (
+            "DeviceMeta(device_id='p', battery_capacity_mah=None, display_ppi=400.0, "
+            "display_resolution=None)"
+        )
+
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [
+            ((), {}, "got 0 positional, unknown or repeated [], missing ['metric_id', 'raw_value', 'score']"),
+            (("m", 1.0), {}, "got 2 positional, unknown or repeated [], missing ['score']"),
+            (("m", 1.0, 2.0, 3.0), {}, "got 4 positional, unknown or repeated [], missing []"),
+            (("m", 1.0, 2.0), {"scores": 2.0}, "unknown or repeated ['scores'], missing []"),
+            (("m", 1.0), {"raw_value": 2.0}, "unknown or repeated ['raw_value'], missing ['score']"),
+        ],
+    )
+    def test_a_missing_or_unknown_argument_raises(self, args, kwargs, message):
+        with pytest.raises(TypeError) as info:
+            SubIndexScore(*args, **kwargs)
+        prefix = "SubIndexScore() takes metric_id, raw_value, score, each once, by position or keyword"
+        assert str(info.value).startswith(prefix) and str(info.value).endswith(message)
+
+    def test_assignment_raises(self, reference_session):
+        with pytest.raises(AttributeError, match="immutable$"):
+            reference_session.frames = (0, 16)
+        with pytest.raises(AttributeError, match="immutable$"):
+            del reference_session.settings.game_id
+        with pytest.raises(AttributeError, match="immutable$"):
+            reference_session.anything = 1
+
+    def test_replace_runs_every_check_again(self, reference_session):
+        with pytest.raises(ValidationError, match=r"^frames not non-decreasing at t=10ms$"):
+            replace(reference_session, frames=(0, 20, 10, 30))
+        with pytest.raises(TypeError, match="'frame_intervals'"):
+            replace(reference_session, frame_intervals=reference_session.frame_intervals)
+        assert replace(reference_session, touch=()).touch == ()
+
+    def test_equality_and_hash_by_field_but_not_derived_attributes(self, reference_session):
+        twin = replace(reference_session)
+        object.__setattr__(twin, "frame_intervals", None)
+        assert twin == reference_session
+        assert twin != replace(reference_session, touch=())
+        assert SubIndexScore("m", 1.0, 2.0) != MeasuredSession("m", ())
+        assert hash(SubIndexScore("m", 1.0, 2.0)) == hash(SubIndexScore("m", 1, 2))
+
+    # What the forked workers of cli._ordered_map send back through their pipes.
+    def test_measured_records_come_back_equal_from_pickle(self, reference_session, default_cfg):
+        measured = measure(reference_session, default_cfg.curves)
+        for record in (measured, measured.sub_scores[0], reference_session.settings):
+            assert pickle.loads(pickle.dumps(record, -1)) == record
 
 
 def test_every_event_row_column_has_a_bulk_check():

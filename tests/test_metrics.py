@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import statistics
@@ -10,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpindex.errors import DegenerateInputError, InsufficientSamplesError, ValidationError
+from gpindex.jsondoc import replace
 from gpindex.metrics import (
     METRIC_IDS,
     compute_battery_metrics,
@@ -357,16 +357,16 @@ class TestExtractMetrics:
     def test_invalid_metric_set_rejected(self, reference_session, field, value):
         ms = extract_metrics(reference_session)
         with pytest.raises(ValidationError, match=field):
-            dataclasses.replace(ms, **{field: value})
+            replace(ms, **{field: value})
 
     def test_missing_touch_propagates_absence(self, reference_session):
-        session = dataclasses.replace(reference_session, touch=())
+        session = replace(reference_session, touch=())
         ms = extract_metrics(session)
         assert ms.touch_latency_ms is None
         assert ms.avg_fps > 0
 
     def test_error_carries_metric_name(self, reference_session):
-        session = dataclasses.replace(reference_session, battery=())
+        session = replace(reference_session, battery=())
         with pytest.raises(InsufficientSamplesError, match="drain_pct_per_hour"):
             extract_metrics(session)
 
@@ -387,7 +387,7 @@ class TestExtractMetrics:
     @settings(max_examples=60, deadline=None)
     @given(sessions(max_intervals=30), st.integers(0, 100_000))
     def test_time_shift_invariance(self, session, offset):
-        shifted = dataclasses.replace(
+        shifted = replace(
             session,
             frames=tuple(t + offset for t in session.frames),
             battery=tuple(BatterySample(s.t_ms + offset, s.level_pct) for s in session.battery),

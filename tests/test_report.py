@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -22,6 +21,7 @@ from gpindex.errors import (
     ValidationError,
 )
 from gpindex.indices import MainIndex, ScoreCard
+from gpindex.jsondoc import asdict, replace
 from gpindex.report import (
     CSV_HEADER,
     INDEX_COLUMNS,
@@ -292,7 +292,7 @@ class TestSerializeSession:
 
 def oracle_bytes(session):
     """The session-file format's definition: the whole document through json.dumps."""
-    device = {k: v for k, v in dataclasses.asdict(session.device).items() if v is not None}
+    device = {k: v for k, v in asdict(session.device).items() if v is not None}
     events = {}
     if session.launch is not None:
         events["launch"] = session.launch
@@ -303,7 +303,7 @@ def oracle_bytes(session):
     doc = {
         "schema_version": session.schema_version,
         "device": device,
-        "game": dataclasses.asdict(session.settings),
+        "game": asdict(session.settings),
         "events": events,
     }
     return (json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n").encode()
@@ -368,10 +368,10 @@ def built_frames(draw):
 @st.composite
 def wide_sessions(draw):
     session = draw(sessions(max_intervals=8))
-    return dataclasses.replace(
+    return replace(
         session,
-        device=dataclasses.replace(session.device, device_id=draw(_tricky_text)),
-        settings=dataclasses.replace(session.settings, game_id=draw(_tricky_text)),
+        device=replace(session.device, device_id=draw(_tricky_text)),
+        settings=replace(session.settings, game_id=draw(_tricky_text)),
         frames=draw(wide_frames()),
         temperature=tuple(t._replace(sensor=draw(_tricky_text)) for t in session.temperature),
     )
@@ -445,7 +445,7 @@ class TestSerializeSessionOracle:
     def test_equals_whole_document_json(self, session, block):
         expected = oracle_bytes(session)
         with patch.object(telemetry, "_FRAME_BLOCK", block):
-            session = dataclasses.replace(session)  # takes its histogram block by block
+            session = replace(session)  # takes its histogram block by block
             assert serialize_session(session) == expected
             # The parser's histogram, handed over, gives the same bytes.
             assert serialize_session(parse_session(expected)) == expected
@@ -535,7 +535,7 @@ class TestSerializeSessionOracle:
     )
     def test_rows_written_as_json_are_read_as_built(self, stream, rows, message):
         with pytest.raises(SchemaError) as built_error:
-            dataclasses.replace(_session((0, 16, 33)), **{stream: rows})
+            replace(_session((0, 16, 33)), **{stream: rows})
         assert type(built_error.value) is SchemaError and str(built_error.value) == message
         doc = json.loads(oracle_bytes(_session((0, 16, 33))))
         doc["events"][stream] = rows
@@ -547,7 +547,7 @@ class TestSerializeSessionOracle:
     # written, as the parser's bulk check does: once the walk kept 100 and the
     # parser read 100.0, so the two wrote different files.
     def test_walked_rows_keep_reals_as_written(self):
-        built = dataclasses.replace(_session((0, 16, 33)), battery=((0, 100), (Millis(5), 99)))
+        built = replace(_session((0, 16, 33)), battery=((0, 100), (Millis(5), 99)))
         payload = serialize_session(built)
         assert serialize_session(parse_session(payload)) == payload
         assert b'"battery":[[0,100],[5,99]]' in payload
@@ -569,7 +569,7 @@ class TestSerializeSessionOracle:
         doc["events"].update(events)
         payload = json.dumps(doc, separators=(",", ":")).encode()
         try:
-            built = dataclasses.replace(session, **events)
+            built = replace(session, **events)
         except EngineError as built_error:
             with pytest.raises(EngineError) as parsed_error:
                 parse_session(payload)

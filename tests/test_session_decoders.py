@@ -11,7 +11,6 @@ where it is installed; each session here is written both ways too.
 import json
 import re
 import warnings
-from dataclasses import replace
 from enum import IntEnum
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from gpindex import telemetry
 from gpindex.errors import EngineError
-from gpindex.jsondoc import fast_json
+from gpindex.jsondoc import fast_json, replace
 from gpindex.report import serialize_session
 from gpindex.telemetry import UnknownKeyWarning, parse_session
 from tests.conftest import orjson_hidden

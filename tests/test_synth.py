@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from collections import Counter
@@ -11,6 +10,7 @@ from gpindex import metrics, synth, telemetry
 from gpindex.config import default_config
 from gpindex.errors import ModelError, SchemaError
 from gpindex.indices import measure
+from gpindex.jsondoc import replace
 from gpindex.metrics import extract_metrics
 from gpindex.report import serialize_session
 from gpindex.synth import (
@@ -198,7 +198,7 @@ class TestGenerateSession:
         )
 
     def test_throttle_halves_rate_midway(self, reference_model):
-        model = dataclasses.replace(
+        model = replace(
             reference_model, throttle_onset_s=300.0, throttle_factor=2.0
         )
         session = generate_session(model, 600)
@@ -214,12 +214,12 @@ class TestGenerateSession:
         assert a == b
 
     def test_different_seed_differs(self, reference_model):
-        jittery = dataclasses.replace(reference_model, frame_jitter_sd_ms=1.0)
-        other = dataclasses.replace(jittery, seed=jittery.seed + 1)
+        jittery = replace(reference_model, frame_jitter_sd_ms=1.0)
+        other = replace(jittery, seed=jittery.seed + 1)
         assert generate_session(jittery, 600) != generate_session(other, 600)
 
     def test_generated_sessions_parse_and_validate(self, reference_model):
-        jittery = dataclasses.replace(
+        jittery = replace(
             reference_model, frame_jitter_sd_ms=2.0, throttle_onset_s=200.0, throttle_factor=1.7
         )
         for model in (reference_model, jittery):
@@ -242,7 +242,7 @@ class TestGenerateSession:
             assert abs(event.latency_ms - true) <= 0.1 * true + 1e-9
 
     def test_battery_floors_at_zero(self, reference_model):
-        greedy = dataclasses.replace(reference_model, drain_rate_pct_per_hour=1000.0)
+        greedy = replace(reference_model, drain_rate_pct_per_hour=1000.0)
         session = generate_session(greedy, 600)
         assert session.battery[-1].level_pct == 0.0
 
@@ -278,7 +278,7 @@ class TestGenerateSession:
         # 1.1 ms steps put many frame times next to a .5 rounding tie, so
         # adding them in any order but left to right changes some frames.
         monkeypatch.setattr(synth, "_FRAME_BLOCK", 1000)
-        floored = dataclasses.replace(
+        floored = replace(
             reference_model,
             base_frame_time_ms=1.1,
             frame_jitter_sd_ms=2.0,
@@ -286,14 +286,14 @@ class TestGenerateSession:
             throttle_factor=1.5,
         )
         models = [
-            dataclasses.replace(reference_model, base_frame_time_ms=1.1),
-            dataclasses.replace(
+            replace(reference_model, base_frame_time_ms=1.1),
+            replace(
                 reference_model,
                 base_frame_time_ms=1.1,
                 throttle_onset_s=50.5,
                 throttle_factor=1.3,
             ),
-            dataclasses.replace(
+            replace(
                 reference_model,
                 frame_jitter_sd_ms=9.0,
                 throttle_onset_s=50.0,
@@ -325,7 +325,7 @@ class TestGenerateSession:
 
         monkeypatch.setattr(telemetry, "_parse_frames", counting)
         monkeypatch.setattr(metrics, "compute_fps_metrics", recording)
-        jittery = dataclasses.replace(
+        jittery = replace(
             reference_model, frame_jitter_sd_ms=2.0, throttle_onset_s=200.0, throttle_factor=1.7
         )
         session = generate_session(jittery, 600)
@@ -346,7 +346,7 @@ class TestGenerateSession:
     )
     def test_model_invariants(self, reference_model, field, value):
         with pytest.raises(ModelError):
-            dataclasses.replace(reference_model, **{field: value})
+            replace(reference_model, **{field: value})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -361,7 +361,7 @@ class TestGenerateSession:
     )
     def test_model_numbers_must_be_finite(self, reference_model, field, value):
         with pytest.raises(ModelError, match=f"{field} must be finite"):
-            dataclasses.replace(reference_model, **{field: value})
+            replace(reference_model, **{field: value})
 
     # A non-integer seed was once accepted, and generate_session then raised TypeError.
     @pytest.mark.parametrize(
@@ -377,20 +377,20 @@ class TestGenerateSession:
     )
     def test_model_integers_must_be_integers(self, reference_model, field, value):
         with pytest.raises(ModelError, match=f"^{field} must be an integer, got {value!r}$"):
-            dataclasses.replace(reference_model, **{field: value})
+            replace(reference_model, **{field: value})
 
     # A non-string game_id was once accepted, and its sessions' files failed to parse.
     @pytest.mark.parametrize("value", [5, None, b"g", ["g"]])
     def test_model_strings_must_be_strings(self, reference_model, value):
         with pytest.raises(ModelError) as info:
-            dataclasses.replace(reference_model, game_id=value)
+            replace(reference_model, game_id=value)
         assert str(info.value) == f"game_id must be a string, got {value!r}"
 
     # demo writes each device's sessions to a directory named by its id.
     @pytest.mark.parametrize("device_id", ["", ".", "..", "../x", "/", "a\\b", "a\x00", None])
     def test_device_id_must_name_one_directory(self, reference_model, device_id):
         with pytest.raises(ModelError, match="^device_id must name one directory"):
-            dataclasses.replace(reference_model, device_id=device_id)
+            replace(reference_model, device_id=device_id)
 
     # Each of these was once a ValidationError mid-generation, from the device
     # or game record or the duration, so `demo --manifest` exited 1 instead of
@@ -416,7 +416,7 @@ class TestGenerateSession:
             if field == "session_duration_s":
                 generate_session(reference_model, value)
             else:
-                dataclasses.replace(reference_model, **{field: value})
+                replace(reference_model, **{field: value})
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             load_manifest(manifest_bytes({field: value}))
 
@@ -432,7 +432,7 @@ class TestGenerateSession:
     )
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_generated_overflow_is_refused(self, reference_model, overrides, message):
-        model = dataclasses.replace(reference_model, **overrides)
+        model = replace(reference_model, **overrides)
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             generate_session(model, 120)
 
@@ -453,7 +453,7 @@ class TestManifest:
         assert ids == sorted(ids)
         a = next(d.model for d in corpus if d.model.device_id == "device_a")
         b = next(d.model for d in corpus if d.model.device_id == "device_b")
-        assert dataclasses.replace(a, device_id="x") == dataclasses.replace(b, device_id="x")
+        assert replace(a, device_id="x") == replace(b, device_id="x")
 
     def test_generate_corpus_counts_and_seeds(self):
         corpus = default_demo_manifest()[:2]

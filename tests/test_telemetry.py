@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -20,11 +19,13 @@ from gpindex.errors import (
     ValidationError,
 )
 from gpindex.indices import measure
+from gpindex.jsondoc import asdict, replace
 from gpindex.report import serialize_session
 from gpindex.telemetry import (
     SCHEMA_VERSION,
     DeviceMeta,
     GameSettings,
+    SessionTelemetry,
     UnknownKeyWarning,
     parse_session,
     validate_comparability,
@@ -351,13 +352,13 @@ class TestClosedErrorSurface:
         # The parser's row rule, the one rule for every build.
         message = f"{stream}[{index}][1]: expected finite number"
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(reference_session, **{stream: rows})
+            replace(reference_session, **{stream: rows})
 
     # Once accepted, as each equals 1, and written to a file the parser rejects.
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_built_schema_version_must_be_an_int(self, reference_session, version):
         with pytest.raises(ValidationError, match=f"^schema_version must be 1, got {version}$"):
-            dataclasses.replace(reference_session, schema_version=version)
+            replace(reference_session, schema_version=version)
 
     # A session built directly checks its frames as the parser does and names
     # a bad one as the parser's walk would, with the path "frames".
@@ -370,12 +371,12 @@ class TestClosedErrorSurface:
         with pytest.raises(
             SchemaError, match=rf"^frames\[{index}\]: expected integer, got float$"
         ):
-            dataclasses.replace(reference_session, frames=tuple(frames))
+            replace(reference_session, frames=tuple(frames))
 
     def test_frames_too_far_apart_for_a_float(self, reference_session):
         # Once accepted with duration_ms == inf.
         with pytest.raises(SchemaError, match=r"^frames\[0\]: expected integer, got float$"):
-            dataclasses.replace(reference_session, frames=(-1e308, 0.0, 1e308))
+            replace(reference_session, frames=(-1e308, 0.0, 1e308))
 
     # Each was once accepted (or a bare TypeError) although the parser
     # rejects the file serialize_session wrote for it.
@@ -392,7 +393,7 @@ class TestClosedErrorSurface:
     )
     def test_bad_frame_in_built_session(self, reference_session, frames, message):
         with pytest.raises(SchemaError) as info:
-            dataclasses.replace(reference_session, frames=frames)
+            replace(reference_session, frames=frames)
         assert type(info.value) is SchemaError and str(info.value) == message
 
     def test_infinite_display_ppi(self):
@@ -620,7 +621,7 @@ class TestLateFaultWork:
         assert taken <= len(frames) - 1 + telemetry._FRAME_BLOCK
         assert len([w for w in read if w.startswith("events.frames")]) <= 1
         if outcome is None:
-            assert session == dataclasses.replace(reference_session, frames=tuple(frames))
+            assert session == replace(reference_session, frames=tuple(frames))
             brute = Counter(b - a for a, b in zip(frames, frames[1:]))
             assert session.frame_intervals == brute and max(brute) == 300
 
@@ -634,7 +635,7 @@ class TestFrameIntervals:
         brute = Counter(b - a for a, b in zip(session.frames, session.frames[1:]))
         assert parse_session(serialize_session(session)).frame_intervals == brute
         assert session.frame_intervals == brute
-        assert dataclasses.replace(session, touch=()).frame_intervals == brute
+        assert replace(session, touch=()).frame_intervals == brute
 
     def test_measure_takes_the_histogram_once(self, fixture_session_path, monkeypatch):
         calls, handed = 0, []
@@ -658,13 +659,13 @@ class TestFrameIntervals:
 
     def test_left_out_of_eq_and_repr(self, reference_session):
         assert "frame_intervals" not in repr(reference_session)
-        twin = dataclasses.replace(reference_session)
+        twin = replace(reference_session)
         object.__setattr__(twin, "frame_intervals", Counter())
         assert twin == reference_session
 
     def test_built_session_with_unordered_frames(self, reference_session):
         with pytest.raises(ValidationError, match=r"^frames not non-decreasing at t=10ms$"):
-            dataclasses.replace(reference_session, frames=(0, 20, 10, 30))
+            replace(reference_session, frames=(0, 20, 10, 30))
 
     # numpy integers: bytes() takes them, so (5, 21) was once accepted.
     @pytest.mark.parametrize(
@@ -677,8 +678,13 @@ class TestFrameIntervals:
     )
     def test_built_session_with_numpy_frames(self, reference_session, frames, message):
         with pytest.raises(SchemaError) as info:
-            dataclasses.replace(reference_session, frames=frames)
+            replace(reference_session, frames=frames)
         assert str(info.value) == message
+
+    # Only the parser and the generator hand a histogram over, through the private entry.
+    @staticmethod
+    def _handed_over(session, frames, intervals):
+        return SessionTelemetry._with_intervals(intervals, **{**asdict(session), "frames": frames})
 
     @pytest.mark.parametrize(
         "intervals",
@@ -692,13 +698,20 @@ class TestFrameIntervals:
         with pytest.raises(
             ValidationError, match=r"^frame interval histogram does not match frames$"
         ):
-            dataclasses.replace(reference_session, frames=frames, _intervals=intervals)
-        session = dataclasses.replace(reference_session, frames=frames, _intervals=Counter({10: 3}))
+            self._handed_over(reference_session, frames, intervals)
+        session = self._handed_over(reference_session, frames, Counter({10: 3}))
         assert session.frame_intervals == Counter({10: 3})
 
     def test_histogram_check_follows_frame_count(self, reference_session):
         with pytest.raises(ValidationError, match=r"^frames must contain at least 2 timestamps$"):
-            dataclasses.replace(reference_session, frames=(0,), _intervals=Counter({5: 1}))
+            self._handed_over(reference_session, (0,), Counter({5: 1}))
+
+    # A histogram of int intervals once vouched for a float frame (0, 16.0, 32).
+    def test_public_builds_always_count_the_frames(self, reference_session):
+        with pytest.raises(TypeError, match="_intervals"):
+            SessionTelemetry(**asdict(reference_session), _intervals=Counter({16: 2}))
+        with pytest.raises(SchemaError, match=r"^frames\[1\]: expected integer, got float$"):
+            replace(reference_session, frames=(0, 16.0, 32))
 
 
 def _oracle_parse_frames(frames, where):
@@ -783,7 +796,7 @@ class TestFrameCheckOracle:
         base = parse_session(to_bytes(make_doc()))
         for make in (
             partial(parse_session, data),
-            partial(dataclasses.replace, base, frames=frames),
+            partial(replace, base, frames=frames),
         ):
             with patch.object(telemetry, "_parse_frames", _oracle_parse_frames):
                 expected = _outcome(make)
