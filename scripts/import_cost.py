@@ -5,16 +5,15 @@
 
 A command's load set is the modules the command imports, as
 ``tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs``
-pins them (``LOAD_SETS``), plus orjson where it imports. For each command
-(default: all four), prints:
+pins them (``LOAD_SETS``). For each command (default: all four), prints:
 
 - the median time the set's imports take, after ``site``, in N fresh
   ``python -c`` processes with ``src`` on the path and
   ``PYTHONDONTWRITEBYTECODE=1``, so no gpindex module is read from a
   bytecode cache that this script wrote (one under ``src`` still is);
 - the median ``-X importtime`` self time, over N more such processes, of
-  each gpindex module and each standard-library module that the set loads
-  after ``site``, largest first. Other packages (numpy, orjson) are left out.
+  each gpindex module, orjson and each standard-library module that the set
+  loads after ``site``, largest first. Other packages (numpy) are left out.
 
 Standard library only; it writes nothing.
 """
@@ -30,9 +29,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-_SCORING = ("gpindex.cli", "gpindex.config", "gpindex.data", "gpindex.report")
+_SCORING = ("gpindex.cli", "gpindex.config", "gpindex.data", "gpindex.report", "orjson")
 LOAD_SETS = {
-    "validate": ("gpindex.cli",),
+    "validate": ("gpindex.cli", "orjson"),
     "score": _SCORING,
     "compare": _SCORING,
     "demo": (*_SCORING, "gpindex.synth", "numpy"),
@@ -40,12 +39,11 @@ LOAD_SETS = {
 
 
 def _run(modules: tuple[str, ...], *flags: str) -> subprocess.CompletedProcess:
-    """One fresh process that imports ``modules``, then orjson if it can, and prints the time."""
+    """One fresh process that imports ``modules`` and prints the time it took."""
     code = (
         "import time\n"
         "start = time.perf_counter()\n"
         f"import {', '.join(modules)}\n"
-        "try:\n    import orjson\nexcept ImportError:\n    pass\n"
         "print(time.perf_counter() - start)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -55,8 +53,8 @@ def _run(modules: tuple[str, ...], *flags: str) -> subprocess.CompletedProcess:
 
 
 def self_times(importtime: str) -> dict[str, int]:
-    """Each gpindex or standard-library module's self time (us) in ``-X importtime`` output,
-    for the modules imported after ``site``."""
+    """Each gpindex, orjson or standard-library module's self time (us) in ``-X importtime``
+    output, for the modules imported after ``site``."""
     times, after_site = {}, False
     for line in importtime.splitlines():
         if not line.startswith("import time:") or "|" not in line:
@@ -66,7 +64,7 @@ def self_times(importtime: str) -> dict[str, int]:
             after_site = True
         elif after_site and self_us.isdigit():
             top = name.split(".")[0]
-            if top == "gpindex" or top in sys.stdlib_module_names:
+            if top in ("gpindex", "orjson") or top in sys.stdlib_module_names:
                 times[name] = int(self_us)
     return times
 
@@ -83,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         modules = LOAD_SETS[command]
         cold = [float(_run(modules).stdout) for _ in range(args.n)]
         runs = [self_times(_run(modules, "-X", "importtime").stderr) for _ in range(args.n)]
-        print(f"{command}: import {', '.join(modules)} (+ orjson where it imports)")
+        print(f"{command}: import {', '.join(modules)}")
         print(f"  cold import: {statistics.median(cold) * 1000:.1f} ms, median of {args.n}")
         medians = {name: statistics.median(run.get(name, 0) for run in runs) for name in runs[0]}
         print(f"  {'self ms':>8s}  module")

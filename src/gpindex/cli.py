@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .errors import ConfigError, EngineError
-from .jsondoc import fast_json
 from .telemetry import UnknownKeyWarning, parse_session, validate_comparability
 
 # Each command imports the layers it runs, where it runs them: a cold ``validate`` loads none
@@ -105,7 +104,7 @@ def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> t
 def cmd_validate(args: argparse.Namespace) -> int:
     # Each valid file and its settings; the session itself is dropped once parsed.
     read = partial(_read_file, read=lambda data: parse_session(data).settings, prefix="")
-    fast_json()  # orjson, if installed, imported once here and inherited by every forked worker
+    import orjson  # noqa: F401  parse_session's decoder, imported once and inherited by each worker
     valid = []
     with closing(_ordered_map(read, args.files)) as outcomes:
         for name, (settings, lines) in zip(args.files, outcomes):
@@ -138,7 +137,7 @@ def _measure_dirs(
         return _read_file(path, lambda data: measure(parse_session(data), config.curves), "error: ")
 
     listed = list(takewhile(bool, (sorted(Path(d).glob("*.json")) for d in device_dirs)))
-    fast_json()  # orjson, if installed, imported once here and inherited by every forked worker
+    import orjson  # noqa: F401  parse_session's decoder, imported once and inherited by each worker
     measured = []
     with closing(_ordered_map(read, [f for found in listed for f in found])) as outcomes:
         for scores, lines in outcomes:
@@ -212,13 +211,13 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     ``validate``, ``score``, ``compare`` and ``demo`` run on it. Results come
     in input order, and an item's error is raised in its turn, from its
     worker's traceback, so the first failing item wins, as in a loop. A
-    worker that dies makes the map raise ``EngineError``. Closing or
-    exhausting the map kills and reaps every worker. Standard output and
-    error are flushed before the fork, and a worker leaves by ``os._exit``,
-    so none writes the parent's pending output again. With one worker, or
-    without ``os.fork``, it is ``map``. Every module ``fn`` runs must be
-    imported before the call, or each worker compiles it again on the
-    critical path.
+    worker that dies makes the map raise ``EngineError`` naming its wait
+    status. Closing or exhausting the map kills and reaps every worker.
+    Standard output and error are flushed before the fork, and a worker
+    leaves by ``os._exit``, so none writes the parent's pending output
+    again. With one worker, or without ``os.fork``, it is ``map``. Every
+    module ``fn`` runs must be imported before the call, or each worker
+    compiles it again on the critical path.
 
     Worker ``k`` pins itself to CPU ``k`` of the parent's affinity set, in
     turn, where the platform lets it: unpinned, the scheduler ran workers
@@ -284,7 +283,11 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                 for fd in select.select(list(pipes), [], [])[0]:
                     pid, buf = pipes[fd]
                     if not (chunk := os.read(fd, 1 << 16)):
-                        raise EngineError(f"worker {pid} ended before its items")
+                        del pipes[fd]  # reaped here, not again below
+                        os.close(fd)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                        raise EngineError(f"worker {pid} ended before its items ({how})")
                     buf += chunk
                     while len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
                         done.update(pickle.loads(buf[8 : 8 + size]))
@@ -367,12 +370,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     try:
         # What _demo_device runs, imported before the map: config and synth above, numpy,
-        # report, and orjson if installed (it writes the frames).
+        # and report, which imports orjson to write the frames.
         import numpy  # noqa: F401
 
         from . import report  # noqa: F401
 
-        fast_json()
         config = default_config()
         groups = list(_ordered_map(partial(_demo_device, out_dir=out_dir, config=config), corpus))
         _write_reports(groups, config, out_dir, "json")

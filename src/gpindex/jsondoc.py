@@ -4,7 +4,9 @@ Every document the engine reads (session files, engine configs, corpus
 manifests) goes from bytes to a JSON value through :func:`decode`, and
 its fields come out through the readers below, so one set of rules
 decides what a bad input becomes: ``decode`` raises the caller's error
-class for bytes that are not a JSON document, and each reader raises
+class for bytes that are not a JSON document or that nest deeper than
+``MAX_DEPTH`` (RFC 8259 section 9 lets a parser bound it; session files
+are decoded by orjson, the others by json), and each reader raises
 ``SchemaError`` naming the field path, e.g. ``events.touch[3][1]:
 expected finite number``. Integers must fit in int64, reals must be
 finite and strings must encode to UTF-8. Readers check a value and
@@ -12,76 +14,65 @@ return it as given, so a record's real written ``500`` stays the int
 500. A record field or event-row column is read by its declared type
 (:func:`reader`), the same whether parsed (:func:`read_record`) or built
 (:func:`check_record`), where an array may be a tuple; records are
-:class:`Record` subclasses. Session files may also be decoded by orjson
-(:func:`fast_json`, :func:`same_as_json`).
+:class:`Record` subclasses.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import cache, partial
-from itertools import chain, compress, repeat
-from operator import is_, is_not
-from types import ModuleType
+from itertools import accumulate
 from typing import Any, Callable, TypeVar
 
 from .errors import EngineError, SchemaError
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
-# Nesting levels json decodes (it fails near 1,000 less the caller's stack depth);
-# a session document needs 5.
-FAST_DEPTH = 32
+# Arrays and objects nest at most this deep in any document; a session needs 4, a config 5.
+MAX_DEPTH = 64
 
 T = TypeVar("T")
 
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as signed bytes
 
-def decode(data: bytes, error_cls: type[EngineError], what: str) -> Any:
-    """The JSON value in ``data``; bytes that are not one raise ``error_cls``."""
+
+def nesting(data: bytes) -> int:
+    """How deep the arrays and objects of the JSON text ``data`` nest.
+
+    Read off the bytes: the escape pairs that hold a quote or backslash
+    dropped, then the brackets outside quotes summed. On bytes that are not
+    JSON it still bounds the depth a decoder reaches before it fails, since
+    both read the same valid prefix alike.
+    """
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    outside = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    return max(accumulate(memoryview(outside.translate(_STEP)).cast("b")), default=0)
+
+
+def decode(data: bytes, error_cls: type[EngineError], what: str, fast: bool = False) -> Any:
+    """The JSON value in ``data``; bytes that are not one, or that nest deeper
+    than ``MAX_DEPTH``, raise ``error_cls``. The bound is checked first: orjson
+    overruns the C stack on deep input. ``fast`` decodes with orjson (imported
+    on first use: it loads ``uuid``, ``datetime`` and ``zoneinfo``), else json.
+    """
+    if nesting(data) > MAX_DEPTH:
+        raise error_cls(f"malformed {what}: nested deeper than {MAX_DEPTH} levels")
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error_cls(f"{what} is not valid UTF-8: {exc}") from exc
-    try:
-        return json.loads(text)
-    # ValueError covers JSONDecodeError and integer literals past the
-    # interpreter's digit limit; RecursionError covers deep nesting.
+        if fast:
+            import orjson
+
+            return orjson.loads(data)
+        return json.loads(data.decode("utf-8"))
+    # ValueError covers either decoder's JSONDecodeError, bad UTF-8 and integer literals
+    # past the interpreter's digit limit; RecursionError, a caller near the recursion limit.
     except (ValueError, RecursionError) as exc:
+        try:
+            data.decode("utf-8")  # bad UTF-8 is named as such, whichever decoder met it
+        except UnicodeDecodeError as bad:
+            raise error_cls(f"{what} is not valid UTF-8: {bad}") from bad
         raise error_cls(f"malformed {what}: {exc}") from exc
-
-
-@cache
-def fast_json() -> ModuleType | None:
-    """The orjson module (the ``fast`` extra) when it imports, else None.
-
-    Imported on the first call only, since it loads ``uuid``, ``datetime`` and ``zoneinfo``.
-    """
-    try:
-        import orjson
-    except ImportError:
-        return None
-    return orjson
-
-
-def same_as_json(value: Any, skip: Any = None) -> bool:
-    """Whether json decodes the text orjson decoded to ``value`` (``skip`` aside) to it too.
-
-    orjson reads an integer past int64/uint64 as a float and nests far deeper
-    than json, so no float may reach 2**63 and no container nest past ``FAST_DEPTH``.
-    The walk goes a nesting level at a time; ``skip``, a list proven to hold ints, is not entered.
-    """
-    level = [value]
-    for _ in range(FAST_DEPTH):
-        kinds = list(map(type, level))
-        if not max(map(abs, compress(level, map(is_, kinds, repeat(float)))), default=0) < 2**63:
-            return False
-        lists = filter(partial(is_not, skip), compress(level, map(is_, kinds, repeat(list))))
-        dicts = map(dict.values, compress(level, map(is_, kinds, repeat(dict))))
-        level = [*chain.from_iterable(lists), *chain.from_iterable(dicts)]
-        if not level:
-            return True
-    return False
 
 
 def require(obj: dict, key: str, path: str) -> Any:
@@ -154,7 +145,8 @@ def as_real(value: Any, where: str) -> int | float:
 
 
 def is_utf8(value: str) -> bool:
-    """Whether ``value`` encodes to UTF-8: no lone surrogate, which json decodes from an escape."""
+    """Whether ``value`` encodes to UTF-8: no lone surrogate, which json decodes from an escape
+    and a record built in Python may hold."""
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:

@@ -14,9 +14,11 @@ import json
 import math
 from typing import Any, Sequence
 
+import orjson
+
 from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from .indices import MainIndex, ScoreCard
-from .jsondoc import Record, asdict, fast_json
+from .jsondoc import Record, asdict
 from .telemetry import _ROW_STREAMS, SessionTelemetry
 
 REPORT_SCHEMA_VERSION = 1
@@ -201,10 +203,10 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     records' field order. Floats use shortest round-trip repr (not the
     4-decimal report style) so values survive the round trip exactly.
 
-    The frame stream, almost all of a file's bytes, is written by orjson
-    where it is installed: a session's frames are ints within +/-2**53,
-    whose digits orjson writes as json does. The rest stays on json, which
-    writes some floats unlike orjson (``1e-05``, ``1e+16``).
+    The frame stream, almost all of a file's bytes, is written by orjson:
+    a session's frames are ints within +/-2**53, whose digits orjson
+    writes as json does. The rest stays on json, which writes some floats
+    unlike orjson (``1e-05``, ``1e+16``).
     """
     # The records' fields in declaration order; an unrecorded device property is left out.
     device = {name: value for name, value in asdict(session.device).items() if value is not None}
@@ -228,8 +230,4 @@ def serialize_session(session: SessionTelemetry) -> bytes:
     text = json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
     # json escapes every quote inside a string, so '"frames":[]' can only be the frames key.
     head, _, tail = text.encode("utf-8").partition(b'"frames":[]')
-    if (orjson := fast_json()) is not None:
-        frames = orjson.dumps(session.frames)
-    else:
-        frames = json.dumps(session.frames, separators=(",", ":")).encode()
-    return b"".join((head, b'"frames":', frames, tail))
+    return b"".join((head, b'"frames":', orjson.dumps(session.frames), tail))

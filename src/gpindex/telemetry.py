@@ -23,7 +23,6 @@ from typing import Any, NamedTuple, Sequence
 
 from .errors import (
     EmptyInputError,
-    EngineError,
     SchemaError,
     SessionSyntaxError,
     ValidationError,
@@ -40,14 +39,12 @@ from .jsondoc import (
     as_str,
     check_record,
     decode,
-    fast_json,
     fields,
     is_utf8,
     read_record,
     reader,
     require,
     require_version,
-    same_as_json,
 )
 
 SCHEMA_VERSION = 1
@@ -405,41 +402,19 @@ def _read_fields(root: Any, unknown: list[str]) -> dict[str, Any]:
     return {"schema_version": version, "device": device, "settings": settings, **events}
 
 
-def _fast_fields(data: bytes, unknown: list[str]) -> dict[str, Any] | None:
-    """:func:`_read_fields` of orjson's value of ``data``, or its error, where :func:`same_as_json`
-    holds; else None. Once read, the frames are proven ints, and the walk skips them."""
-    fast = fast_json()
-    if fast is None:
-        return None
-    try:
-        root = fast.loads(data)
-    except ValueError:  # orjson.JSONDecodeError: json may still decode it (NaN, a lone surrogate)
-        return None
-    try:
-        kwargs = _read_fields(root, unknown)
-    except EngineError:
-        if same_as_json(root):
-            raise
-        return None
-    return kwargs if same_as_json(root, skip=kwargs["frames"]) else None
-
-
 def parse_session(data: bytes) -> SessionTelemetry:
     """Parse and validate one session document.
 
     Total over the error taxonomy: any bytes give a session or raise exactly
     one of ``SessionSyntaxError`` for malformed text, ``SchemaError`` for
     missing/mistyped fields (naming the field path) and ``ValidationError``
-    for invariant violations (naming the invariant). The outcome is json's
-    whether or not orjson is installed (:func:`_fast_fields`). Each unknown
-    key is one ``UnknownKeyWarning`` naming the caller, once the outcome is known.
+    for invariant violations (naming the invariant). The document is
+    decoded by orjson, behind ``jsondoc.MAX_DEPTH``. Each unknown key is one
+    ``UnknownKeyWarning`` naming the caller, once the outcome is known.
     """
     unknown: list[str] = []
     try:
-        kwargs = _fast_fields(data, unknown)
-        if kwargs is None:
-            unknown.clear()
-            kwargs = _read_fields(decode(data, SessionSyntaxError, "session document"), unknown)
+        kwargs = _read_fields(decode(data, SessionSyntaxError, "session document", fast=True), unknown)
         try:
             return SessionTelemetry._with_intervals(**kwargs)
         except SchemaError as exc:  # the constructor's SchemaError names an event stream

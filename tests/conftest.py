@@ -1,11 +1,7 @@
-import sys
-from contextlib import contextmanager
-
 import pytest
 
 import gpindex.cli
 from gpindex.config import default_config
-from gpindex.jsondoc import fast_json
 from gpindex.report import serialize_session
 from gpindex.synth import DeviceModel, generate_session
 
@@ -19,30 +15,6 @@ def default_cfg():
 def two_workers(monkeypatch):
     """``gpindex.cli`` maps over two forked workers, even on a one-CPU runner."""
     monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 2)
-
-
-@contextmanager
-def orjson_hidden():
-    """Inside, ``import orjson`` fails, as where it is not installed.
-
-    Only the ``orjson`` entry of ``sys.modules`` is set and put back:
-    modules first imported inside stay imported.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(sys.modules, "orjson", None)
-        fast_json.cache_clear()
-        try:
-            assert fast_json() is None
-            yield
-        finally:
-            fast_json.cache_clear()
-
-
-@pytest.fixture
-def json_only():
-    """Sessions are decoded and written by json alone: ``import orjson`` fails, as without it."""
-    with orjson_hidden():
-        yield
 
 
 @pytest.fixture(scope="session")

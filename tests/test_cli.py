@@ -65,7 +65,7 @@ def demo_dir(tmp_path_factory):
 
 def failing_session_bytes(session, kind):
     """``session``'s file with one fault by ``kind`` mod 3: frames out of order, charging, or an
-    unknown key (which only warns). orjson and json decode each alike."""
+    unknown key (which only warns)."""
     doc = json.loads(serialize_session(session))
     events = doc["events"]
     if kind % 3 == 0:
@@ -85,7 +85,10 @@ def write_sessions(directory, sessions):
     return directory
 
 
-LONE_SURROGATE = "string holds a lone surrogate, which UTF-8 cannot encode"
+# orjson rejects a lone surrogate escape where json decoded it and the field reader named it.
+LONE_SURROGATE = (
+    "malformed session document: no matched low surrogate in string: line 1 column 54 (char 53)"
+)
 
 
 def lone_surrogate_file(directory, session):
@@ -159,17 +162,12 @@ def test_each_command_loads_only_the_modules_it_runs(short_corpus, tmp_path):
     cli = {"gpindex", "gpindex.cli", "gpindex.errors", "gpindex.jsondoc", "gpindex.telemetry"}
     layers = {"config", "data", "indices", "metrics", "report", "scoring"}
     scoring = cli | {f"gpindex.{m}" for m in layers}
-    # Each command loads orjson where it imports with the commands' environment:
-    # to read sessions, or in demo to write them.
-    probe = "try: import orjson\nexcept ImportError: print(False)\nelse: print(True)"
-    fast = {"orjson"} if subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout == "True\n" else set()
+    # Each command loads orjson, to read sessions or, in demo, to write them.
     assert outcomes == {
-        "validate": (cli, 0, cli | fast),
-        "score": (cli, 0, scoring | fast),
-        "compare": (cli, 0, scoring | fast),
-        "demo": (cli, 0, scoring | {"gpindex.synth", "numpy", "inspect"} | fast),
+        "validate": (cli, 0, cli | {"orjson"}),
+        "score": (cli, 0, scoring | {"orjson"}),
+        "compare": (cli, 0, scoring | {"orjson"}),
+        "demo": (cli, 0, scoring | {"gpindex.synth", "numpy", "inspect", "orjson"}),
     }
     for name in ("report_competitive.json", "report_casual.json", "plot_data.csv"):
         assert (tmp_path / "demo" / name).read_bytes() == (GOLDEN_DIR / f"demo_{name}").read_bytes()
@@ -266,7 +264,7 @@ class TestValidate:
     def test_lone_surrogate_diagnosed(self, tmp_path, reference_session, capsys):
         path = lone_surrogate_file(tmp_path, reference_session)
         assert main(["validate", str(path)]) == 1
-        assert capsys.readouterr() == ("0 valid\n", f"{path}: device.device_id: {LONE_SURROGATE}\n")
+        assert capsys.readouterr() == ("0 valid\n", f"{path}: {LONE_SURROGATE}\n")
 
     def test_missing_file_diagnosed(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
@@ -400,12 +398,6 @@ class TestDemo:
             for p in demo_dir.glob("sessions/*/*.json")
         }
         assert len(golden) == 27 and written == golden
-
-    # Without orjson the frames are written by json: the same bytes.
-    def test_session_files_match_golden_digests_written_by_json(self, tmp_path, json_only):
-        out = tmp_path / "demo"
-        assert main(["demo", "--out", str(out)]) == 0
-        self.test_session_files_match_golden_digests(out)
 
     def test_plot_rows(self, demo_dir):
         lines = (demo_dir / "plot_data.csv").read_text().splitlines()
@@ -587,11 +579,11 @@ class TestPerFileDiagnostics:
             f"error: {path}: drain_pct_per_hour: battery samples must span > 60 s, got 30.0 s\n"
         )
 
-    # json decodes a lone surrogate escape, which once escaped as a UnicodeEncodeError traceback.
+    # A lone surrogate escape once escaped as a UnicodeEncodeError traceback.
     def test_lone_surrogate_session(self, command, tmp_path, reference_session, capsys):
         path = lone_surrogate_file(tmp_path / "device", reference_session)
         assert self.run(command, tmp_path, path.parent) == 1
-        assert capsys.readouterr().err == f"error: {path}: device.device_id: {LONE_SURROGATE}\n"
+        assert capsys.readouterr().err == f"error: {path}: {LONE_SURROGATE}\n"
 
     def test_unreadable_session(self, command, tmp_path, reference_session, capsys):
         device_dir = write_sessions(tmp_path / "device", [reference_session])
@@ -933,6 +925,37 @@ class TestCompareWorkers:
         )
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.startswith("error: worker ") and result.stderr.count("\n") == 1
+        assert result.stderr.endswith(" ended before its items (killed by signal 9)\n")
+
+    # A worker that ends early is named with its wait status, and reaped once:
+    # not again when the map closes.
+    @pytest.mark.parametrize(
+        "end,status",
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+            (lambda: os._exit(3), "exit status 3"),
+        ],
+        ids=["sigkill", "exit_3"],
+    )
+    def test_dead_worker_is_named_by_its_wait_status(self, monkeypatch, end, status):
+        waitpid, waited = os.waitpid, []
+
+        def recording_waitpid(pid, options):
+            waited.append(pid)
+            return waitpid(pid, options)
+
+        def item(i):
+            if i == 1:
+                end()
+            return i
+
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+        with pytest.raises(EngineError) as info:
+            list(gpindex.cli._ordered_map(item, range(4)))
+        dead = int(str(info.value).split()[1])
+        assert str(info.value) == f"worker {dead} ended before its items ({status})"
+        assert len(waited) == len(set(waited)) == 2 and dead in waited
+        assert_no_child_left()
 
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
@@ -1214,6 +1237,58 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert abs(peak_4n - peak_n) < session_size, (peak_n, peak_4n, session_size)
+
+
+# orjson alone decodes 100,000 nested arrays and overruns the C stack at 200,000:
+# validate once died by SIGSEGV (exit 139, no output), and with a second file it
+# and compare printed only "error: worker N ended before its items".
+DEEP = b"[" * 200_000 + b"]" * 200_000
+TOO_DEEP = "malformed session document: nested deeper than 64 levels"
+
+
+@needs_fork
+class TestDeepFiles:
+    """A file nested past the bound fails on its own line, in a child process, so a crash
+    fails the test and not the test run."""
+
+    @staticmethod
+    def run(argv):
+        """``main(argv)`` over two forked workers in a fresh interpreter."""
+        code = (
+            "import json, sys\n"
+            "import gpindex.cli\n"
+            "gpindex.cli._usable_cpus = lambda: 2\n"
+            "sys.exit(gpindex.cli.main(json.loads(sys.argv[1])))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gpindex.cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    @pytest.fixture
+    def device_dir(self, tmp_path, reference_session):
+        """A device directory: the deep file first, then a valid session."""
+        device_dir = write_sessions(tmp_path / "device", [reference_session, reference_session])
+        (device_dir / "session_00.json").write_bytes(DEEP)
+        return device_dir
+
+    def test_validate_alone(self, device_dir):
+        deep = device_dir / "session_00.json"
+        assert self.run(["validate", str(deep)]) == (1, "0 valid\n", f"{deep}: {TOO_DEEP}\n")
+
+    def test_validate_beside_a_valid_file(self, device_dir):
+        deep, valid = sorted(device_dir.glob("*.json"))
+        assert self.run(["validate", str(deep), str(valid)]) == (
+            1, "1 valid\n", f"{deep}: {TOO_DEEP}\n"
+        )
+
+    def test_compare(self, device_dir, tmp_path):
+        deep = device_dir / "session_00.json"
+        assert self.run(["compare", "--out", str(tmp_path / "cmp"), str(device_dir)]) == (
+            1, "", f"error: {deep}: {TOO_DEEP}\n"
+        )
 
 
 def run_program(*args):

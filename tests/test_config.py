@@ -74,7 +74,8 @@ HOSTILE_CONFIGS = {
         config_bytes(first_breakpoint([1, 2, 3])),
         "curves.avg_fps[0]: expected a 2-element array",
     ),
-    "deep_nesting": (b"[" * 100_000, "malformed config: maximum recursion depth"),
+    # Once json's RecursionError, "maximum recursion depth exceeded"; now the nesting bound.
+    "deep_nesting": (b"[" * 100_000, "malformed config: nested deeper than 64 levels"),
     "long_integer": (
         config_bytes(main_weight("@")).replace(b'"@"', b"9" * 5000),
         "malformed config: Exceeds the limit",

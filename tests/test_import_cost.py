@@ -13,12 +13,13 @@ def test_validate_load_set():
         capture_output=True, text=True, check=True,
     )
     head, cold, columns, *rows = result.stdout.splitlines()
-    assert head == "validate: import gpindex.cli (+ orjson where it imports)"
+    assert head == "validate: import gpindex.cli, orjson"
     assert cold.startswith("  cold import: ") and cold.endswith(" ms, median of 1")
     modules = {row.split()[1] for row in rows}
     assert {m for m in modules if m.split(".")[0] == "gpindex"} == {
         "gpindex", "gpindex.cli", "gpindex.errors", "gpindex.jsondoc", "gpindex.telemetry"
     }
-    # The standard library that validate adds after site: json, never dataclasses or inspect.
-    assert {"json", "argparse"} <= modules
-    assert not {"dataclasses", "inspect", "statistics", "numpy", "orjson"} & modules
+    # orjson and the standard library that validate adds after site: json, never
+    # dataclasses or inspect.
+    assert {"orjson", "json", "argparse"} <= modules
+    assert not {"dataclasses", "inspect", "statistics", "numpy"} & modules

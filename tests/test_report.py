@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import re
+from enum import IntEnum
 
 import numpy as np
+import orjson
 import pytest
 from unittest.mock import patch
 
@@ -18,6 +21,7 @@ from gpindex.errors import (
     MixedProfilesError,
     ModelError,
     SchemaError,
+    SessionSyntaxError,
     ValidationError,
 )
 from gpindex.indices import MainIndex, ScoreCard
@@ -386,6 +390,13 @@ class Millis(int):
     __str__ = __repr__
 
 
+class Tick(IntEnum):
+    """An int enum: json and orjson both write its int value."""
+
+    START = 0
+    NEXT = 16
+
+
 _time = st.integers(0, 100_000)
 _level = st.floats(0, 100)
 # Each event stream's columns, drawn valid.
@@ -436,6 +447,19 @@ def _session(frames):
     )
 
 
+def _frames_document(frames, text):
+    """The file of ``_session(frames)``, its frames written as ``text``, which is json's."""
+    assert json.dumps({"frames": frames}, separators=(",", ":")).encode() == b"{%s}" % text
+    return oracle_bytes(_session((0, 16, 33))).replace(b'"frames":[0,16,33]', text)
+
+
+def _rows_document(stream, rows):
+    """The file of ``_session((0, 16, 33))`` with ``rows`` as ``stream``, as json writes it."""
+    doc = json.loads(oracle_bytes(_session((0, 16, 33))))
+    doc["events"][stream] = rows
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
 class TestSerializeSessionOracle:
     # Block sizes of 2-5 intervals split the drawn frames into several blocks.
     @settings(max_examples=300, deadline=None)
@@ -468,6 +492,7 @@ class TestSerializeSessionOracle:
     # An int subclass: json and %d both write its int value.
     @example([0, Millis(16), 33], 2)
     @example([Millis(0), 16, 400], 2)
+    @example([Tick.START, Tick.NEXT, 2**20], 2)
     def test_built_session_raises_or_round_trips(self, frames, block):
         with patch.object(telemetry, "_FRAME_BLOCK", block):
             try:
@@ -490,14 +515,11 @@ class TestSerializeSessionOracle:
             ((5, 21.0, 37), b'"frames":[5,21.0,37]'),
             ((-5, 0, True, 300), b'"frames":[-5,0,true,300]'),
             ((0, Millis(16), 33), b'"frames":[0,16,33]'),
-            ((-(2**70), 2**64, 2**64 + 1), b'"frames":[-1180591620717411303424,'
-             b"18446744073709551616,18446744073709551617]"),
             (5, b'"frames":5'),  # once a bare TypeError
         ],
     )
     def test_frames_written_as_json_writes_them(self, frames, text):
-        assert json.dumps({"frames": frames}, separators=(",", ":")).encode() == b"{%s}" % text
-        document = oracle_bytes(_session((0, 16, 33))).replace(b'"frames":[0,16,33]', text)
+        document = _frames_document(frames, text)
         try:
             session = _session(frames)
         except SchemaError as built_error:
@@ -507,6 +529,19 @@ class TestSerializeSessionOracle:
         else:
             assert serialize_session(session) == document
             assert parse_session(document) == session
+
+    # orjson reads an integer literal below -2**63 or past 2**64 - 1 as a
+    # float, so the file's diagnostic names a float where the build's names
+    # the int64 range; both once named the range.
+    def test_frames_past_int64_are_read_as_floats(self):
+        frames = (-(2**70), 2**64, 2**64 + 1)
+        document = _frames_document(
+            frames, b'"frames":[-1180591620717411303424,18446744073709551616,18446744073709551617]'
+        )
+        with pytest.raises(SchemaError, match=r"^frames\[0\]: integer outside the int64 range$"):
+            _session(frames)
+        with pytest.raises(SchemaError, match=r"^events.frames\[0\]: expected integer, got float$"):
+            parse_session(document)
 
     # The rows and launch as json writes them in a file: a direct build and
     # the parser reading that file raise the same SchemaError. The first and
@@ -520,28 +555,40 @@ class TestSerializeSessionOracle:
             ("launch", (0.5, 1.5), "launch[0]: expected integer, got float"),
             ("battery", ((0.5, 100.0),), "battery[0][0]: expected integer, got float"),
             ("temperature", ((0, 30.0, 5),), "temperature[0][2]: expected string, got int"),
-            (
-                "temperature",
-                ((0, 30.0, "soc\ud800"),),
-                "temperature[0][2]: string holds a lone surrogate, which UTF-8 cannot encode",
-            ),
             ("touch", ((True, 10.0),), "touch[0][0]: expected integer, got bool"),
             ("scene_loads", ((0, 2.5),), "scene_loads[0][1]: expected integer, got float"),
             ("battery", 5, "battery: expected array, got int"),
-            ("touch", ((0, math.inf),), "touch[0][1]: expected finite number"),
-            ("temperature", ((0, math.nan, "soc"),), "temperature[0][1]: expected finite number"),
-            ("battery", ((0, 10**400),), "battery[0][1]: expected finite number"),
         ],
     )
     def test_rows_written_as_json_are_read_as_built(self, stream, rows, message):
         with pytest.raises(SchemaError) as built_error:
             replace(_session((0, 16, 33)), **{stream: rows})
         assert type(built_error.value) is SchemaError and str(built_error.value) == message
-        doc = json.loads(oracle_bytes(_session((0, 16, 33))))
-        doc["events"][stream] = rows
         with pytest.raises(SchemaError) as parsed_error:
-            parse_session(json.dumps(doc, separators=(",", ":")).encode())
+            parse_session(_rows_document(stream, rows))
         assert str(parsed_error.value) == f"events.{message}"
+
+    # Rows a build rejects and json writes as no JSON orjson reads: a lone
+    # surrogate escape, the Infinity and NaN literals, a number past the
+    # double range. The parser once named each as the build does.
+    @pytest.mark.parametrize(
+        "stream,rows,message",
+        [
+            (
+                "temperature",
+                ((0, 30.0, "soc\ud800"),),
+                "temperature[0][2]: string holds a lone surrogate, which UTF-8 cannot encode",
+            ),
+            ("touch", ((0, math.inf),), "touch[0][1]: expected finite number"),
+            ("temperature", ((0, math.nan, "soc"),), "temperature[0][1]: expected finite number"),
+            ("battery", ((0, 10**400),), "battery[0][1]: expected finite number"),
+        ],
+    )
+    def test_rows_json_writes_that_orjson_rejects(self, stream, rows, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            replace(_session((0, 16, 33)), **{stream: rows})
+        with pytest.raises(SessionSyntaxError, match="^malformed session document: "):
+            parse_session(_rows_document(stream, rows))
 
     # A build with an int subclass takes the walk, which keeps an int level as
     # written, as the parser's bulk check does: once the walk kept 100 and the
@@ -552,10 +599,12 @@ class TestSerializeSessionOracle:
         assert serialize_session(parse_session(payload)) == payload
         assert b'"battery":[[0,100],[5,99]]' in payload
 
-    # Rows drawn from JSON values: a direct build and the parser reading the
-    # file json writes for them build equal sessions, or raise the same class
-    # with the same message, the parser's prefixed "events.". Non-finite
-    # values once raised a ValidationError of a build's own.
+    # Rows drawn from JSON values: a direct build from the values orjson reads
+    # in the file json writes for them, and the parser reading that file,
+    # build equal sessions, or raise the same class with the same message, the
+    # parser's prefixed "events.". orjson reads an integer past uint64 or below
+    # -2**63 as a float and rejects what is not JSON (NaN, infinities).
+    # Non-finite values once raised a ValidationError of a build's own.
     @settings(max_examples=300, deadline=None)
     @given(_json_events())
     @example({"battery": [[0, 100], [16, 99.5]], "temperature": [[0, 30, "soc"]],
@@ -568,6 +617,12 @@ class TestSerializeSessionOracle:
         doc = json.loads(oracle_bytes(session))
         doc["events"].update(events)
         payload = json.dumps(doc, separators=(",", ":")).encode()
+        try:
+            events = {name: orjson.loads(payload)["events"][name] for name in events}
+        except orjson.JSONDecodeError:
+            with pytest.raises(SessionSyntaxError, match="^malformed session document: "):
+                parse_session(payload)
+            return
         try:
             built = replace(session, **events)
         except EngineError as built_error:

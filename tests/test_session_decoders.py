@@ -1,32 +1,25 @@
-"""orjson and json give every session document the same outcome, and every session the same bytes.
+"""Session documents are decoded by orjson alone, behind one nesting bound.
 
-``parse_session`` decodes with orjson where it is installed and keeps
-its outcome only where orjson's value is json's; each input here is
-parsed both ways, the second with ``import orjson`` failing, and must
-give the same session bytes, or the same error class and message, and
-the same warnings. ``serialize_session`` writes the frames with orjson
-where it is installed; each session here is written both ways too.
+``jsondoc.decode`` reads how deep a document nests off its bytes
+(:func:`nesting`) before any decoder runs, and rejects one nested deeper
+than ``MAX_DEPTH``: so a file's outcome does not hang on the caller's
+stack, and no decoder overruns the C stack. The inputs orjson reads
+otherwise than json did each have one outcome, pinned here.
 """
 
 import json
-import re
 import warnings
-from enum import IntEnum
+from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gpindex import telemetry
-from gpindex.errors import EngineError
-from gpindex.jsondoc import fast_json, replace
+from gpindex.errors import EngineError, SchemaError, SessionSyntaxError, ValidationError
+from gpindex.jsondoc import MAX_DEPTH, nesting
 from gpindex.report import serialize_session
 from gpindex.telemetry import UnknownKeyWarning, parse_session
-from tests.conftest import orjson_hidden
-from tests.strategies import one_field_mutations, sessions
-from tests.test_jsondoc import _arbitrary
 from tests.test_telemetry import make_doc, to_bytes
-
-orjson = pytest.importorskip("orjson", exc_type=ImportError)
 
 
 def _outcome(data):
@@ -42,13 +35,6 @@ def _outcome(data):
     return result, [(w.category, str(w.message), w.filename) for w in caught]
 
 
-def assert_decoders_agree(data):
-    assert fast_json() is orjson
-    fast = _outcome(data)
-    with orjson_hidden():
-        assert _outcome(data) == fast
-
-
 def _doc_bytes(events=None, **top):
     doc = make_doc(**top)
     doc["events"].update(events or {})
@@ -61,136 +47,193 @@ def _nested(depth):
 
 _VALID = _doc_bytes()
 _GAME = b'"game": {'
+_TOO_DEEP = (SessionSyntaxError, f"malformed session document: nested deeper than {MAX_DEPTH} levels")
 
 
-class TestDecodersAgree:
-    @settings(max_examples=200, deadline=None)
-    @given(data=_arbitrary)
-    def test_arbitrary_bytes(self, data):
-        assert_decoders_agree(data)
-
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        data=one_field_mutations(
-            sessions(max_intervals=8).map(lambda s: json.loads(serialize_session(s)))
-        )
-    )
-    # orjson reads these integers as floats: a real keeps json's int, an int field its message.
-    @example(_doc_bytes({"touch": [[0, 2**64]]}))
-    @example(_doc_bytes({"touch": [[0, -(2**63) - 1]]}))
-    @example(_doc_bytes({"frames": [0, -(2**63) - 1]}))
-    @example(_VALID.replace(b'"device_id": "phone1"', b'"device_id": "phone1", "x": 1e19'))
-    @example(_VALID.replace(_GAME, b'"game": {"aa_tier": 18446744073709551616, '))
-    @example(_VALID.replace(b'"texture_tier": 3', b'"texture_tier": -9223372036854775809'))
-    # json fails past about 1,000 levels, orjson far deeper.
-    @example(_VALID.replace(_GAME, f'"x": {_nested(2000)}, "game": {{'.encode()))
-    @example(_VALID.replace(_GAME, f'"x": {_nested(995)}, "game": {{'.encode()))
-    @example(_VALID.replace(b"[0, 16]", f"[0, 16, {_nested(2000)}]".encode()))
-    # Literals json reads and orjson rejects.
-    @example(_doc_bytes({"touch": [[0, float("nan")]]}))
-    @example(_doc_bytes({"battery": [[0, float("inf")]]}))
-    @example(_VALID.replace(b'"render_scale": 1.0', b'"render_scale": 1e400'))
-    @example(_VALID.replace(b'"phone1"', b'"\\ud800"'))
-    @example(_VALID.replace(b'"phone1"', b'"ph\\udc00"'))
-    # A duplicate key, a byte order mark, invalid UTF-8.
-    @example(_VALID.replace(_GAME, b'"device": {"device_id": "p2"}, "game": {'))
-    @example(b"\xef\xbb\xbf" + _VALID)
-    @example(_VALID.replace(b'"phone1"', b'"\xff"'))
-    # A float frame, read by orjson and json alike.
-    @example(_doc_bytes({"frames": [0, 16.0, 32]}))
-    # Unknown keys, each warned once.
-    @example(_doc_bytes({"frames": [0, 16], "extra": 1}, extra_top=2))
-    def test_one_field_mutation(self, data):
-        assert_decoders_agree(data)
+def _under_unknown_key(levels):
+    """The valid document with ``levels`` nested arrays under the unknown top-level key "x"."""
+    return _VALID.replace(_GAME, f'"x": {_nested(levels)}, "game": {{'.encode())
 
 
-def _json_decodes(monkeypatch):
-    """The calls ``parse_session`` makes to json's decoder, as a list that fills."""
-    calls = []
-    decode = telemetry.decode
-
-    def counting(*args):
-        calls.append(args)
-        return decode(*args)
-
-    monkeypatch.setattr(telemetry, "decode", counting)
-    return calls
+def _depth(value):
+    """How deep a decoded JSON value nests: a scalar 0, an array or object one more than its items."""
+    if isinstance(value, list):
+        return 1 + max(map(_depth, value), default=0)
+    if isinstance(value, dict):
+        return 1 + max(map(_depth, value.values()), default=0)
+    return 0
 
 
-class TestFastPath:
-    def test_valid_file_is_decoded_by_orjson_alone(self, fixture_session_path, monkeypatch):
-        calls = _json_decodes(monkeypatch)
-        assert len(parse_session(fixture_session_path.read_bytes()).frames) == 36_000
-        assert calls == []
+def _at_stack_depth(frames, fn):
+    """``fn()``, called ``frames`` Python frames below this one."""
+    return fn() if frames == 0 else _at_stack_depth(frames - 1, fn)
+
+
+# Strings that hold what the scan must see through: quotes and backslashes
+# (escaped by json), brackets, "/" (which may be escaped), control characters
+# (written as \u escapes), a lone surrogate and non-ASCII text.
+_text = st.text(st.sampled_from('"\\[]{}/ a\x00\n\x1féü東😀\ud800'), max_size=6) | st.text(max_size=4)
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _documents(draw):
+    """JSON text of a drawn value, wrapped in up to 80 arrays and objects, as json writes it."""
+    value = draw(_values)
+    for _ in range(draw(st.integers(0, 80))):
+        value = [value] if draw(st.booleans()) else {draw(_text): value}
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()), indent=draw(st.none() | st.just(1)))
+    if draw(st.booleans()):
+        text = text.replace("/", "\\/")  # "/" stands only in strings, where "\/" is its escape
+    return text
+
+
+class TestNestingScan:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents())
+    @example('["\\\\", ["]"], {"\\"[": [[]]}]')
+    @example('"\\\\\\"[[["')
+    @example(_nested(MAX_DEPTH + 1))
+    def test_scan_equals_decoded_depth(self, text):
+        assert nesting(text.encode("utf-8", "surrogatepass")) == _depth(json.loads(text))
+
+    def test_scan_of_a_scalar_or_nothing(self):
+        assert [nesting(data) for data in (b"", b"5", b'"[{"')] == [0, 0, 0]
+
+
+class TestNestingBound:
+    # A file's outcome once hung on the caller's stack: the demo session with
+    # 700 to 990 levels under an unknown key was valid at the top of the stack
+    # and a SessionSyntaxError 300 frames down.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 1100))
+    @example(MAX_DEPTH - 1)  # the document nests MAX_DEPTH deep
+    @example(MAX_DEPTH)
+    @example(MAX_DEPTH + 1)
+    @example(984)
+    @example(990)
+    def test_same_outcome_at_any_stack_depth(self, levels):
+        data = _under_unknown_key(levels)
+        top = _outcome(data)
+        assert _at_stack_depth(300, partial(_outcome, data)) == top
+        if levels < MAX_DEPTH:
+            assert top[1] == [(UnknownKeyWarning, "ignoring unknown key 'x'", __file__)]
+        else:
+            assert top == (_TOO_DEEP, [])
+
+    # orjson alone decodes 100,000 levels and overruns the C stack at 200,000.
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 200_000])
+    def test_deep_document_is_rejected_before_decoding(self, depth):
+        assert _outcome(_nested(depth).encode()) == (_TOO_DEEP, [])
+
+    def test_deep_frames_array(self):
+        data = _VALID.replace(b"[0, 16]", f"[0, 16, {_nested(2000)}]".encode())
+        assert _outcome(data) == (_TOO_DEEP, [])
+
+
+class TestOrjsonOutcomes:
+    """Inputs whose outcome moved when json stopped decoding session files."""
 
     @pytest.mark.parametrize(
-        "data,error",
+        "data,error,message",
         [
-            # Out of order and charging fail in the constructor, after the frame check.
-            (_doc_bytes({"frames": [0, 16, 8]}), "frames not non-decreasing at t=8ms"),
-            (_doc_bytes({"battery": [[0, 50.0], [9, 75.0]]}), "battery increased by >0.5pp"),
-            (_doc_bytes({"frames": [0, 16.5]}), "events.frames[1]: expected integer, got float"),
+            # orjson reads an integer literal past uint64, or below -2**63, as a
+            # float: an int field names the float (json's int named the range).
+            (
+                _doc_bytes({"frames": [0, -(2**63) - 1]}),
+                SchemaError,
+                "events.frames[1]: expected integer, got float",
+            ),
+            (
+                _VALID.replace(b'"texture_tier": 3', b'"texture_tier": -9223372036854775809'),
+                SchemaError,
+                "game.texture_tier: expected integer, got float",
+            ),
+            # Not JSON orjson reads: the NaN and Infinity literals, a number past
+            # the double range, a lone surrogate escape (the readers named each).
+            (
+                _doc_bytes({"touch": [[0, float("nan")]]}),
+                SessionSyntaxError,
+                "malformed session document: unexpected character: line 1 column 230 (char 229)",
+            ),
+            (
+                _doc_bytes({"battery": [[0, float("inf")]]}),
+                SessionSyntaxError,
+                "malformed session document: unexpected character: line 1 column 232 (char 231)",
+            ),
+            (
+                _VALID.replace(b'"render_scale": 1.0', b'"render_scale": 1e400'),
+                SessionSyntaxError,
+                "malformed session document: number is infinity when parsed as double: "
+                "line 1 column 103 (char 102)",
+            ),
+            (
+                _VALID.replace(b'"phone1"', b'"\\ud800"'),
+                SessionSyntaxError,
+                "malformed session document: no matched low surrogate in string: "
+                "line 1 column 54 (char 53)",
+            ),
+            (
+                _VALID.replace(b'"phone1"', b'"ph\\udc00"'),
+                SessionSyntaxError,
+                "malformed session document: invalid high surrogate in string: "
+                "line 1 column 50 (char 49)",
+            ),
+            # Malformed text: the class stands, orjson words the diagnostic.
+            (
+                _VALID[:-20],
+                SessionSyntaxError,
+                "malformed session document: unexpected end of data: line 1 column 196 (char 195)",
+            ),
+            (
+                b"\xef\xbb\xbf" + _VALID,
+                SessionSyntaxError,
+                "malformed session document: byte order mark (BOM) is not supported: "
+                "line 1 column 1 (char 0)",
+            ),
+            # Checked before any decoder: the same as ever.
+            (
+                _VALID.replace(b'"phone1"', b'"\xff"'),
+                SessionSyntaxError,
+                "session document is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                "in position 47: invalid start byte",
+            ),
+            # A float frame, and a real far below int64 read as its nearest float.
+            (
+                _doc_bytes({"frames": [0, 16.0, 32]}),
+                SchemaError,
+                "events.frames[1]: expected integer, got float",
+            ),
+            (
+                _doc_bytes({"touch": [[0, -(2**63) - 1]]}),
+                ValidationError,
+                "negative touch latency at t=0ms",
+            ),
         ],
-        ids=["disorder", "charging", "float_frame"],
     )
-    def test_failing_file_keeps_orjsons_error(self, data, error, monkeypatch):
-        calls = _json_decodes(monkeypatch)
-        with pytest.raises(EngineError, match="^" + re.escape(error)):
-            parse_session(data)
-        assert calls == []
+    def test_outcome(self, data, error, message):
+        assert _outcome(data) == ((error, message), [])
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            _doc_bytes({"touch": [[0, 2**64]]}),
-            _VALID.replace(_GAME, f'"x": {_nested(40)}, "game": {{'.encode()),
-            _doc_bytes({"touch": [[0, float("nan")]]}),
-        ],
-        ids=["integer_past_uint64", "nested_40_deep", "nan"],
-    )
-    def test_json_decodes_where_orjson_may_differ(self, data, monkeypatch):
-        calls = _json_decodes(monkeypatch)
-        assert_decoders_agree(data)
-        assert len(calls) == 2  # once in each of the two runs
+    # A real past uint64 reads as the nearest float, where json kept the int.
+    def test_real_past_uint64_reads_as_its_float(self):
+        latency = parse_session(_doc_bytes({"touch": [[0, 2**64 + 1]]})).touch[0].latency_ms
+        assert latency == float(2**64) and type(latency) is float
 
-    def test_a_fallback_warns_once_per_key(self):
+    # The last of duplicate keys wins.
+    def test_duplicate_key(self):
+        data = _VALID.replace(_GAME, b'"device": {"device_id": "p2"}, "game": {')
+        assert parse_session(data).device.device_id == "p2"
+
+    def test_each_unknown_key_warns_once_naming_the_caller(self):
         data = _doc_bytes({"touch": [[0, 2**64]], "replay": 1}, extra_top=2)
         with pytest.warns(UnknownKeyWarning) as record:
-            session = parse_session(data)
-        assert session.touch[0].latency_ms == 2**64
+            parse_session(data)
         assert [str(w.message) for w in record] == [
             "ignoring unknown key 'extra_top'",
             "ignoring unknown key 'events.replay'",
         ]
         assert [w.filename for w in record] == [__file__] * 2
-
-
-class _Ms(int):
-    """An int subclass whose repr is not its digits."""
-
-    def __repr__(self):
-        return f"_Ms({int(self)})"
-
-
-class _Tick(IntEnum):
-    START = 0
-    NEXT = 16
-
-
-_BASE = parse_session(_VALID)
-
-
-class TestWritersAgree:
-    @settings(max_examples=200, deadline=None)
-    @given(session=sessions())
-    @example(replace(_BASE, frames=tuple(map(_Ms, (0, 16, 33, 2**40)))))
-    @example(replace(_BASE, frames=(_Tick.START, _Tick.NEXT, 2**20)))
-    @example(replace(_BASE, frames=(-(2**53 - 1), 0, 2**53 - 1)))
-    @example(replace(_BASE, settings=replace(_BASE.settings, game_id='50%d "frames":[] %s')))
-    @example(replace(_BASE, frames=(0, 16)))
-    def test_frames_written_alike(self, session):
-        assert fast_json() is orjson
-        fast = serialize_session(session)
-        with orjson_hidden():
-            assert serialize_session(session) == fast
-        assert parse_session(fast) == session
