@@ -934,8 +934,11 @@ class TestCompareWorkers:
         [
             (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
             (lambda: os._exit(3), "exit status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGTERM), "killed by signal 15"),
+            # Leaving cleanly before its items is still a death.
+            (lambda: os._exit(0), "exit status 0"),
         ],
-        ids=["sigkill", "exit_3"],
+        ids=["sigkill", "exit_3", "sigterm", "exit_0"],
     )
     def test_dead_worker_is_named_by_its_wait_status(self, monkeypatch, end, status):
         waitpid, waited = os.waitpid, []
@@ -1287,6 +1290,12 @@ class TestDeepFiles:
     def test_compare(self, device_dir, tmp_path):
         deep = device_dir / "session_00.json"
         assert self.run(["compare", "--out", str(tmp_path / "cmp"), str(device_dir)]) == (
+            1, "", f"error: {deep}: {TOO_DEEP}\n"
+        )
+
+    def test_score(self, device_dir):
+        deep = device_dir / "session_00.json"
+        assert self.run(["score", "--profile", "casual", str(device_dir)]) == (
             1, "", f"error: {deep}: {TOO_DEEP}\n"
         )
 

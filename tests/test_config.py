@@ -41,6 +41,18 @@ def first_breakpoint(value):
     return edit
 
 
+def sub_weight(value):
+    def edit(doc):
+        doc["profiles"]["casual"]["sub_weights"]["visual_smoothness"]["avg_fps"] = value
+
+    return edit
+
+
+def literal_weight(literal):
+    """The default config with the casual battery weight written as the number ``literal``."""
+    return config_bytes(main_weight("@")).replace(b'"@"', literal)
+
+
 def rename_casual(name):
     def edit(doc):
         doc["profiles"][name] = doc["profiles"].pop("casual")
@@ -69,6 +81,28 @@ HOSTILE_CONFIGS = {
     "nan_weight": (config_bytes(main_weight(math.nan)), f"{BATTERY}: expected finite number"),
     "inf_weight": (config_bytes(main_weight(math.inf)), f"{BATTERY}: expected finite number"),
     "str_weight": (config_bytes(main_weight("x")), f"{BATTERY}: expected number, got str"),
+    # Configs are read by json, which hands these to the readers as numbers.
+    "negative_inf_weight": (
+        config_bytes(main_weight(-math.inf)), f"{BATTERY}: expected finite number"
+    ),
+    "literal_past_double_weight": (literal_weight(b"1e400"), f"{BATTERY}: expected finite number"),
+    "int_past_double_weight": (literal_weight(b"9" * 400), f"{BATTERY}: expected finite number"),
+    "nan_sub_weight": (
+        config_bytes(sub_weight(math.nan)),
+        "profiles.casual.sub_weights.visual_smoothness.avg_fps: expected finite number",
+    ),
+    "nan_breakpoint_value": (
+        config_bytes(first_breakpoint([math.nan, 0])),
+        "curves.avg_fps[0][0]: expected finite number",
+    ),
+    "inf_breakpoint_score": (
+        config_bytes(first_breakpoint([0, math.inf])),
+        "curves.avg_fps[0][1]: expected finite number",
+    ),
+    "lone_surrogate_profile_name": (
+        config_bytes(rename_casual("\ud800")),
+        "profiles: profile name '\\ud800' must name one file",
+    ),
     "null_weight": (config_bytes(main_weight(None)), f"{BATTERY}: expected number, got NoneType"),
     "three_element_breakpoint": (
         config_bytes(first_breakpoint([1, 2, 3])),

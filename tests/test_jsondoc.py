@@ -4,6 +4,7 @@ import pickle
 from importlib.resources import files
 from pathlib import Path
 
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from gpindex.errors import (
 from gpindex import telemetry
 from gpindex.indices import IndexProfile, MeasuredSession, ScoreCard, SessionScores, measure
 from gpindex.jsondoc import (
+    MAX_DEPTH,
     Record,
     as_int,
     as_pair,
@@ -28,6 +30,7 @@ from gpindex.jsondoc import (
     asdict,
     decode,
     fields,
+    is_finite,
     reader,
     replace,
     require,
@@ -37,7 +40,8 @@ from gpindex.report import ComparisonRow, ComparisonTable, serialize_session
 from gpindex.scoring import MappingCurve, SubIndexScore
 from gpindex.synth import CorpusDevice, DeviceModel, load_manifest
 from gpindex.telemetry import DeviceMeta, GameSettings, SessionTelemetry, parse_session
-from tests.strategies import hostile_values, one_field_mutations, sessions
+from tests.strategies import hostile_values, manifest_bytes, one_field_mutations, sessions
+from tests.test_telemetry import make_doc, to_bytes
 
 
 class TestReaders:
@@ -52,10 +56,29 @@ class TestReaders:
             require({"game_id": None}, "game_id", "game")
         assert require({"x": 0}, "x", "") == 0
 
-    @pytest.mark.parametrize("value", [2**63, 10**400, 1.0, True])
+    @pytest.mark.parametrize("value", [2**63, 10**400, 1.0, True, -(2**63) - 1])
     def test_as_int_rejects(self, value):
         with pytest.raises(SchemaError, match=r"^f: "):
             as_int(value, "f")
+
+    @pytest.mark.parametrize("value", [-(2**63), 2**63 - 1, 0])
+    def test_as_int_takes_the_int64_range(self, value):
+        assert as_int(value, "f") == value
+
+    @pytest.mark.parametrize(
+        "value,finite",
+        [
+            (0.5, True),
+            (2**70, True),
+            (10**400, False),  # an int past the float range
+            (math.inf, False),
+            (math.nan, False),
+            (True, False),
+            ("1", False),
+        ],
+    )
+    def test_is_finite(self, value, finite):
+        assert is_finite(value) is finite
 
     @pytest.mark.parametrize(
         "value,reason",
@@ -88,6 +111,94 @@ class TestReaders:
             as_pair([1, 2, 3], "p", as_real)
         with pytest.raises(SchemaError, match=r"^p\[1\]: expected integer, got float$"):
             as_pair([1, 2.5], "p", as_int)
+
+
+# --- decoding each kind of document ----------------------------------------
+#
+# Each kind of document: its loader, the class it raises, the name its
+# diagnostics give it, and a valid document holding ``text`` in a string.
+
+_DOCUMENTS = {
+    "session": (
+        parse_session,
+        SessionSyntaxError,
+        "session document",
+        lambda text: to_bytes(make_doc(device={"device_id": text})),
+    ),
+    "config": (
+        load_config,
+        ConfigError,
+        "config",
+        lambda text: json.dumps({**_DEFAULT_CONFIG, "note": text}).encode(),
+    ),
+    "manifest": (
+        load_manifest,
+        SchemaError,
+        "manifest",
+        lambda text: manifest_bytes({"device_id": text}),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DOCUMENTS))
+class TestDecodeEachDocument:
+    """Every document nests at most ``MAX_DEPTH`` deep, and text that is not a JSON document
+    raises its loader's class, whichever decoder reads it."""
+
+    def _raises(self, kind, data, message, error=None):
+        load, syntax_error, what, _ = _DOCUMENTS[kind]
+        error = error or syntax_error
+        with pytest.raises(error) as info:
+            load(data)
+        assert type(info.value) is error and str(info.value) == message.format(what=what)
+
+    def test_arrays_past_the_bound(self, kind):
+        data = b"[" * (MAX_DEPTH + 1) + b"]" * (MAX_DEPTH + 1)
+        self._raises(kind, data, f"malformed {{what}}: nested deeper than {MAX_DEPTH} levels")
+
+    def test_objects_past_the_bound(self, kind):
+        data = b'{"a": ' * (MAX_DEPTH + 1) + b"1" + b"}" * (MAX_DEPTH + 1)
+        self._raises(kind, data, f"malformed {{what}}: nested deeper than {MAX_DEPTH} levels")
+
+    def test_arrays_at_the_bound_are_decoded(self, kind):
+        data = b"[" * MAX_DEPTH + b"]" * MAX_DEPTH
+        schema_error = ConfigError if kind == "config" else SchemaError
+        self._raises(kind, data, "top level: expected object, got list", schema_error)
+
+    # A string of brackets is text: the document loads.
+    def test_brackets_in_a_string_do_not_count(self, kind):
+        load, _, _, document = _DOCUMENTS[kind]
+        load(document("[" * 10_000))
+
+    def test_bad_utf8_is_named_as_such(self, kind):
+        _, _, what, document = _DOCUMENTS[kind]
+        data = document("\x00").replace(b"\\u0000", b"\xc3")  # a lead byte, then a quote
+        at = data.index(b"\xc3")
+        self._raises(
+            kind, data, "{what} is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in "
+            f"position {at}: invalid continuation byte",
+        )
+
+    def test_every_truncation_is_malformed(self, kind):
+        load, error, what, document = _DOCUMENTS[kind]
+        data = document("x")
+        for end in range(len(data)):
+            with pytest.raises(error, match=f"^malformed {what}: "):
+                load(data[:end])
+
+    def test_byte_order_mark_is_malformed(self, kind):
+        load, error, what, document = _DOCUMENTS[kind]
+        with pytest.raises(error, match=f"^malformed {what}: "):
+            load(b"\xef\xbb\xbf" + document("x"))
+
+    # A caller near the recursion limit: the decoder's RecursionError is the caller's class.
+    def test_recursion_error_of_the_decoder(self, kind, monkeypatch):
+        def loads(data):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(orjson if kind == "session" else json, "loads", loads)
+        load, _, _, document = _DOCUMENTS[kind]
+        self._raises(kind, document("x"), "malformed {what}: maximum recursion depth exceeded")
 
 
 # Every field is read by its declared type: an annotation no reader takes

@@ -515,6 +515,53 @@ class TestManifestRejections:
         with pytest.raises((ModelError, SchemaError), match=match):
             load_manifest(manifest_bytes(overrides))
 
+    # Manifests are read by json, which hands these to the readers: each is named at its path.
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"seed": 2**64}, "devices[0].model.seed: integer outside the int64 range"),
+            (
+                {"texture_tier": -(2**63) - 1},
+                "devices[0].model.texture_tier: integer outside the int64 range",
+            ),
+            (
+                {"battery_capacity_mah": 2**63},
+                "devices[0].model.battery_capacity_mah: integer outside the int64 range",
+            ),
+            ({"temp_start_c": math.nan}, "devices[0].model.temp_start_c: expected finite number"),
+            (
+                {"throttle_onset_s": math.inf},
+                "devices[0].model.throttle_onset_s: expected finite number",
+            ),
+            ({"display_ppi": -math.inf}, "devices[0].model.display_ppi: expected finite number"),
+            ({"launch_s": 10**400}, "devices[0].model.launch_s: expected finite number"),
+            (
+                {"device_id": "\ud800"},
+                "devices[0].model.device_id: string holds a lone surrogate, which UTF-8 cannot "
+                "encode",
+            ),
+            (
+                {"game_id": "g\udc00"},
+                "devices[0].model.game_id: string holds a lone surrogate, which UTF-8 cannot "
+                "encode",
+            ),
+            (
+                {"session_duration_s": math.nan},
+                "devices[0].session_duration_s: expected finite number",
+            ),
+        ],
+    )
+    def test_values_json_reads_are_named(self, overrides, message):
+        with pytest.raises(SchemaError) as info:
+            load_manifest(manifest_bytes(overrides))
+        assert type(info.value) is SchemaError and str(info.value) == message
+
+    def test_sessions_past_int64(self):
+        data = manifest_bytes({}).replace(b'"sessions": 1', b'"sessions": ' + str(2**64).encode())
+        with pytest.raises(SchemaError) as info:
+            load_manifest(data)
+        assert str(info.value) == "devices[0].sessions: integer outside the int64 range"
+
     def test_zero_sessions(self):
         data = manifest_bytes({}).replace(b'"sessions": 1', b'"sessions": 0')
         message = r"^devices\[0\]\.sessions: expected positive integer$"

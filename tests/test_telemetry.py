@@ -6,6 +6,7 @@ from functools import partial
 from unittest.mock import patch
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,47 @@ def make_doc(**overrides):
 
 def to_bytes(doc):
     return json.dumps(doc).encode("utf-8")
+
+
+def _tuples(value):
+    """``value`` with each array a tuple, as a record holds it."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+# Fields built or parsed with a value their reader rejects, and its message.
+_BAD_DEVICE_FIELDS = [
+    ("display_resolution", (1, 2, 3), "display_resolution: expected a 2-element array"),
+    ("display_resolution", "ab", "display_resolution: expected array, got str"),
+    ("battery_capacity_mah", "5", "battery_capacity_mah: expected integer, got str"),
+    ("display_ppi", math.inf, "display_ppi: expected finite number"),
+    ("battery_capacity_mah", True, "battery_capacity_mah: expected integer, got bool"),
+    ("display_resolution", (1.5, 2), "display_resolution[0]: expected integer, got float"),
+    ("device_id", 5, "device_id: expected string, got int"),
+    ("device_id", 0, "device_id: expected string, got int"),
+    (
+        "device_id",
+        "\ud800",
+        "device_id: string holds a lone surrogate, which UTF-8 cannot encode",
+    ),
+]
+_BAD_GAME_FIELDS = [
+    ("render_scale", "x", "render_scale: expected number, got str"),
+    ("render_scale", None, "render_scale: expected number, got NoneType"),
+    ("render_scale", math.nan, "render_scale: expected finite number"),
+    ("game_id", 5, "game_id: expected string, got int"),
+    ("texture_tier", 0.0, "texture_tier: expected integer, got float"),
+    ("aa_tier", True, "aa_tier: expected integer, got bool"),
+    ("dynamic_range_tier", "3", "dynamic_range_tier: expected integer, got str"),
+]
+
+
+def _json_exact(value):
+    """Whether orjson reads ``json.dumps(value)`` back as ``value``, up to tuples as lists."""
+    try:
+        text = json.dumps(value)
+        return value is not None and orjson.loads(text) == json.loads(text)
+    except orjson.JSONDecodeError:
+        return False
 
 
 class TestParseSession:
@@ -210,6 +252,33 @@ class TestParseSession:
         [
             ("events", "touch", [[2000, -1.5]], "negative touch latency at t=2000ms"),
             ("device", "display_resolution", [0, 2400], "display_resolution must be positive"),
+            ("device", "display_resolution", [1440, -1], "display_resolution must be positive"),
+            ("device", "battery_capacity_mah", 0, "battery_capacity_mah must be positive"),
+            ("device", "battery_capacity_mah", -4500, "battery_capacity_mah must be positive"),
+            ("device", "display_ppi", 0, "display_ppi must be positive"),
+            ("device", "device_id", "", "device_id must be non-empty"),
+            ("game", "game_id", "", "game_id must be non-empty"),
+            ("game", "render_scale", 0.0, "render_scale must be in (0, 1], got 0.0"),
+            ("game", "effects_tier", 4, "effects_tier must be in 0..3, got 4"),
+            ("game", "dynamic_range_tier", -1, "dynamic_range_tier must be in 0..3, got -1"),
+            ("events", "battery", [[0, 100.5]], "battery level out of [0, 100] at t=0ms"),
+            ("events", "battery", [[7, -0.5]], "battery level out of [0, 100] at t=7ms"),
+            (
+                "events", "battery", [[0, 50.0], [1, 50.75]],
+                "battery increased by >0.5pp at t=1ms (charging sessions are rejected)",
+            ),
+            ("events", "touch", [[0, 1.0], [5, -0.25]], "negative touch latency at t=5ms"),
+            (
+                "events", "scene_loads", [[9000, 5000]],
+                "scene_load ends before it starts at t=9000ms",
+            ),
+            ("events", "launch", [500, 100], "launch t_first_frame must be >= t_start"),
+            ("events", "frames", [0], "frames must contain at least 2 timestamps"),
+            (
+                "events", "frames", [10, 10],
+                "session duration (last frame - first frame) must be > 0",
+            ),
+            ("events", "frames", [0, 20, 10], "frames not non-decreasing at t=10ms"),
         ],
     )
     def test_file_invariants_named(self, section, key, value, message):
@@ -218,6 +287,29 @@ class TestParseSession:
         with pytest.raises(ValidationError) as info:
             parse_session(to_bytes(doc))
         assert type(info.value) is ValidationError and str(info.value) == message
+
+    # The edge of each rule above is inside it.
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("device", "battery_capacity_mah", 1),
+            ("device", "display_ppi", 0.5),
+            ("device", "display_resolution", [1, 1]),
+            ("game", "render_scale", 1),
+            ("game", "render_scale", 5e-324),
+            ("game", "texture_tier", 0),
+            ("events", "battery", [[0, 99.5], [1, 100], [2, 0]]),
+            ("events", "touch", [[0, 0.0]]),
+            ("events", "scene_loads", [[5, 5]]),
+            ("events", "launch", [7, 7]),
+        ],
+    )
+    def test_file_invariant_edges_accepted(self, section, key, value):
+        doc = make_doc()
+        doc[section][key] = value
+        session = parse_session(to_bytes(doc))
+        record = {"device": session.device, "game": session.settings, "events": session}[section]
+        assert getattr(record, key) == _tuples(value)
 
     # Two faults: a row stream out of time order is named before any value
     # fault, in its own stream (battery, scene loads) or in another.
@@ -248,24 +340,7 @@ class TestParseSession:
     # Built directly: the first three once escaped as a bare ValueError or
     # TypeError, the rest were accepted and written to files the parser
     # rejects.
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [
-            ("display_resolution", (1, 2, 3), "display_resolution: expected a 2-element array"),
-            ("display_resolution", "ab", "display_resolution: expected array, got str"),
-            ("battery_capacity_mah", "5", "battery_capacity_mah: expected integer, got str"),
-            ("display_ppi", math.inf, "display_ppi: expected finite number"),
-            ("battery_capacity_mah", True, "battery_capacity_mah: expected integer, got bool"),
-            ("display_resolution", (1.5, 2), "display_resolution[0]: expected integer, got float"),
-            ("device_id", 5, "device_id: expected string, got int"),
-            ("device_id", 0, "device_id: expected string, got int"),
-            (
-                "device_id",
-                "\ud800",
-                "device_id: string holds a lone surrogate, which UTF-8 cannot encode",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("field,value,message", _BAD_DEVICE_FIELDS)
     def test_built_device_fields_checked(self, field, value, message):
         with pytest.raises(ValidationError) as info:
             DeviceMeta(**{"device_id": "x", field: value})
@@ -273,24 +348,28 @@ class TestParseSession:
 
     # Built directly: the first two once escaped as a bare TypeError, the
     # rest were accepted and written to files the parser rejects.
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [
-            ("render_scale", "x", "render_scale: expected number, got str"),
-            ("render_scale", None, "render_scale: expected number, got NoneType"),
-            ("render_scale", math.nan, "render_scale: expected finite number"),
-            ("game_id", 5, "game_id: expected string, got int"),
-            ("texture_tier", 0.0, "texture_tier: expected integer, got float"),
-            ("aa_tier", True, "aa_tier: expected integer, got bool"),
-            ("dynamic_range_tier", "3", "dynamic_range_tier: expected integer, got str"),
-        ],
-    )
+    @pytest.mark.parametrize("field,value,message", _BAD_GAME_FIELDS)
     def test_built_game_fields_checked(self, field, value, message):
         valid = {"game_id": "g", "render_scale": 1.0, "texture_tier": 0, "effects_tier": 0,
                  "aa_tier": 0, "dynamic_range_tier": 0}
         with pytest.raises(ValidationError) as info:
             GameSettings(**{**valid, field: value})
         assert type(info.value) is ValidationError and str(info.value) == message
+
+    # Parsed, the same values are read by the same readers: the message is the
+    # built one, under the section's name. (The rows left out are not JSON that
+    # orjson reads, or, as null, a missing field.)
+    @pytest.mark.parametrize(
+        "section,field,value,message",
+        [("device", *row) for row in _BAD_DEVICE_FIELDS if _json_exact(row[1])]
+        + [("game", *row) for row in _BAD_GAME_FIELDS if _json_exact(row[1])],
+    )
+    def test_parsed_fields_checked_as_built(self, section, field, value, message):
+        doc = make_doc()
+        doc[section][field] = value
+        with pytest.raises(SchemaError) as info:
+            parse_session(to_bytes(doc))
+        assert type(info.value) is SchemaError and str(info.value) == f"{section}.{message}"
 
     def test_null_streams_mean_absent(self):
         doc = make_doc()
@@ -618,6 +697,40 @@ def _late_hitch(frames):
     return None
 
 
+class TestBulkColumns:
+    """A stream whose every row is well formed is checked a column at a time: no row is walked."""
+
+    @pytest.mark.parametrize("stream", ["battery", "temperature", "touch", "scene_loads"])
+    def test_valid_stream_walks_no_row(self, monkeypatch, stream):
+        rows = {
+            "battery": [[0, 100.0], [60000, 99.5]],
+            "temperature": [[0, 28.0, "soc"], [60000, 35.5, "gpu"]],
+            "touch": [[2000, 55.3], [4000, 60]],
+            "scene_loads": [[5000, 9000], [9000, 9000]],
+        }[stream]
+        walked = []
+        as_row = telemetry.as_row
+
+        def recording_as_row(value, where, readers):
+            walked.append(where)
+            return as_row(value, where, readers)
+
+        monkeypatch.setattr(telemetry, "as_row", recording_as_row)
+        session = parse_session(to_bytes(make_doc(events={"frames": [0, 16], stream: rows})))
+        assert [w for w in walked if w != "launch"] == []
+        assert getattr(session, stream) == tuple(map(tuple, rows))
+
+    # Built directly, a column's ints may lie past int64 beside ints within it: the
+    # column check bounds both ends, and the walk names the row.
+    @pytest.mark.parametrize("t,where", [(-(2**63) - 1, 0), (2**63, 1)])
+    def test_int_past_int64_beside_one_within(self, reference_session, t, where):
+        ts = [t, 0] if where == 0 else [0, t]
+        battery = [(ts[0], 90.0), (ts[1], 90.0)]
+        with pytest.raises(SchemaError) as info:
+            replace(reference_session, battery=battery)
+        assert str(info.value) == f"battery[{where}][0]: integer outside the int64 range"
+
+
 class TestLateFaultWork:
     """A late fault or a long frame counts and walks one block, not the stream."""
 
@@ -840,6 +953,14 @@ class TestFrameCheckOracle:
             with patch.object(telemetry, "_FRAME_BLOCK", block):
                 assert _outcome(make) == expected
 
+    # An int past the float range beside a float: their interval overflows, and the
+    # walk names the int.
+    @pytest.mark.parametrize("frames,where", [([10**400, 0.5, 16], 0), ([0, 16, -(10**400), 0.5], 2)])
+    def test_interval_past_the_float_range(self, frames, where):
+        with pytest.raises(SchemaError) as info:
+            telemetry._parse_frames(frames, "frames")
+        assert str(info.value) == f"frames[{where}]: integer outside the int64 range"
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.one_of(st.integers(-3, 300), st.sampled_from([255, 256, -(2**70)]))),
@@ -901,6 +1022,22 @@ class TestComparability:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             validate_comparability([])
+
+    # Flags come by session, then by field name, not in the order the fields are checked.
+    def test_flags_ordered_by_session_then_field(self):
+        group = [
+            _game_settings(aa_tier=3),
+            _game_settings(game_id="other", texture_tier=0, aa_tier=0),
+            _game_settings(),
+            _game_settings(),
+        ]
+        assert [(f.session_index, f.field) for f in validate_comparability(group)] == [
+            (0, "aa_tier"), (1, "aa_tier"), (1, "game_id"), (1, "texture_tier")
+        ]
+
+    def test_modal_tie_breaks_toward_the_smaller_value(self):
+        group = [_game_settings(texture_tier=2), _game_settings(texture_tier=1)]
+        assert validate_comparability(group) == ((0, "texture_tier", 2, 1),)
 
     def test_does_not_mutate(self):
         group = [_game_settings(), _game_settings(texture_tier=0)]
