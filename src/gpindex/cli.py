@@ -113,12 +113,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 valid.append((name, settings))
     print(f"{len(valid)} valid")
     if args.comparability and valid:
+        from .jsondoc import shown
+
         names, settings = zip(*valid)
         for flag in validate_comparability(settings):
             # Not "<file>: ...": that prefix marks the file's diagnostic.
             print(
                 f"comparability: {names[flag.session_index]}: {flag.field}="
-                f"{flag.value} differs from modal {flag.modal}",
+                f"{shown(str(flag.value))} differs from modal {shown(str(flag.modal))}",
                 file=sys.stderr,
             )
     return EXIT_DATA if len(valid) < len(args.files) else EXIT_OK

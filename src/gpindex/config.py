@@ -13,9 +13,7 @@ from typing import Any
 
 from .errors import ConfigError, EngineError, SchemaError
 from .indices import IndexProfile, MainIndex
-from .jsondoc import (
-    Record, as_list, as_obj, as_pair, as_real, decode, is_file_name, require, require_version
-)
+from .jsondoc import Record, as_obj, as_real, decode, is_file_name, require, require_version
 from .metrics import METRIC_IDS
 from .scoring import MappingCurve
 
@@ -56,13 +54,12 @@ def _read_config(doc: Any) -> EngineConfig:
 
     curves: dict[str, MappingCurve] = {}
     for metric_id, breakpoints in _non_empty_obj(root, "curves").items():
-        where = f"curves.{metric_id}"
         if metric_id not in METRIC_IDS:
-            raise SchemaError(f"{where}: unknown metric")
-        points = enumerate(as_list(breakpoints, where))
-        curves[metric_id] = MappingCurve(
-            metric_id, tuple(as_pair(p, f"{where}[{i}]", as_real) for i, p in points)
-        )
+            raise SchemaError(f"curves.{metric_id}: unknown metric")
+        try:
+            curves[metric_id] = MappingCurve(metric_id, breakpoints)
+        except SchemaError as exc:
+            raise SchemaError(f"curves.{exc}") from exc
     # Every session is mapped on every metric, weighted by a profile or not.
     for metric_id in METRIC_IDS:
         if metric_id not in curves:

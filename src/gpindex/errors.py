@@ -19,7 +19,7 @@ class SessionSyntaxError(EngineError):
 
 
 class SchemaError(EngineError):
-    """Document is well-formed but a field is missing or mistyped."""
+    """A field is missing or mistyped, in a document or in a record built directly."""
 
 
 class ValidationError(EngineError):
@@ -45,7 +45,7 @@ class InsufficientSamplesError(EngineError):
 
 
 class CurveError(EngineError):
-    """Mapping-curve breakpoints violate a curve invariant."""
+    """Mapping-curve breakpoints, each a pair of finite numbers, violate a curve invariant."""
 
 
 # --- index aggregation -------------------------------------------------
@@ -78,7 +78,7 @@ class DuplicateDeviceError(EngineError):
 
 
 class ModelError(EngineError):
-    """Synthetic device model parameters are invalid."""
+    """Synthetic device model parameters, each of its declared type, violate an invariant."""
 
 
 # --- config ------------------------------------------------------------

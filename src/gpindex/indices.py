@@ -12,6 +12,7 @@ natural deviation between gameplay sessions.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -61,7 +62,8 @@ assert set(METRIC_INDEX) == set(METRIC_IDS)
 
 # Normalized weights are quantized to this many decimals so that scaling
 # a weight vector by any positive constant reproduces the same stored
-# weights bit-for-bit (scores are then identical, not merely close).
+# weights bit-for-bit (scores are then identical, not merely close). A
+# subnormal weight keeps too few bits for that, so it is refused.
 WEIGHT_DECIMALS = 10
 
 
@@ -73,6 +75,8 @@ def _normalized(weights: Mapping, what: str) -> dict:
             raise WeightError(f"{what}: {kind} weight for {key}")
         if weight < 0:
             raise WeightError(f"{what}: negative weight for {key}")
+        if 0 < weight < sys.float_info.min:
+            raise WeightError(f"{what}: subnormal weight for {key}")
         total += weight
     if total <= 0:
         raise WeightError(f"{what}: at least one weight must be positive")

@@ -1,20 +1,18 @@
-"""JSON documents: decoding and typed field readers.
+"""JSON documents: decoding, typed field readers and immutable records.
 
 Every document the engine reads (session files, engine configs, corpus
-manifests) goes from bytes to a JSON value through :func:`decode`, and
-its fields come out through the readers below, so one set of rules
-decides what a bad input becomes: ``decode`` raises the caller's error
-class for bytes that are not a JSON document or that nest deeper than
-``MAX_DEPTH`` (RFC 8259 section 9 lets a parser bound it; session files
-are decoded by orjson, the others by json), and each reader raises
-``SchemaError`` naming the field path, e.g. ``events.touch[3][1]:
-expected finite number``. Integers must fit in int64, reals must be
-finite and strings must encode to UTF-8. Readers check a value and
-return it as given, so a record's real written ``500`` stays the int
-500. A record field or event-row column is read by its declared type
-(:func:`reader`), the same whether parsed (:func:`read_record`) or built
-(:func:`check_record`), where an array may be a tuple; records are
-:class:`Record` subclasses.
+manifests) goes from bytes to a JSON value through :func:`decode`, which
+raises the caller's error class for bytes that are not a JSON document
+or that nest deeper than ``MAX_DEPTH`` (RFC 8259 section 9 lets a parser
+bound it; session files are decoded by orjson, the others by json). Each
+reader checks one value and returns it as given, or raises
+``SchemaError`` naming its path, e.g. ``events.touch[3][1]: expected
+finite number``: integers must fit in int64, reals must be finite and
+strings must encode to UTF-8. A :class:`Record` checks its own fields,
+each by its declared type's reader (:func:`check_record`), so a record
+built in Python and one read from a document meet one check:
+:func:`build_record` only requires the fields with no default, builds
+the record and puts the document's path in front of its ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -134,6 +132,11 @@ def is_file_name(value: Any) -> bool:
         and value not in ("", ".", "..")
         and not set(value) & set("/\\")
     )
+
+
+def shown(text: str) -> str:
+    """``text``, escaped as ``repr`` escapes it (unquoted) unless printable: it starts no line."""
+    return text if text.isprintable() else repr(text)[1:-1]
 
 
 def as_real(value: Any, where: str) -> int | float:
@@ -261,25 +264,27 @@ def replace(record: Record, **changes: Any) -> Any:
     return type(record)(**{**asdict(record), **changes})
 
 
-def read_record(cls: type[Record], obj: dict, path: str) -> dict[str, Any]:
-    """``cls``'s fields read from ``obj``: one with no default is required; null is absent."""
-    return {
-        name: reader(annotation)(require(obj, name, path), f"{path}.{name}")
-        for name, annotation in cls.__annotations__.items()
+def build_record(cls: type[Record], obj: dict, path: str) -> Any:
+    """``cls`` built from ``obj``, which must hold each field with no default (null is absent);
+    the record checks its fields, and a field's ``SchemaError`` is raised again under ``path``."""
+    given = {
+        name: obj[name] if name in cls._defaults else require(obj, name, path)
+        for name in cls._fields
         if name not in cls._defaults or obj.get(name) is not None
     }
+    try:
+        return cls(**given)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}.{exc}") from exc
 
 
-def check_record(record: Record, error_cls: type[EngineError]) -> None:
-    """Check a built record's fields with :func:`read_record`'s readers.
+def check_record(record: Record) -> None:
+    """Check a built record's fields by their declared types, each with its reader.
 
     A field declared ``T | None`` may hold None, a bad field raises
-    ``error_cls`` naming it, and a pair is kept as the tuple its reader returns.
+    ``SchemaError`` naming it, and a pair is kept as the tuple its reader returns.
     """
     for name, annotation in type(record).__annotations__.items():
         value = getattr(record, name)
         if not (value is None and annotation.endswith(" | None")):
-            try:
-                object.__setattr__(record, name, reader(annotation)(value, name))
-            except SchemaError as exc:
-                raise error_cls(str(exc)) from exc
+            object.__setattr__(record, name, reader(annotation)(value, name))

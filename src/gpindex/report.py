@@ -18,7 +18,7 @@ import orjson
 
 from .errors import DuplicateDeviceError, EmptyInputError, MixedProfilesError
 from .indices import MainIndex, ScoreCard
-from .jsondoc import Record, asdict
+from .jsondoc import Record, asdict, shown
 from .telemetry import _ROW_STREAMS, SessionTelemetry
 
 REPORT_SCHEMA_VERSION = 1
@@ -70,7 +70,7 @@ def rank_devices(cards: Sequence[ScoreCard]) -> ComparisonTable:
     ids = sorted(c.device_id for c in cards)
     for a, b in zip(ids, ids[1:]):
         if a == b:
-            raise DuplicateDeviceError(f"device '{a}' is scored more than once")
+            raise DuplicateDeviceError(f"device '{shown(a)}' is scored more than once")
 
     ordered = sorted(cards, key=lambda c: (-c.median_overall, c.device_id))
     rows = []

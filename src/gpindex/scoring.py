@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 
 from .errors import CurveError, ValidationError
-from .jsondoc import Record, is_finite, is_number
+from .jsondoc import Record, as_list, as_pair, as_real
 
 
 class SubIndexScore(Record):
@@ -27,7 +27,8 @@ class SubIndexScore(Record):
 class MappingCurve(Record):
     """Value -> score function over ordered breakpoints.
 
-    Invariants (enforced at construction):
+    Breakpoints are an array of pairs of finite numbers (``<metric_id>[i]``
+    in a ``SchemaError``), kept as floats. Invariants (``CurveError``):
       - at least 2 breakpoints;
       - breakpoint values strictly increasing;
       - breakpoint scores monotone (all non-decreasing or all non-increasing);
@@ -38,12 +39,10 @@ class MappingCurve(Record):
     breakpoints: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.breakpoints, (tuple, list)):
-            raise CurveError(
-                f"{self.metric_id}: breakpoints must be a sequence of pairs, "
-                f"got {type(self.breakpoints).__name__}"
-            )
-        bps = tuple(self._breakpoint(i, point) for i, point in enumerate(self.breakpoints))
+        bps = tuple(
+            tuple(map(float, as_pair(point, f"{self.metric_id}[{i}]", as_real)))
+            for i, point in enumerate(as_list(self.breakpoints, self.metric_id))
+        )
         object.__setattr__(self, "breakpoints", bps)
         if len(bps) < 2:
             raise CurveError(f"{self.metric_id}: need at least 2 breakpoints, got {len(bps)}")
@@ -66,16 +65,6 @@ class MappingCurve(Record):
                 if direction > 0:
                     raise CurveError(f"{self.metric_id}: scores not monotone at index {i}")
                 direction = -1
-
-    def _breakpoint(self, i: int, point: object) -> tuple[float, float]:
-        """Breakpoint ``i`` as a (value, score) pair of floats; anything else raises CurveError."""
-        if not (isinstance(point, (tuple, list)) and len(point) == 2):
-            raise CurveError(f"{self.metric_id}: breakpoint at index {i} is not a pair")
-        for x in point:
-            if not is_finite(x):
-                kind = "non-finite" if is_number(x) else "non-numeric"
-                raise CurveError(f"{self.metric_id}: {kind} breakpoint at index {i}")
-        return float(point[0]), float(point[1])
 
 
 def map_metric(value: float, curve: MappingCurve) -> SubIndexScore:

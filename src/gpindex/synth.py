@@ -3,8 +3,9 @@
 Generates telemetry from a parametric device model whose true values are
 known in closed form, so the extraction pipeline can be checked against
 ground truth, and ships the demo corpus manifest used for the example
-device comparison. A broken model is a ``ModelError``, and a bad
-manifest is refused when it loads, before any session is generated.
+device comparison. A model's mistyped parameter is a ``SchemaError``, a
+broken model a ``ModelError``, and a bad manifest is refused when it
+loads, before any session is generated.
 
 Randomness comes from SplitMix64, a fixed 64-bit generator simple enough
 to reimplement bit-exactly anywhere, which keeps generated fixtures and
@@ -23,8 +24,8 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import ModelError, SchemaError, ValidationError
 from .jsondoc import (
-    Record, as_int, as_list, as_obj, as_real, as_str, decode, fields, is_file_name, is_finite,
-    read_record, reader, replace, require, require_version,
+    Record, as_int, as_list, as_obj, as_real, asdict, build_record, check_record, decode, fields,
+    is_file_name, is_finite, replace, require, require_version,
 )
 from .telemetry import (
     BatterySample,
@@ -112,22 +113,10 @@ class DeviceModel(Record):
     battery_capacity_mah: int | None = None
 
     def __post_init__(self) -> None:
+        check_record(self)
         # `demo` writes a device's sessions to a directory named by its id.
         if not is_file_name(self.device_id):
             raise ModelError(f"device_id must name one directory, got {self.device_id!r}")
-        # Each parameter by its declared type, as a manifest reads it, except
-        # that a seed may be any int: SplitMix64 takes it mod 2**64.
-        for name, (read, optional) in _MODEL_PARAMS.items():
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
-            if read is as_real and not is_finite(value):
-                raise ModelError(f"{name} must be finite, got {value!r}")
-            is_int = isinstance(value, int) and not isinstance(value, bool)
-            if read is as_int and not is_int:
-                raise ModelError(f"{name} must be an integer, got {value!r}")
-            if read is as_str and not isinstance(value, str):
-                raise ModelError(f"{name} must be a string, got {value!r}")
         object.__setattr__(self, "settings", self._record(GameSettings))
         if self.base_frame_time_ms <= 0:
             raise ModelError("base_frame_time_ms must be > 0")
@@ -149,19 +138,10 @@ class DeviceModel(Record):
 
     def _record(self, record: type) -> Any:
         """``record`` built from the parameters named as its fields; its rules raise ModelError."""
-        shared = [name for name in fields(record) if name in _MODEL_PARAMS]
         try:
-            return record(**{name: getattr(self, name) for name in shared})
+            return record(**{k: v for k, v in asdict(self).items() if k in fields(record)})
         except ValidationError as exc:
             raise ModelError(str(exc)) from exc
-
-
-# Each parameter with its reader and whether it may be None; an annotation no reader takes
-# fails at import.
-_MODEL_PARAMS = {
-    name: (reader(annotation), annotation.endswith(" | None"))
-    for name, annotation in DeviceModel.__annotations__.items()
-}
 
 
 def _frame_times(model: DeviceModel, duration_ms: float) -> tuple[list[int], Counter, int]:
@@ -307,11 +287,10 @@ def load_manifest(data: bytes) -> tuple[CorpusDevice, ...]:
         _check_duration(duration)
         at = f"{where}.model"
         obj = as_obj(require(entry, "model", where), at)
-        params = read_record(DeviceModel, obj, at)
-        unknown = set(obj) - set(_MODEL_PARAMS)
+        unknown = set(obj) - set(fields(DeviceModel))
         if unknown:
             raise SchemaError(f"{at}: unknown model fields {sorted(unknown)}")
-        model = DeviceModel(**params)
+        model = build_record(DeviceModel, obj, at)
         if model.device_id in first_index:
             raise SchemaError(
                 f"{where}.model.device_id: {model.device_id!r} already used by "
@@ -332,12 +311,13 @@ def default_demo_manifest() -> tuple[CorpusDevice, ...]:
 def generate_corpus(
     corpus: tuple[CorpusDevice, ...] | list[CorpusDevice],
 ) -> dict[str, list[SessionTelemetry]]:
-    """Generate every session of a corpus; session i uses seed + i."""
+    """Generate every session of a corpus; session i uses seed + i wrapped into int64, which
+    SplitMix64 reads as the same seed mod 2**64."""
     out: dict[str, list[SessionTelemetry]] = {}
     for device in corpus:
         sessions = []
         for i in range(device.sessions):
-            model = replace(device.model, seed=device.model.seed + i)
+            model = replace(device.model, seed=(device.model.seed + i + 2**63) % 2**64 - 2**63)
             sessions.append(generate_session(model, device.session_duration_s))
         out[device.model.device_id] = sessions
     return out

@@ -37,14 +37,15 @@ from .jsondoc import (
     as_real,
     as_row,
     as_str,
+    build_record,
     check_record,
     decode,
     fields,
     is_utf8,
-    read_record,
     reader,
     require,
     require_version,
+    shown,
 )
 
 SCHEMA_VERSION = 1
@@ -111,7 +112,7 @@ class DeviceMeta(Record):
     display_resolution: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        check_record(self, ValidationError)  # each field holds what the parser reads
+        check_record(self)
         if not self.device_id:
             raise ValidationError("device_id must be non-empty")
         if self.battery_capacity_mah is not None and self.battery_capacity_mah <= 0:
@@ -133,7 +134,7 @@ class GameSettings(Record):
     dynamic_range_tier: int
 
     def __post_init__(self) -> None:
-        check_record(self, ValidationError)  # each field holds what the parser reads
+        check_record(self)
         if not self.game_id:
             raise ValidationError("game_id must be non-empty")
         if not 0 < self.render_scale <= 1:
@@ -376,10 +377,10 @@ def _parse_frames(frames: Sequence, where: str) -> Counter:
 
 
 def _parse_record(root: dict, key: str, record: type, unknown: list[str]) -> Any:
-    """The section ``key`` read into ``record`` by its fields' declared types."""
+    """The section ``key`` built into ``record``, which checks its fields."""
     obj = as_obj(require(root, key, ""), key)
     unknown += _unknown(obj, set(fields(record)), key)
-    return record(**read_record(record, obj, key))
+    return build_record(record, obj, key)
 
 
 def _parse_events(obj: dict, unknown: list[str]) -> dict[str, Any]:
@@ -421,7 +422,7 @@ def parse_session(data: bytes) -> SessionTelemetry:
             raise SchemaError(f"events.{exc}") from exc
     finally:
         for path in unknown:
-            warnings.warn(f"ignoring unknown key '{path}'", UnknownKeyWarning, stacklevel=2)
+            warnings.warn(f"ignoring unknown key '{shown(path)}'", UnknownKeyWarning, stacklevel=2)
 
 
 # --- comparability -----------------------------------------------------

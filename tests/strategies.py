@@ -6,6 +6,7 @@ draws; generation stays cheap and monotonicity holds by construction.
 
 import copy
 import json
+import sys
 from functools import reduce
 from operator import getitem
 
@@ -177,8 +178,11 @@ def curve_set():
     return st.fixed_dictionaries({m: curves(metric_id=m, max_points=4) for m in METRIC_IDS})
 
 
-# Weights a config may hold: any finite non-negative number, tiny and huge included.
-_weights = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300]) | st.floats(0.0, 1e300)
+# Weights a config may hold: any finite non-negative number but a subnormal, tiny and huge
+# included.
+_weights = st.sampled_from([0.0, sys.float_info.min, 1e-300, 1.0, 1e300]) | st.floats(
+    0.0, 1e300, allow_subnormal=False
+)
 # Breakpoint values: any finite float; the two extremes make a segment
 # wider than the float range when both are drawn.
 _breakpoint_values = st.sampled_from([-1.7e308, 1.7e308]) | st.floats(

@@ -14,6 +14,7 @@ import tempfile
 import time
 import tracemalloc
 import weakref
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -715,6 +716,84 @@ class TestCompare:
         assert err.startswith("error:") and "'device_a'" in err
         assert "Traceback" not in err
         assert not (out / "plot_data.csv").exists()
+
+    def _scaled_config(self, tmp_path, c):
+        """The default config with every main and sub weight of every profile times ``c``."""
+        doc = json.loads(files("gpindex.data").joinpath("default_config.json").read_bytes())
+        for body in doc["profiles"].values():
+            body["main_weights"] = {k: w * c for k, w in body["main_weights"].items()}
+            for group in body.get("sub_weights", {}).values():
+                group.update((k, w * c) for k, w in group.items())
+        path = tmp_path / f"scaled_{c}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    # Scaling every weight by a positive constant writes the same reports,
+    # while the scaled weights stay normal floats.
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_scaled_weights_write_the_same_reports(self, demo_dir, tmp_path, c):
+        device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
+        plain, scaled = tmp_path / "plain", tmp_path / "scaled"
+        assert main(["compare", "--out", str(plain), *device_dirs]) == 0
+        config = self._scaled_config(tmp_path, c)
+        assert main(["compare", "--config", str(config), "--out", str(scaled), *device_dirs]) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in scaled.iterdir()) and len(names) == 3
+        for name in names:
+            assert (scaled / name).read_bytes() == (plain / name).read_bytes(), name
+
+    # Subnormal weights keep too few bits to scale in proportion: scaled by
+    # 1e-320, device_a's median overall under casual once read 72.979053
+    # against 72.971255, and 1e-310 was accepted.
+    @pytest.mark.parametrize("c", [1e-320, 1e-310])
+    def test_subnormal_weights_are_a_config_error(self, demo_dir, tmp_path, capsys, c):
+        device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
+        config = self._scaled_config(tmp_path, c)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(config), "--out", str(out), *device_dirs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: profile '") and "subnormal weight for" in err
+        assert not out.exists()
+
+
+# Text a session file holds is escaped where it is not printable, so no
+# string in a file can start a stderr line that reads as another file's
+# diagnostic; printable text prints as it is.
+FORGED = "\n/tmp/forged.json: malformed session document: forged"
+
+
+class TestDocumentTextStaysOnItsLine:
+    def test_unknown_key_in_a_validate_warning(self, tmp_path, reference_session, capsys):
+        doc = json.loads(serialize_session(reference_session))
+        doc["x" + FORGED] = 1
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {path}: ignoring unknown key 'x\\n/tmp/forged.json: malformed session "
+            "document: forged'"
+        ]
+
+    def test_game_id_in_a_comparability_line(self, tmp_path, reference_session, capsys):
+        game = replace(reference_session.settings, game_id="g\n/tmp/forged2.json: forged")
+        forged = replace(reference_session, settings=game)
+        d = write_sessions(tmp_path, [reference_session, reference_session, forged])
+        files = sorted(str(p) for p in d.glob("*.json"))
+        assert main(["validate", "--comparability", *files]) == 0
+        modal = reference_session.settings.game_id
+        assert capsys.readouterr().err.splitlines() == [
+            f"comparability: {files[2]}: game_id=g\\n/tmp/forged2.json: forged differs from "
+            f"modal {modal}"
+        ]
+
+    def test_device_id_in_a_duplicate_device_error(self, tmp_path, reference_session, capsys):
+        device = replace(reference_session.device, device_id="d\nerror: forged")
+        session = replace(reference_session, device=device)
+        dirs = [write_sessions(tmp_path / name, [session]) for name in ("a", "b")]
+        assert main(["compare", "--out", str(tmp_path / "cmp"), *map(str, dirs)]) == 1
+        assert capsys.readouterr().err == (
+            "error: device 'd\\nerror: forged' is scored more than once\n"
+        )
 
 
 def argv_on_dirs(command, out, dirs):

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,26 @@ class TestIndexProfile:
     def test_malformed_profile_rejected(self, name, main, sub, message):
         with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
             IndexProfile(name, main, sub)
+
+    # A subnormal keeps too few bits to scale in proportion: scaled by 1e-320,
+    # the shipped weights once moved a median overall from 72.971255 to 72.979053.
+    @pytest.mark.parametrize("weight", [5e-324, 1e-310, sys.float_info.min * (1 - 2**-52)])
+    def test_subnormal_weight_rejected(self, weight):
+        with pytest.raises(WeightError, match="^profile 'bad' main weights: subnormal weight for"
+                           " MainIndex.BATTERY$"):
+            IndexProfile("bad", {MainIndex.BATTERY: weight, MainIndex.SWIFTNESS: 1.0}, {})
+        with pytest.raises(WeightError, match="^profile 'bad' visual_smoothness: subnormal weight"
+                           " for low1_fps$"):
+            IndexProfile(
+                "bad",
+                {MainIndex.VISUAL_SMOOTHNESS: 1.0},
+                {MainIndex.VISUAL_SMOOTHNESS: {"avg_fps": 1.0, "low1_fps": weight}},
+            )
+
+    def test_smallest_normal_weight_accepted(self):
+        tiny = sys.float_info.min
+        profile = IndexProfile("p", {MainIndex.BATTERY: tiny, MainIndex.SWIFTNESS: tiny}, {})
+        assert profile.main_weights[MainIndex.BATTERY] == 0.5
 
     def test_weights_summing_past_float_range_rejected(self):
         with pytest.raises(WeightError, match="beyond the float range"):

@@ -4,16 +4,18 @@ import json
 import math
 import re
 from enum import IntEnum
+from importlib.resources import files
 
 import numpy as np
 import orjson
 import pytest
 from unittest.mock import patch
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpindex import telemetry
+from gpindex.config import load_config
 from gpindex.errors import (
     DuplicateDeviceError,
     EmptyInputError,
@@ -38,7 +40,8 @@ from gpindex.report import (
     round_display,
     serialize_session,
 )
-from gpindex.synth import DeviceModel
+from gpindex.scoring import MappingCurve
+from gpindex.synth import DeviceModel, load_manifest
 from gpindex.telemetry import (
     FRAME_LIMIT_MS,
     DeviceMeta,
@@ -653,6 +656,7 @@ _VALID_FIELDS = {
                   "throttle_onset_s": 60.0, "throttle_factor": 1.5, "game_id": "g",
                   "render_scale": 1, "texture_tier": 2, "effects_tier": 3, "aa_tier": 0,
                   "dynamic_range_tier": 1, "display_ppi": 401.5, "battery_capacity_mah": 3000},
+    MappingCurve: {"metric_id": "avg_fps", "breakpoints": ((0, 0), (60.5, 100))},
 }
 
 # What a direct build may be handed: ints (bools and values past int64
@@ -690,7 +694,7 @@ class TestBuiltRecordsRoundTrip:
         try:
             built = record(**fields)
         except EngineError as exc:
-            assert type(exc) is (ModelError if record is DeviceModel else ValidationError)
+            assert type(exc) in (SchemaError, ModelError if record is DeviceModel else ValidationError)
             return
         device = built if record is DeviceMeta else DeviceMeta(**_VALID_FIELDS[DeviceMeta])
         game = built if record is GameSettings else GameSettings(**_VALID_FIELDS[GameSettings])
@@ -700,3 +704,90 @@ class TestBuiltRecordsRoundTrip:
         payload = serialize_session(session)
         assert payload == oracle_bytes(session)
         assert parse_session(payload) == session
+
+
+def _as_json_arrays(value):
+    """``value`` with each tuple in it a list, as a JSON array is read."""
+    return list(map(_as_json_arrays, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _same_json(held, drawn):
+    """Whether ``held``, read from a document, is ``drawn``: the same types and values, NaN
+    as NaN."""
+    if type(held) is list is type(drawn):
+        return len(held) == len(drawn) and all(map(_same_json, held, drawn))
+    return type(held) is type(drawn) and (held == drawn or held != held and drawn != drawn)
+
+
+def _held_as_json(value, loads):
+    """Whether a document json.dumps writes holds ``value`` exactly, as ``loads`` reads it."""
+    try:
+        return _same_json(loads(json.dumps(value)), value)
+    except (TypeError, ValueError):  # not JSON json.dumps writes, or not JSON loads reads
+        return False
+
+
+_SESSION_DOC = json.loads(oracle_bytes(_session((0, 16))))
+_CONFIG_DOC = json.loads(files("gpindex.data").joinpath("default_config.json").read_bytes())
+
+# Each record's path in its document, the document's decoder, the document
+# holding the record's fields, and the record its loader makes of the bytes.
+_IN_DOCUMENT = {
+    DeviceMeta: (
+        "device", orjson.loads, lambda f: {**_SESSION_DOC, "device": f},
+        lambda data: parse_session(data).device,
+    ),
+    GameSettings: (
+        "game", orjson.loads, lambda f: {**_SESSION_DOC, "game": f},
+        lambda data: parse_session(data).settings,
+    ),
+    DeviceModel: (
+        "devices[0].model", json.loads,
+        lambda f: {"schema_version": 1,
+                   "devices": [{"sessions": 1, "session_duration_s": 300, "model": f}]},
+        lambda data: load_manifest(data)[0].model,
+    ),
+    MappingCurve: (
+        "curves", json.loads,
+        lambda f: {**_CONFIG_DOC, "curves": {**_CONFIG_DOC["curves"], "avg_fps": f["breakpoints"]}},
+        lambda data: load_config(data).curves["avg_fps"],
+    ),
+}
+
+
+class TestBuiltAgreesWithParsed:
+    # A record built from drawn values, and its loader reading a document that
+    # holds the same values as JSON, give equal records, or errors of one class
+    # whose messages are equal after the document's path. Arrays are built as
+    # the lists a document holds, and a null field is absent in a document, so
+    # None is kept only where a field may hold it. Each record's constructor
+    # is the one check of its fields.
+    @pytest.mark.parametrize("record", list(_IN_DOCUMENT))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    @example(data=None)  # the valid fields alone
+    def test_built_and_parsed_agree(self, record, data):
+        path, loads, document, load = _IN_DOCUMENT[record]
+        fields = dict(_VALID_FIELDS[record] if data is None else data.draw(_wild_fields(record)))
+        if record is MappingCurve:
+            assume(fields["metric_id"] == "avg_fps")  # the document's key
+            if data is not None and data.draw(st.booleans()):  # wild values inside the pairs
+                pairs = st.lists(st.tuples(_wild_values, _wild_values), max_size=3)
+                fields["breakpoints"] = data.draw(pairs)
+        fields = {name: _as_json_arrays(value) for name, value in fields.items()}
+        for name, value in fields.items():
+            assume(value is not None or record.__annotations__[name].endswith(" | None"))
+            assume(_held_as_json(value, loads))
+        payload = json.dumps(document(fields)).encode()
+        try:
+            built = record(**fields)
+        except EngineError as exc:
+            with pytest.raises(EngineError) as info:
+                load(payload)
+            # load_config raises ConfigError from the error it met.
+            parsed = info.value.__cause__ if record is MappingCurve else info.value
+            assert type(parsed) is type(exc)
+            prefix = f"{path}." if type(exc) is SchemaError else ""
+            assert str(parsed) == prefix + str(exc)
+        else:
+            assert load(payload) == built

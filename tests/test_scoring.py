@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpindex.errors import CurveError, ValidationError
+from gpindex.errors import CurveError, SchemaError, ValidationError
 from gpindex.scoring import MappingCurve, map_metric
 from tests.strategies import curves
 
@@ -72,20 +72,21 @@ class TestValidateCurve:
     @pytest.mark.parametrize(
         "point,message",
         [
-            (("x", 0), "non-numeric breakpoint at index 0"),
-            ((None, 0), "non-numeric breakpoint at index 0"),
-            ((10**400, 0), "non-finite breakpoint at index 0"),
-            ((1, 2, 3), "breakpoint at index 0 is not a pair"),
+            (("x", 0), "[0][0]: expected number, got str"),
+            ((None, 0), "[0][0]: expected number, got NoneType"),
+            ((10**400, 0), "[0][0]: expected finite number"),
+            ((1, 2, 3), "[0]: expected a 2-element array"),
         ],
     )
     def test_unusable_breakpoint_rejected(self, point, message):
-        # A curve built directly raises CurveError, never ValueError or OverflowError.
-        with pytest.raises(CurveError, match=f"^avg_fps: {re.escape(message)}$"):
+        # A curve built directly raises a config's SchemaError, never ValueError or OverflowError.
+        with pytest.raises(SchemaError, match=f"^avg_fps{re.escape(message)}$"):
             MappingCurve("avg_fps", [point, (100, 100)])
 
     @pytest.mark.parametrize("breakpoints", [None, 5, {(0, 0): (100, 100)}])
     def test_breakpoints_not_a_sequence_rejected(self, breakpoints):
-        with pytest.raises(CurveError, match="^avg_fps: breakpoints must be a sequence of pairs"):
+        message = f"avg_fps: expected array, got {type(breakpoints).__name__}"
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             MappingCurve("avg_fps", breakpoints)
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from gpindex import metrics, synth, telemetry
 from gpindex.config import default_config
 from gpindex.errors import ModelError, SchemaError
 from gpindex.indices import measure
-from gpindex.jsondoc import replace
+from gpindex.jsondoc import INT64_MAX, INT64_MIN, asdict, replace
 from gpindex.metrics import extract_metrics
 from gpindex.report import serialize_session
 from gpindex.synth import (
@@ -116,7 +117,9 @@ def models_and_durations(draw):
         temp_peak_c=40.0,
         touch_latency_ms=draw(st.floats(0.0, 200.0)),
         launch_s=5.0,
-        seed=draw(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 1000, 2**64 - 1))),
+        # Seeds are int64, one for each residue mod 2**64 that SplitMix64 reads; -1000..-1
+        # are 2**64 - 1000..2**64 - 1.
+        seed=draw(st.one_of(st.integers(INT64_MIN, INT64_MAX), st.integers(-1000, -1))),
     )
     return model, duration_s
 
@@ -298,7 +301,7 @@ class TestGenerateSession:
                 frame_jitter_sd_ms=9.0,
                 throttle_onset_s=50.0,
                 throttle_factor=2,
-                seed=2**64 - 1,
+                seed=-1,  # 2**64 - 1, as SplitMix64 reads it
             ),
             # Jitter wider than the step: steps hit the 0.001 ms floor.
             floored,
@@ -360,7 +363,7 @@ class TestGenerateSession:
         ],
     )
     def test_model_numbers_must_be_finite(self, reference_model, field, value):
-        with pytest.raises(ModelError, match=f"{field} must be finite"):
+        with pytest.raises(SchemaError, match=f"^{field}: expected finite number$"):
             replace(reference_model, **{field: value})
 
     # A non-integer seed was once accepted, and generate_session then raised TypeError.
@@ -376,18 +379,22 @@ class TestGenerateSession:
         ],
     )
     def test_model_integers_must_be_integers(self, reference_model, field, value):
-        with pytest.raises(ModelError, match=f"^{field} must be an integer, got {value!r}$"):
+        message = f"{field}: expected integer, got {type(value).__name__}"
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             replace(reference_model, **{field: value})
 
     # A non-string game_id was once accepted, and its sessions' files failed to parse.
-    @pytest.mark.parametrize("value", [5, None, b"g", ["g"]])
-    def test_model_strings_must_be_strings(self, reference_model, value):
-        with pytest.raises(ModelError) as info:
-            replace(reference_model, game_id=value)
-        assert str(info.value) == f"game_id must be a string, got {value!r}"
+    @pytest.mark.parametrize(
+        "field,value", [("game_id", 5), ("game_id", None), ("game_id", b"g"), ("game_id", ["g"]),
+                        ("device_id", None)]
+    )
+    def test_model_strings_must_be_strings(self, reference_model, field, value):
+        with pytest.raises(SchemaError) as info:
+            replace(reference_model, **{field: value})
+        assert str(info.value) == f"{field}: expected string, got {type(value).__name__}"
 
     # demo writes each device's sessions to a directory named by its id.
-    @pytest.mark.parametrize("device_id", ["", ".", "..", "../x", "/", "a\\b", "a\x00", None])
+    @pytest.mark.parametrize("device_id", ["", ".", "..", "../x", "/", "a\\b", "a\x00"])
     def test_device_id_must_name_one_directory(self, reference_model, device_id):
         with pytest.raises(ModelError, match="^device_id must name one directory"):
             replace(reference_model, device_id=device_id)
@@ -465,6 +472,19 @@ class TestManifest:
         for sa, sb in zip(a_sessions, b_sessions):
             assert sa.frames == sb.frames
             assert sa.touch == sb.touch
+
+    # A manifest's seed is int64, and session i's seed + i wraps into int64: its
+    # draws are SplitMix64's of seed + i mod 2**64.
+    def test_corpus_seeds_wrap_into_int64(self):
+        data = manifest_bytes({"seed": INT64_MAX, "frame_jitter_sd_ms": 1.0})
+        (device,) = load_manifest(data.replace(b'"sessions": 1', b'"sessions": 3'))
+        sessions = generate_corpus((device,))["x"]
+        for i, session in enumerate(sessions):
+            oracle = SimpleNamespace(**{**asdict(device.model), "seed": INT64_MAX + i})
+            assert (session.frames, session.touch) == scalar_frames_and_touch(oracle, 300)
+        with pytest.raises(SchemaError, match="^seed: integer outside the int64 range$"):
+            replace(device.model, seed=INT64_MAX + 1)
+        assert replace(device.model, seed=INT64_MIN).seed == INT64_MIN
 
     def test_manifest_schema_errors(self):
         with pytest.raises(SchemaError, match="schema_version"):

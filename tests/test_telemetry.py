@@ -339,12 +339,12 @@ class TestParseSession:
 
     # Built directly: the first three once escaped as a bare ValueError or
     # TypeError, the rest were accepted and written to files the parser
-    # rejects.
+    # rejects. The record's own field check raises the parser's SchemaError.
     @pytest.mark.parametrize("field,value,message", _BAD_DEVICE_FIELDS)
     def test_built_device_fields_checked(self, field, value, message):
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(SchemaError) as info:
             DeviceMeta(**{"device_id": "x", field: value})
-        assert type(info.value) is ValidationError and str(info.value) == message
+        assert type(info.value) is SchemaError and str(info.value) == message
 
     # Built directly: the first two once escaped as a bare TypeError, the
     # rest were accepted and written to files the parser rejects.
@@ -352,9 +352,9 @@ class TestParseSession:
     def test_built_game_fields_checked(self, field, value, message):
         valid = {"game_id": "g", "render_scale": 1.0, "texture_tier": 0, "effects_tier": 0,
                  "aa_tier": 0, "dynamic_range_tier": 0}
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(SchemaError) as info:
             GameSettings(**{**valid, field: value})
-        assert type(info.value) is ValidationError and str(info.value) == message
+        assert type(info.value) is SchemaError and str(info.value) == message
 
     # Parsed, the same values are read by the same readers: the message is the
     # built one, under the section's name. (The rows left out are not JSON that
