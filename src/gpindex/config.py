@@ -13,7 +13,7 @@ from typing import Any
 
 from .errors import ConfigError, EngineError, SchemaError
 from .indices import IndexProfile, MainIndex
-from .jsondoc import Record, as_obj, as_real, decode, is_file_name, require, require_version
+from .jsondoc import Record, as_obj, as_real, decode, is_file_name, require, require_version, shown
 from .metrics import METRIC_IDS
 from .scoring import MappingCurve
 
@@ -32,7 +32,7 @@ def load_config(data: bytes) -> EngineConfig:
     try:
         return _read_config(decode(data, SchemaError, "config"))
     except EngineError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(shown(str(exc))) from exc  # a document's text starts no line
 
 
 def _non_empty_obj(root: dict, key: str) -> dict:

@@ -756,8 +756,8 @@ class TestCompare:
         assert not out.exists()
 
 
-# Text a session file holds is escaped where it is not printable, so no
-# string in a file can start a stderr line that reads as another file's
+# Text a session or config file holds is escaped where it is not printable,
+# so no string in a file can start a stderr line that reads as another
 # diagnostic; printable text prints as it is.
 FORGED = "\n/tmp/forged.json: malformed session document: forged"
 
@@ -794,6 +794,16 @@ class TestDocumentTextStaysOnItsLine:
         assert capsys.readouterr().err == (
             "error: device 'd\\nerror: forged' is scored more than once\n"
         )
+
+    def test_curve_key_in_a_config_error(self, tmp_path, reference_session, capsys):
+        doc = json.loads(files("gpindex.data").joinpath("default_config.json").read_bytes())
+        doc["curves"]["x\nerror: forged"] = [[0, 0], [1, 100]]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        d = write_sessions(tmp_path / "a", [reference_session])
+        argv = ["compare", "--config", str(config), "--out", str(tmp_path / "cmp"), str(d)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: curves.x\\nerror: forged: unknown metric\n"
 
 
 def argv_on_dirs(command, out, dirs):
