@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from contextlib import closing, suppress
 from functools import partial
 from itertools import islice, takewhile
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .errors import ConfigError, EngineError
-from .telemetry import UnknownKeyWarning, parse_session, validate_comparability
+from .telemetry import parse_session, validate_comparability
 
 # Each command imports the layers it runs, where it runs them: a cold ``validate`` loads none
 # of these.
@@ -83,45 +82,55 @@ def _load_config(path: str | None) -> EngineConfig:
     return default_config() if path is None else load_config_file(path)
 
 
-def _read_file(name: str | Path, read: Callable[[bytes], Any], prefix: str) -> tuple[Any, list[str]]:
-    """What ``read`` makes of file ``name``'s bytes, or None, and the lines to write on stderr.
+def _say(*lines: str) -> None:
+    """Write each of ``lines`` on stderr: every stderr line of the CLI goes through here.
 
-    A failure is the line ``<prefix><name>: <error>``, and each warning raised
-    meanwhile (once per unknown key) follows as ``warning: <name>: ...``. Only
-    the diagnostic may start with ``<prefix><name>: ``: perfbench's
-    ``validate_mixed`` check counts such a line as that file's diagnostic.
+    A line that holds a character that is not printable is escaped as
+    ``repr`` escapes it (unquoted), so no text read from outside (a file
+    name, a key, an id) starts a line of its own.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UnknownKeyWarning)
-        try:
-            with open(name, "rb") as fh:
-                result, lines = read(fh.read()), []
-        except (OSError, EngineError) as exc:
-            result, lines = None, [f"{prefix}{name}: {exc}\n"]
-    return result, lines + [f"warning: {name}: {warning.message}\n" for warning in caught]
+    for line in lines:
+        print(line if line.isprintable() else repr(line)[1:-1], file=sys.stderr)
+
+
+def _read_file(name: str | Path, read: Callable, prefix: str) -> tuple[Any, list[str]]:
+    """What ``read(data, unknown)`` makes of file ``name``'s bytes, or None, and the lines to
+    write on stderr; ``read`` appends the path of each unknown key to the list ``unknown``.
+
+    A failure is the line ``<prefix><name>: <error>``, and each unknown key
+    read follows as ``warning: <name>: ...``. Only the diagnostic may start
+    with ``<prefix><name>: ``: perfbench's ``validate_mixed`` check counts
+    such a line as that file's diagnostic.
+    """
+    unknown: list[str] = []
+    try:
+        with open(name, "rb") as fh:
+            result, lines = read(fh.read(), unknown), []
+    except (OSError, EngineError) as exc:
+        result, lines = None, [f"{prefix}{name}: {exc}"]
+    return result, lines + [f"warning: {name}: ignoring unknown key '{path}'" for path in unknown]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     # Each valid file and its settings; the session itself is dropped once parsed.
-    read = partial(_read_file, read=lambda data: parse_session(data).settings, prefix="")
+    read = partial(
+        _read_file, read=lambda data, unknown: parse_session(data, unknown).settings, prefix=""
+    )
     import orjson  # noqa: F401  parse_session's decoder, imported once and inherited by each worker
     valid = []
     with closing(_ordered_map(read, args.files)) as outcomes:
         for name, (settings, lines) in zip(args.files, outcomes):
-            sys.stderr.writelines(lines)
+            _say(*lines)
             if settings is not None:
                 valid.append((name, settings))
     print(f"{len(valid)} valid")
     if args.comparability and valid:
-        from .jsondoc import shown
-
         names, settings = zip(*valid)
         for flag in validate_comparability(settings):
             # Not "<file>: ...": that prefix marks the file's diagnostic.
-            print(
-                f"comparability: {names[flag.session_index]}: {flag.field}="
-                f"{shown(str(flag.value))} differs from modal {shown(str(flag.modal))}",
-                file=sys.stderr,
+            _say(
+                f"comparability: {names[flag.session_index]}: {flag.field}={flag.value} "
+                f"differs from modal {flag.modal}"
             )
     return EXIT_DATA if len(valid) < len(args.files) else EXIT_OK
 
@@ -135,15 +144,16 @@ def _measure_dirs(
     """
     from .indices import measure
 
-    def read(path: Path) -> tuple[MeasuredSession | None, list[str]]:
-        return _read_file(path, lambda data: measure(parse_session(data), config.curves), "error: ")
+    def read(data: bytes, unknown: list[str]) -> MeasuredSession:
+        return measure(parse_session(data, unknown), config.curves)
 
     listed = list(takewhile(bool, (sorted(Path(d).glob("*.json")) for d in device_dirs)))
     import orjson  # noqa: F401  parse_session's decoder, imported once and inherited by each worker
     measured = []
-    with closing(_ordered_map(read, [f for found in listed for f in found])) as outcomes:
+    files = [f for found in listed for f in found]
+    with closing(_ordered_map(partial(_read_file, read=read, prefix="error: "), files)) as outcomes:
         for scores, lines in outcomes:
-            sys.stderr.writelines(lines)
+            _say(*lines)
             if scores is None:
                 return None
             measured.append(scores)
@@ -312,7 +322,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     config = _load_config(args.config)
     if args.profile not in config.profiles:
-        print(f"unknown profile '{args.profile}'", file=sys.stderr)
+        _say(f"unknown profile '{args.profile}'")
         return EXIT_USAGE
     if args.out is not None:
         out_path = Path(args.out).resolve()
@@ -320,7 +330,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             f.resolve() for d in args.device_dirs for f in Path(d).glob("*.json")
         }
         if out_path in inputs:
-            print(f"refusing to overwrite input file {args.out}", file=sys.stderr)
+            _say(f"refusing to overwrite input file {args.out}")
             return EXIT_USAGE
     groups = _measure_dirs(args.device_dirs, config)
     if groups is None:
@@ -333,7 +343,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     try:
         Path(args.out).write_bytes(payload)
     except OSError as exc:
-        print(f"i/o error writing {args.out}: {exc}", file=sys.stderr)
+        _say(f"i/o error writing {args.out}: {exc}")
         return EXIT_DATA
     return EXIT_OK
 
@@ -348,7 +358,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return EXIT_DATA
         written = _write_reports(groups, config, out_dir, args.format)
     except OSError as exc:
-        print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
+        _say(f"i/o error under {out_dir}: {exc}")
         return EXIT_DATA
     for path in written:
         print(f"wrote {path}")
@@ -366,7 +376,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             with open(args.manifest, "rb") as fh:
                 corpus = load_manifest(fh.read())
     except (OSError, EngineError) as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
+        _say(f"manifest error: {exc}")
         return EXIT_USAGE
 
     out_dir = Path(args.out)
@@ -381,7 +391,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         groups = list(_ordered_map(partial(_demo_device, out_dir=out_dir, config=config), corpus))
         _write_reports(groups, config, out_dir, "json")
     except OSError as exc:
-        print(f"i/o error under {out_dir}: {exc}", file=sys.stderr)
+        _say(f"i/o error under {out_dir}: {exc}")
         return EXIT_DATA
     print(f"demo corpus and reports written to {out_dir}")
     return EXIT_OK
@@ -394,8 +404,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a stdout closed by its reader fails here, not as the process exits
         return status
     except ConfigError as exc:  # a bad --config
-        print(f"config error: {exc}", file=sys.stderr)
+        _say(f"config error: {exc}")
         return EXIT_USAGE
     except (OSError, EngineError) as exc:  # OSError: a failed fork or pipe, or a closed stdout
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_DATA

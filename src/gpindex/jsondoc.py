@@ -13,6 +13,8 @@ each by its declared type's reader (:func:`check_record`), so a record
 built in Python and one read from a document meet one check:
 :func:`build_record` only requires the fields with no default, builds
 the record and puts the document's path in front of its ``SchemaError``.
+A message holds the document's text (a key, an id) as it is: the CLI
+alone escapes a stderr line that is not printable.
 """
 
 from __future__ import annotations
@@ -132,11 +134,6 @@ def is_file_name(value: Any) -> bool:
         and value not in ("", ".", "..")
         and not set(value) & set("/\\")
     )
-
-
-def shown(text: str) -> str:
-    """``text``, escaped as ``repr`` escapes it (unquoted) unless printable: it starts no line."""
-    return text if text.isprintable() else repr(text)[1:-1]
 
 
 def as_real(value: Any, where: str) -> int | float:

@@ -14,7 +14,6 @@ so frame intervals are the same whether taken in integers or in floats.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from functools import partial
 from itertools import repeat, takewhile
@@ -45,7 +44,6 @@ from .jsondoc import (
     reader,
     require,
     require_version,
-    shown,
 )
 
 SCHEMA_VERSION = 1
@@ -61,10 +59,6 @@ FRAME_LIMIT_MS = 2**53
 
 # Frame intervals are counted and checked in blocks of this many.
 _FRAME_BLOCK = 1 << 12
-
-
-class UnknownKeyWarning(UserWarning):
-    """Emitted when a session document carries keys the schema ignores."""
 
 
 class LaunchEvent(NamedTuple):
@@ -403,26 +397,24 @@ def _read_fields(root: Any, unknown: list[str]) -> dict[str, Any]:
     return {"schema_version": version, "device": device, "settings": settings, **events}
 
 
-def parse_session(data: bytes) -> SessionTelemetry:
+def parse_session(data: bytes, unknown: list[str] | None = None) -> SessionTelemetry:
     """Parse and validate one session document.
 
     Total over the error taxonomy: any bytes give a session or raise exactly
     one of ``SessionSyntaxError`` for malformed text, ``SchemaError`` for
     missing/mistyped fields (naming the field path) and ``ValidationError``
     for invariant violations (naming the invariant). The document is
-    decoded by orjson, behind ``jsondoc.MAX_DEPTH``. Each unknown key is one
-    ``UnknownKeyWarning`` naming the caller, once the outcome is known.
+    decoded by orjson, behind ``jsondoc.MAX_DEPTH``. The schema ignores
+    keys it does not know; the path of each one read (``events.replay``)
+    is appended to ``unknown`` where the caller passes a list, also when
+    the document then fails.
     """
-    unknown: list[str] = []
+    doc = decode(data, SessionSyntaxError, "session document", fast=True)
+    kwargs = _read_fields(doc, [] if unknown is None else unknown)
     try:
-        kwargs = _read_fields(decode(data, SessionSyntaxError, "session document", fast=True), unknown)
-        try:
-            return SessionTelemetry._with_intervals(**kwargs)
-        except SchemaError as exc:  # the constructor's SchemaError names an event stream
-            raise SchemaError(f"events.{exc}") from exc
-    finally:
-        for path in unknown:
-            warnings.warn(f"ignoring unknown key '{shown(path)}'", UnknownKeyWarning, stacklevel=2)
+        return SessionTelemetry._with_intervals(**kwargs)
+    except SchemaError as exc:  # the constructor's SchemaError names an event stream
+        raise SchemaError(f"events.{exc}") from exc
 
 
 # --- comparability -----------------------------------------------------

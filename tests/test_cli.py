@@ -18,7 +18,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import gpindex.cli
@@ -300,9 +300,9 @@ class TestValidate:
         parse = gpindex.cli.parse_session
         parsed, alive_before = [], []
 
-        def tracking(data):
+        def tracking(data, unknown):
             alive_before.append(sum(ref() is not None for ref in parsed))
-            session = parse(data)
+            session = parse(data, unknown)
             parsed.append(weakref.ref(session))
             return session
 
@@ -424,9 +424,9 @@ class TestDemo:
             generated.extend(weakref.ref(s) for sessions in out.values() for s in sessions)
             return out
 
-        def tracking_parse(data):
+        def tracking_parse(data, unknown):
             parsed.append(data)
-            return parse(data)
+            return parse(data, unknown)
 
         monkeypatch.setattr(gpindex.synth, "generate_corpus", tracking_generate)
         monkeypatch.setattr(gpindex.cli, "parse_session", tracking_parse)
@@ -602,6 +602,38 @@ JITTER_THROTTLE_MANIFEST = manifest_bytes(
 )
 
 
+def default_config_doc():
+    return json.loads(files("gpindex.data").joinpath("default_config.json").read_bytes())
+
+
+def weight_groups(doc):
+    """Each weight map, main and sub, of each profile in the config document ``doc``."""
+    for body in doc["profiles"].values():
+        yield body["main_weights"]
+        yield from body.get("sub_weights", {}).values()
+
+
+def _weight_factor_bounds():
+    """Positive factors near the least and the greatest that keep the default config's weights
+    normal floats and their sums finite."""
+    groups = list(weight_groups(default_config_doc()))
+    least = min(w for group in groups for w in group.values() if w > 0)
+    greatest_sum = max(sum(group.values()) for group in groups)
+    return sys.float_info.min / least * (1 + 1e-12), sys.float_info.max / greatest_sum / 2
+
+
+WEIGHT_FACTORS = _weight_factor_bounds()
+
+
+@pytest.fixture(scope="module")
+def short_reports(short_corpus, tmp_path_factory):
+    """The short corpus's device directories, and compare's reports on them by file name."""
+    root = tmp_path_factory.mktemp("short")
+    dirs = [str(write_sessions(root / name, s)) for name, s in sorted(short_corpus.items())]
+    assert main(["compare", "--out", str(root / "out"), *dirs]) == 0
+    return dirs, {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+
+
 class TestCompare:
     def test_writes_all_profiles_and_plot(self, demo_dir, tmp_path, capsys):
         device_dirs = sorted(str(p) for p in (demo_dir / "sessions").iterdir())
@@ -640,9 +672,9 @@ class TestCompare:
         parse = gpindex.cli.parse_session
         parsed, alive_before = [], []
 
-        def tracking(data):
+        def tracking(data, unknown):
             alive_before.append(sum(ref() is not None for ref in parsed))
-            session = parse(data)
+            session = parse(data, unknown)
             parsed.append(weakref.ref(session))
             return session
 
@@ -719,11 +751,9 @@ class TestCompare:
 
     def _scaled_config(self, tmp_path, c):
         """The default config with every main and sub weight of every profile times ``c``."""
-        doc = json.loads(files("gpindex.data").joinpath("default_config.json").read_bytes())
-        for body in doc["profiles"].values():
-            body["main_weights"] = {k: w * c for k, w in body["main_weights"].items()}
-            for group in body.get("sub_weights", {}).values():
-                group.update((k, w * c) for k, w in group.items())
+        doc = default_config_doc()
+        for group in weight_groups(doc):
+            group.update((k, w * c) for k, w in group.items())
         path = tmp_path / f"scaled_{c}.json"
         path.write_text(json.dumps(doc))
         return path
@@ -741,6 +771,28 @@ class TestCompare:
         assert names == sorted(p.name for p in scaled.iterdir()) and len(names) == 3
         for name in names:
             assert (scaled / name).read_bytes() == (plain / name).read_bytes(), name
+
+    # Any factor that keeps every scaled weight a normal float and every sum
+    # finite stores the same normalized weights, so the reports match.
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(c=st.floats(WEIGHT_FACTORS[0], WEIGHT_FACTORS[1]))
+    @example(c=WEIGHT_FACTORS[0])
+    @example(c=WEIGHT_FACTORS[1])
+    def test_drawn_weight_factor_writes_the_same_reports(
+        self, short_reports, tmp_path, monkeypatch, c
+    ):
+        doc = default_config_doc()
+        for group in weight_groups(doc):
+            assume(all(sys.float_info.min <= w * c for w in group.values()))
+            assume(math.isfinite(sum(w * c for w in group.values())))
+        monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: 1)
+        dirs, plain = short_reports
+        config, out = self._scaled_config(tmp_path, c), tmp_path / "scaled"
+        assert main(["compare", "--config", str(config), "--out", str(out), *dirs]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == plain
 
     # Subnormal weights keep too few bits to scale in proportion: scaled by
     # 1e-320, device_a's median overall under casual once read 72.979053
@@ -760,6 +812,9 @@ class TestCompare:
 # so no string in a file can start a stderr line that reads as another
 # diagnostic; printable text prints as it is.
 FORGED = "\n/tmp/forged.json: malformed session document: forged"
+
+# What a file name may hold on POSIX, less the surrogates a name not in UTF-8 decodes to.
+FILE_NAME_CHARACTERS = st.characters(blacklist_categories=["Cs"], blacklist_characters="/\0")
 
 
 class TestDocumentTextStaysOnItsLine:
@@ -805,6 +860,54 @@ class TestDocumentTextStaysOnItsLine:
         assert main(argv) == 2
         assert capsys.readouterr().err == "config error: curves.x\\nerror: forged: unknown metric\n"
 
+    # A line that holds outside text that is not printable is escaped whole:
+    # its backslashes are doubled, and its ' escaped when it also holds ".
+    def test_a_line_is_escaped_whole(self, tmp_path, reference_session, capsys):
+        doc = json.loads(serialize_session(reference_session))
+        doc['q"\n'] = 1
+        path = tmp_path / "a\\b.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {tmp_path}/a\\\\b.json: ignoring unknown key \\'q\"\\n\\'\n"
+        )
+
+    # A file name once split its diagnostic: a truncated file named
+    # "x\nok.json: forged.json" beside a valid ok.json printed "x", then a
+    # line that read as ok.json's diagnostic.
+    @needs_fork
+    @settings(
+        max_examples=50, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(stem=st.text(FILE_NAME_CHARACTERS, max_size=20))
+    @example(stem="x\nok.json: forged")
+    def test_one_line_per_bad_file_whatever_its_name(
+        self, short_corpus, tmp_path, monkeypatch, capsys, stem
+    ):
+        name = f"{stem}.json"
+        # A printable name is printed as it is, so one that starts with another
+        # file's path and ": " would start its line so too.
+        assume(name != "ok.json" and not name.startswith("ok.json: "))
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+        Path("ok.json").write_bytes(serialize_session(short_corpus["dev_a"][0]))
+        Path(name).write_bytes(b"{")
+        malformed = "malformed session document: unexpected end of data: line 1 column 2 (char 1)"
+        for workers in (1, 2):
+            monkeypatch.setattr(gpindex.cli, "_usable_cpus", lambda: workers)
+            for argv, prefix, out in [
+                (["validate", "--", "ok.json", name], "", "1 valid\n"),
+                (["compare", "--out", str(tmp_path / "out"), "."], "error: ", ""),
+            ]:
+                assert main(argv) == 1
+                captured = capsys.readouterr()
+                (line,) = captured.err.splitlines()
+                assert captured == (out, line + "\n")
+                assert line.startswith(prefix) and line.endswith(f": {malformed}")
+                assert not line.startswith(f"{prefix}ok.json: ")
+                if name.isprintable():
+                    assert line == f"{prefix}{name}: {malformed}"
+
 
 def argv_on_dirs(command, out, dirs):
     """``compare`` writing under ``out``, or ``score --profile casual`` writing stdout, on dirs;
@@ -843,10 +946,10 @@ class TestCompareWorkers:
         last.write_bytes(b"[")
         parse = gpindex.cli.parse_session
 
-        def slow_parse(data):
+        def slow_parse(data, unknown):
             if data == b"{":
                 time.sleep(0.3)  # the last file fails first in time; the first fails first in order
-            return parse(data)
+            return parse(data, unknown)
 
         monkeypatch.setattr(gpindex.cli, "parse_session", slow_parse)
         assert main(argv_on_dirs(command, tmp_path / "out", dirs)) == 1
@@ -900,7 +1003,7 @@ class TestCompareWorkers:
         assert_no_child_left()
         first.write_bytes(good)
 
-        def failing_parse(data):
+        def failing_parse(data, unknown):
             raise RuntimeError("not an engine error")
 
         monkeypatch.setattr(gpindex.cli, "parse_session", failing_parse)
@@ -996,11 +1099,11 @@ class TestCompareWorkers:
             "import gpindex.cli\n"
             "gpindex.cli._usable_cpus = lambda: 2\n"
             "parse = gpindex.cli.parse_session\n"
-            "def dying(data):\n"
+            "def dying(data, unknown):\n"
             "    try:\n"
             "        os.close(os.open(sys.argv[2], os.O_CREAT | os.O_EXCL))\n"
             "    except FileExistsError:\n"
-            "        return parse(data)\n"
+            "        return parse(data, unknown)\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
             "gpindex.cli.parse_session = dying\n"
             "sys.exit(gpindex.cli.main(json.loads(sys.argv[1])))\n"
@@ -1058,10 +1161,10 @@ class TestCompareWorkers:
             "import gpindex.cli\n"
             "gpindex.cli._usable_cpus = lambda: 2\n"
             "parse = gpindex.cli.parse_session\n"
-            "def slow(data):\n"
+            "def slow(data, unknown):\n"
             "    open(os.path.join(sys.argv[2], str(os.getpid())), 'w').close()\n"
             "    time.sleep(0.5)\n"
-            "    return parse(data)\n"
+            "    return parse(data, unknown)\n"
             "gpindex.cli.parse_session = slow\n"
             "sys.exit(gpindex.cli.main(json.loads(sys.argv[1])))\n"
         )
@@ -1201,7 +1304,6 @@ class TestCompareErrorSurface:
             assert err.startswith(f"error: {target}: ")
 
 
-@pytest.mark.filterwarnings("ignore::gpindex.telemetry.UnknownKeyWarning")
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     data=one_field_mutations(

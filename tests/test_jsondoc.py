@@ -367,7 +367,6 @@ _OUTCOMES = [_session_outcome, _config_outcome, _manifest_outcome]
 _arbitrary = st.binary(max_size=64) | hostile_values.map(lambda v: json.dumps(v).encode())
 
 
-@pytest.mark.filterwarnings("ignore::gpindex.telemetry.UnknownKeyWarning")
 class TestClosedErrorSurface:
     @pytest.mark.parametrize("outcome", _OUTCOMES, ids=["session", "config", "manifest"])
     @settings(max_examples=100, deadline=None)

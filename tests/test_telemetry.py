@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from functools import partial
 from unittest.mock import patch
@@ -27,7 +28,6 @@ from gpindex.telemetry import (
     DeviceMeta,
     GameSettings,
     SessionTelemetry,
-    UnknownKeyWarning,
     parse_session,
     validate_comparability,
 )
@@ -165,20 +165,36 @@ class TestParseSession:
         with pytest.raises(SchemaError, match="schema_version"):
             parse_session(to_bytes(make_doc(schema_version=2)))
 
+    # Unknown keys are listed where the caller passes a list, and never warned of.
     def test_unknown_keys_warn_and_are_ignored(self):
         doc = make_doc(extra_top=1)
         doc["device"]["color"] = "blue"
-        with pytest.warns(UnknownKeyWarning):
-            session = parse_session(to_bytes(doc))
+        unknown = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            session = parse_session(to_bytes(doc), unknown)
+            assert parse_session(to_bytes(doc)) == session
         assert session.frames == (0, 16)
+        assert unknown == ["extra_top", "device.color"]
 
+    # Each unknown key is listed by its path.
     @pytest.mark.parametrize("section", [None, "device", "game", "events"])
     def test_unknown_key_warning_names_the_caller(self, section):
         doc = make_doc()
         (doc if section is None else doc[section])["x"] = 1
-        with pytest.warns(UnknownKeyWarning) as record:
-            parse_session(to_bytes(doc))
-        assert [w.filename for w in record] == [__file__]
+        unknown = []
+        parse_session(to_bytes(doc), unknown)
+        assert unknown == ["x" if section is None else f"{section}.x"]
+
+    # A document that fails keeps the unknown keys read before the fault.
+    def test_unknown_keys_read_before_a_fault_are_listed(self):
+        doc = make_doc(extra_top=1)
+        doc["game"].update(x=1, render_scale=2.0)
+        doc["events"]["y"] = 1  # read after the fault
+        unknown = []
+        with pytest.raises(ValidationError, match="render_scale"):
+            parse_session(to_bytes(doc), unknown)
+        assert unknown == ["extra_top", "game.x"]
 
     def test_too_few_frames(self):
         doc = make_doc()
